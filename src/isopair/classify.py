@@ -10,14 +10,23 @@ comparing the resulting invariants as multisets.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
-from .bcl import BCLTriple, wandering_projections
-from .linalg import Subspace, hermitian_eig, orthonormal_columns, subspace_intersection
-from .models import StructuredPair, defect_and_cross_on_interior, validate_pair
+# the working-space builder calls through these modules, so a test can
+# count how often each input's defect and cross-commutator are computed
+from . import bcl, models
+from .bcl import BCLTriple, WanderingOperators
+from .linalg import (
+    Subspace,
+    _normalize_phases,
+    hermitian_eig,
+    orthonormal_columns,
+    subspace_intersection,
+)
+from .models import StructuredPair, validate_pair
 
 #: Band around 0 and 1 used to sort fundamental-sequence entries into kinds;
 #: truncation noise inside the band never flips a block kind.
@@ -30,17 +39,40 @@ THREE_FINITE = "three_finite"
 PairInput = BCLTriple | StructuredPair
 
 
-def _working_defect_cross(obj: PairInput) -> tuple[np.ndarray, np.ndarray]:
-    """Defect and cross-commutator on the working space of either input kind.
+@dataclass(frozen=True)
+class WorkingSpace:
+    """Working data of one input, computed once and shared by every stage.
 
-    For a triple the working space is the wandering space itself; for a
-    structured pair it is the interior compression.
+    For a triple the working space is the wandering space itself and
+    ``wandering`` holds its operators; for a structured pair it is the
+    interior window, whose indices ``interior`` holds.  Exactly one of the
+    two is set.  Nothing outlives the call that built the object.
+    """
+
+    obj: PairInput
+    defect: np.ndarray
+    cross: np.ndarray
+    wandering: WanderingOperators | None = None
+    interior: np.ndarray | None = None
+
+    @cached_property
+    def defect_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """``hermitian_eig`` of the defect, computed on first use."""
+        return hermitian_eig(self.defect)
+
+
+def working_space(obj: PairInput) -> WorkingSpace:
+    """Build the working space of either input kind.
+
+    This is the one place that dispatches on the input kind.
     """
     if isinstance(obj, BCLTriple):
-        ops = wandering_projections(obj)
-        return ops.defect, ops.cross
+        ops = bcl.wandering_projections(obj)
+        return WorkingSpace(obj, ops.defect, ops.cross, wandering=ops)
     if isinstance(obj, StructuredPair):
-        return defect_and_cross_on_interior(obj)
+        defect, cross = models.defect_and_cross_on_interior(obj)
+        return WorkingSpace(obj, defect, cross,
+                            interior=np.asarray(obj.interior, dtype=int))
     raise TypeError(f"unsupported input type {type(obj).__name__}")
 
 
@@ -63,7 +95,11 @@ def check_compact_normal(obj: PairInput, tol: float = 1e-8) -> NormalityReport:
     additionally required to be isometric and commuting on their interior
     window at the same tolerance.
     """
-    _, cross = _working_defect_cross(obj)
+    return _compact_normal(working_space(obj), tol)
+
+
+def _compact_normal(ws: WorkingSpace, tol: float) -> NormalityReport:
+    cross = ws.cross
     xnorm = float(np.linalg.norm(cross))
     residual = float(np.linalg.norm(cross @ cross.conj().T - cross.conj().T @ cross))
     bound = tol * xnorm * xnorm
@@ -72,60 +108,52 @@ def check_compact_normal(obj: PairInput, tol: float = 1e-8) -> NormalityReport:
     ok = True if xnorm <= 1e-12 else residual <= bound
 
     structure: dict[str, float] = {}
-    if isinstance(obj, StructuredPair):
-        structure = validate_pair(obj, tol).residuals
+    if ws.interior is not None:
+        structure = validate_pair(ws.obj, tol).residuals
         ok = ok and all(r <= tol for r in structure.values())
     return NormalityReport(ok, xnorm, residual, bound, structure)
 
 
-def _pair_membership_residual(pair: StructuredPair, vectors: np.ndarray) -> float:
+def _kernel_projection_block(rows: np.ndarray) -> np.ndarray:
+    """``I - V V^H`` on a set of indices, given the rows of ``V`` at those indices."""
+    return np.eye(rows.shape[0]) - rows @ rows.conj().T
+
+
+def _pair_membership_residual(pair: StructuredPair, idx: np.ndarray,
+                              vectors: np.ndarray) -> float:
     """Largest distance of the lifted vectors from both wandering subspaces."""
     if vectors.shape[1] == 0:
         return 0.0
-    v1 = sp.csr_matrix(pair.v1)
-    v2 = sp.csr_matrix(pair.v2)
-    idx = np.asarray(pair.interior, dtype=int)
-    worst = 0.0
-    for j in range(vectors.shape[1]):
-        full = np.zeros(pair.dim, dtype=np.complex128)
-        full[idx] = vectors[:, j]
-        in_w1 = full - v1 @ (v1.getH() @ full)
-        in_w2 = full - v2 @ (v2.getH() @ full)
-        worst = max(worst,
-                    float(np.linalg.norm(in_w1 - full)),
-                    float(np.linalg.norm(in_w2 - full)))
-    return worst
+    full = np.zeros((pair.dim, vectors.shape[1]), dtype=np.complex128)
+    full[idx] = vectors
+    # distance from the kernel of V^H is the length of the part in range(V)
+    return max(float(np.max(np.linalg.norm(v @ (v.conj().T @ full), axis=0)))
+               for v in (pair.v1, pair.v2))
 
 
-def _pair_wandering_ranges(pair: StructuredPair) -> tuple[Subspace, Subspace]:
+def _pair_wandering_ranges(pair: StructuredPair,
+                           idx: np.ndarray) -> tuple[Subspace, Subspace]:
     """Interior compressions of the two kernel projections, as subspaces.
 
     The compressed operators are only quasi-projections (boundary-cut
     directions acquire eigenvalues strictly inside (0, 1)); the range is
     read off as the eigenvectors with majority membership.
     """
-    v1 = sp.csr_matrix(pair.v1)
-    v2 = sp.csr_matrix(pair.v2)
-    eye = sp.identity(pair.dim, dtype=np.complex128, format="csr")
-    idx = np.asarray(pair.interior, dtype=int)
     out = []
-    for v in (v1, v2):
-        quasi = (eye - v @ v.getH())[idx, :][:, idx].toarray()
-        values, vectors = hermitian_eig(quasi)
+    for v in (pair.v1, pair.v2):
+        values, vectors = hermitian_eig(_kernel_projection_block(v[idx, :]))
         out.append(Subspace(len(idx), vectors[:, values > 0.5]))
     return out[0], out[1]
 
 
-def _e1_core(obj: PairInput, tol: float) -> tuple[Subspace, np.ndarray, dict[str, float]]:
-    defect, cross = _working_defect_cross(obj)
-    values, vectors = hermitian_eig(defect)
-    eig_basis = Subspace(defect.shape[0], vectors[:, values >= 1.0 - tol])
+def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[str, float]]:
+    values, vectors = ws.defect_eig
+    eig_basis = Subspace(ws.defect.shape[0], vectors[:, values >= 1.0 - tol])
     residuals: dict[str, float] = {}
 
-    if isinstance(obj, BCLTriple):
-        ops = wandering_projections(obj)
-        s1 = Subspace.from_columns(ops.proj_w1)
-        s2 = Subspace.from_columns(ops.proj_w2)
+    if ws.wandering is not None:
+        s1 = Subspace.from_columns(ws.wandering.proj_w1)
+        s2 = Subspace.from_columns(ws.wandering.proj_w2)
         basis = subspace_intersection(s1, s2, tol)
         gap = float(np.linalg.norm(basis.projector() - eig_basis.projector()))
         residuals["e1_consistency"] = gap
@@ -135,16 +163,17 @@ def _e1_core(obj: PairInput, tol: float) -> tuple[Subspace, np.ndarray, dict[str
                 f"eigenvalue-1 space (gap {gap:.3e})"
             )
     else:
+        pair, idx = ws.obj, ws.interior
         basis = eig_basis
-        membership = _pair_membership_residual(obj, basis.basis)
+        membership = _pair_membership_residual(pair, idx, basis.basis)
         residuals["e1_membership"] = membership
         if membership > max(tol, 1e-8):
             raise ValueError(
                 "eigenvalue-1 vectors leave the wandering subspaces "
                 f"(residual {membership:.3e}); inconsistent pair"
             )
-        if obj.interior_dim <= 800:
-            s1, s2 = _pair_wandering_ranges(obj)
+        if len(idx) <= 800:
+            s1, s2 = _pair_wandering_ranges(pair, idx)
             inter = subspace_intersection(s1, s2, max(tol, 1e-8))
             residuals["e1_consistency"] = float(abs(inter.dim - basis.dim))
             if inter.dim != basis.dim:
@@ -152,7 +181,10 @@ def _e1_core(obj: PairInput, tol: float) -> tuple[Subspace, np.ndarray, dict[str
                     "wandering-subspace intersection has dimension "
                     f"{inter.dim}, defect eigenvalue-1 space has {basis.dim}"
                 )
+        else:
+            residuals["e1_consistency_skipped"] = float(len(idx))
 
+    cross = ws.cross
     compressed = basis.basis.conj().T @ cross @ basis.basis
     contract = float(np.linalg.norm(
         cross - basis.projector() @ cross @ basis.projector()
@@ -173,7 +205,7 @@ def e1_data(obj: PairInput, tol: float = 1e-8) -> tuple[Subspace, np.ndarray]:
     subspaces and as the defect's eigenvalue-1 eigenspace; a mismatch beyond
     ``tol`` raises, since it signals an input outside the modeled class.
     """
-    basis, compressed, _ = _e1_core(obj, tol)
+    basis, compressed, _ = _e1_core(working_space(obj), tol)
     return basis, compressed
 
 
@@ -222,17 +254,6 @@ class ClassificationResult:
         return tuple(b.alpha for b in self.blocks)
 
 
-def _phase_normalize_columns(matrix: np.ndarray) -> np.ndarray:
-    out = matrix.copy()
-    for j in range(out.shape[1]):
-        v = out[:, j]
-        k = int(np.argmax(np.abs(v)))
-        pivot = v[k]
-        if abs(pivot) > 0:
-            out[:, j] = v * (pivot.conjugate() / abs(pivot))
-    return out
-
-
 def _canonical_angle(alpha: complex) -> float:
     if abs(alpha) == 0:
         return 0.0
@@ -252,7 +273,12 @@ def fundamental_sequence(obj: PairInput, tol: float = 1e-8,
     phase-normalized eigenvector.  The shift-unitary part is left unfilled;
     see :func:`classify` for the complete invariant.
     """
-    basis, compressed, residuals = _e1_core(obj, tol)
+    return _fundamental_sequence(working_space(obj), tol, band_tol)
+
+
+def _fundamental_sequence(ws: WorkingSpace, tol: float,
+                          band_tol: float) -> ClassificationResult:
+    basis, compressed, residuals = _e1_core(ws, tol)
     k = basis.dim
     if k == 0:
         return ClassificationResult(0, (), None, residuals)
@@ -272,7 +298,8 @@ def fundamental_sequence(obj: PairInput, tol: float = 1e-8,
     offdiag = float(np.linalg.norm(t - np.diag(np.diagonal(t))))
     residuals["schur_offdiagonal"] = offdiag
     alphas = np.diagonal(t).copy()
-    vectors = _phase_normalize_columns(np.ascontiguousarray(z))
+    vectors = np.ascontiguousarray(z)
+    _normalize_phases(vectors)
 
     def sort_key(j: int):
         # moduli and angles are quantized so float fuzz cannot reorder
@@ -326,8 +353,9 @@ def _unitary_eigs(matrix: np.ndarray) -> tuple[complex, ...]:
 
 
 def _shift_unitary_from_wandering(unitary: np.ndarray, projection: np.ndarray,
-                                  defect: np.ndarray, tol: float) -> ShiftUnitaryInvariant:
-    values, vectors = hermitian_eig(defect)
+                                  defect_eig: tuple[np.ndarray, np.ndarray],
+                                  tol: float) -> ShiftUnitaryInvariant:
+    values, vectors = defect_eig
     seeds = vectors[:, np.abs(values) > tol]
     orbit = _orbit_closure(unitary, seeds)
     n = unitary.shape[0]
@@ -385,7 +413,8 @@ def _forward_orbit_fills(pair: StructuredPair, seeds: np.ndarray,
     return basis.shape[1] == target
 
 
-def _pair_wandering_model(pair: StructuredPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_wandering_model(pair: StructuredPair,
+                          idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense wandering-space data (basis, unitary, projection) of a pair.
 
     The wandering space of the product isometry is extracted from the
@@ -398,20 +427,15 @@ def _pair_wandering_model(pair: StructuredPair) -> tuple[np.ndarray, np.ndarray,
             "wandering-space extraction needs a dense eigendecomposition; "
             f"interior dimension {pair.interior_dim} is too large"
         )
-    v1 = sp.csr_matrix(pair.v1)
-    v2 = sp.csr_matrix(pair.v2)
-    prod = v1 @ v2
-    eye = sp.identity(pair.dim, dtype=np.complex128, format="csr")
-    idx = np.asarray(pair.interior, dtype=int)
+    v1, v2 = pair.v1, pair.v2
+    wander = _kernel_projection_block(v1[idx, :] @ v2)
+    # columns idx of V1 V1^H, then U = V2 (I - V1 V1^H) + V1^H V1 V1^H there
+    range_cols = v1 @ v1[idx, :].conj().T
+    proj_w1 = np.eye(len(idx)) - range_cols[idx, :]
+    u_int = v2[np.ix_(idx, idx)] + (v1[:, idx].conj().T - v2[idx, :]) @ range_cols
 
-    wander = (eye - prod @ prod.getH())[idx, :][:, idx].toarray()
     values, vectors = hermitian_eig(wander)
     basis = vectors[:, values > 0.5]
-
-    proj_w1 = (eye - v1 @ v1.getH()).toarray()[np.ix_(idx, idx)]
-    u_full = (v2 @ (eye - v1 @ v1.getH()) + v1.getH() @ (v1 @ v1.getH()))
-    u_int = u_full.toarray()[np.ix_(idx, idx)]
-
     u_w = basis.conj().T @ u_int @ basis
     p_w = basis.conj().T @ proj_w1 @ basis
     return basis, u_w, p_w
@@ -426,23 +450,23 @@ def shift_unitary_invariant(obj: PairInput, tol: float = 1e-8) -> ShiftUnitaryIn
     projection commutes with the unitary, and its range/kernel split the
     unitary's spectrum into the two returned multisets.
     """
-    if isinstance(obj, BCLTriple):
-        ops = wandering_projections(obj)
+    return _shift_unitary(working_space(obj), tol)
+
+
+def _shift_unitary(ws: WorkingSpace, tol: float) -> ShiftUnitaryInvariant:
+    if ws.wandering is not None:
         return _shift_unitary_from_wandering(
-            obj.unitary, obj.projection, ops.defect, tol
+            ws.obj.unitary, ws.obj.projection, ws.defect_eig, tol
         )
 
-    defect, _ = _working_defect_cross(obj)
-    values, vectors = hermitian_eig(defect)
+    values, vectors = ws.defect_eig
     e1 = vectors[:, values >= 1.0 - tol]
-    if _forward_orbit_fills(obj, e1):
+    if _forward_orbit_fills(ws.obj, e1):
         return ShiftUnitaryInvariant((), ())
 
-    basis, u_w, p_w = _pair_wandering_model(obj)
-    seeds_raw = vectors[:, np.abs(values) > tol]
-    seeds = basis.conj().T @ seeds_raw
-    defect_w = basis.conj().T @ defect @ basis
-    return _shift_unitary_from_wandering(u_w, p_w, defect_w, tol)
+    basis, u_w, p_w = _pair_wandering_model(ws.obj, ws.interior)
+    defect_w = basis.conj().T @ ws.defect @ basis
+    return _shift_unitary_from_wandering(u_w, p_w, hermitian_eig(defect_w), tol)
 
 
 def classify(obj: PairInput, tol: float = 1e-8,
@@ -452,15 +476,22 @@ def classify(obj: PairInput, tol: float = 1e-8,
     Raises ``ValueError`` when the input fails the compact-normal check; the
     classification theorems only cover that class.
     """
-    report = check_compact_normal(obj, tol)
+    ws = working_space(obj)
+    report = _compact_normal(ws, tol)
     if not report.ok:
         raise ValueError(
             f"input is not compact normal: cross-commutator normality "
             f"residual {report.normality_residual:.3e} exceeds "
             f"{report.normality_bound:.3e}"
         )
-    result = fundamental_sequence(obj, tol, band_tol)
-    shift = shift_unitary_invariant(obj, tol)
+    return _classify(ws, report, tol, band_tol)
+
+
+def _classify(ws: WorkingSpace, report: NormalityReport, tol: float,
+              band_tol: float) -> ClassificationResult:
+    """Classification of a working space that passed the compact-normal check."""
+    result = _fundamental_sequence(ws, tol, band_tol)
+    shift = _shift_unitary(ws, tol)
     residuals = dict(result.residuals)
     residuals["cross_normality"] = report.normality_residual
     return replace(result, shift_unitary=shift, residuals=residuals)
@@ -506,12 +537,14 @@ def decide_equivalence(a: PairInput, b: PairInput,
     (the witnessing permutation is returned), and their shift-unitary
     eigenvalue multisets match within ``tol``.
     """
+    checked = []
     for name, obj in (("first", a), ("second", b)):
-        report = check_compact_normal(obj)
+        ws = working_space(obj)
+        report = _compact_normal(ws, 1e-8)
         if not report.ok:
             raise ValueError(f"{name} input is not compact normal")
-    ca = classify(a)
-    cb = classify(b)
+        checked.append((ws, report))
+    ca, cb = (_classify(ws, report, 1e-8, BAND_TOL) for ws, report in checked)
     report: dict[str, object] = {"k": (ca.k, cb.k)}
     if ca.k != cb.k:
         report["reason"] = "eigenvalue-1 dimensions differ"

@@ -15,14 +15,12 @@ import sys
 
 import numpy as np
 
-from .bcl import BCLTriple, random_triple, wandering_projections
-from .classify import classify, decide_equivalence
+from .bcl import random_triple
+from .classify import classify, decide_equivalence, working_space
 from .izuchi import build_izuchi_model
-from .linalg import numerical_rank
 from .models import (
     StructuredPair,
     bishift_truncated,
-    defect_and_cross_on_interior,
     direct_sum,
     scramble,
     twisted_shift,
@@ -33,7 +31,7 @@ from .serialize import (
     load_input,
     to_json,
 )
-from .spectral import spectral_profile
+from .spectral import rank_formula
 
 DEFAULT_CLUSTER_TOL = 1e-8
 DEFAULT_BAND_TOL = 1e-6
@@ -131,15 +129,9 @@ def cmd_gen(args) -> int:
 
 def analyze_object(obj, rank_tol, cluster_tol) -> dict:
     """Spectrum, ranks, normality residual, and both rank identities."""
-    if isinstance(obj, BCLTriple):
-        ops = wandering_projections(obj)
-        defect, cross = ops.defect, ops.cross
-    else:
-        defect, cross = defect_and_cross_on_interior(obj)
-
-    profile = spectral_profile(defect, cluster_tol)
-    rank_defect = numerical_rank(defect, rank_tol)
-    rank_cross = numerical_rank(cross, rank_tol)
+    ws = working_space(obj)
+    defect, cross = ws.defect, ws.cross
+    ranks, profile = rank_formula(defect, cross, rank_tol, cluster_tol)
     normality = float(np.linalg.norm(
         cross @ cross.conj().T - cross.conj().T @ cross
     ))
@@ -161,27 +153,23 @@ def analyze_object(obj, rank_tol, cluster_tol) -> dict:
             ) if profile.interior_pairs else 0
             labels.append(f"pair{idx}_{side}")
 
-    sum_ok = rank_defect == rank_cross + profile.dim_plus1 + profile.dim_kplus
-    diff_ok = rank_defect == (
-        2 * rank_cross + profile.dim_plus1 - profile.dim_minus1
-    )
     return {
         "kind": "analysis",
         "spectrum": [
             {"eigenvalue": [float(v), 0.0], "cluster": lab}
             for v, lab in zip(values, labels)
         ],
-        "rank_defect": rank_defect,
-        "rank_cross": rank_cross,
+        "rank_defect": ranks.rank_defect,
+        "rank_cross": ranks.rank_cross,
         "dim_plus1": profile.dim_plus1,
         "dim_minus1": profile.dim_minus1,
         "dim_kplus": profile.dim_kplus,
         "kernel_dim": profile.kernel_dim,
         "normality_residual": normality,
         "symmetric": profile.symmetric,
-        "sum_identity_ok": sum_ok,
-        "difference_identity_ok": diff_ok,
-        "pass": bool(sum_ok and diff_ok and profile.symmetric),
+        "sum_identity_ok": ranks.sum_identity_ok,
+        "difference_identity_ok": ranks.difference_identity_ok,
+        "pass": bool(ranks.both_identities_hold and profile.symmetric),
     }
 
 

@@ -50,13 +50,18 @@ def hermitian_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(values)[::-1]
     values = np.ascontiguousarray(values[order])
     vectors = np.ascontiguousarray(vectors[:, order])
+    _normalize_phases(vectors)
+    return values, vectors
+
+
+def _normalize_phases(vectors: np.ndarray) -> None:
+    """Rotate each column in place so its first largest-modulus entry is real and >= 0."""
     for j in range(vectors.shape[1]):
         v = vectors[:, j]
         k = int(np.argmax(np.abs(v)))
         pivot = v[k]
         if abs(pivot) > 0:
             vectors[:, j] = v * (pivot.conjugate() / abs(pivot))
-    return values, vectors
 
 
 def numerical_rank(a, tol: float | None = None) -> int:

@@ -92,6 +92,20 @@ def validate_pair(pair: StructuredPair, tol: float = 1e-12) -> PairValidation:
                           residuals=residuals)
 
 
+#: Share of nonzero entries above which a pair's defect and cross-commutator
+#: are multiplied densely.  Generated models hold a couple of entries per
+#: column and stay far below it; a basis scramble fills the interior and
+#: boundary blocks, well above.  The two paths cost the same between 4 % and
+#: 18 % fill on models of dimension 240 to 930.
+DENSE_FILL = 0.1
+
+
+def dense_products(pair: StructuredPair) -> bool:
+    """Whether the pair is filled enough for dense products to be cheaper."""
+    nonzero = np.count_nonzero(pair.v1) + np.count_nonzero(pair.v2)
+    return nonzero > DENSE_FILL * 2 * pair.dim * pair.dim
+
+
 def _sparse_ops(pair: StructuredPair) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return sp.csr_matrix(pair.v1), sp.csr_matrix(pair.v2)
 
@@ -112,9 +126,21 @@ def _raw_defect_cross(pair: StructuredPair) -> tuple[sp.csr_matrix, sp.csr_matri
 
 
 def defect_and_cross_on_interior(pair: StructuredPair) -> tuple[np.ndarray, np.ndarray]:
-    """Defect operator and cross-commutator compressed to the interior window."""
-    defect, cross = _raw_defect_cross(pair)
+    """Defect operator and cross-commutator compressed to the interior window.
+
+    A dense pair (see :func:`dense_products`) is multiplied densely on the
+    interior rows and columns only; a sparse one through :func:`_raw_defect_cross`.
+    """
     idx = np.asarray(pair.interior, dtype=int)
+    if dense_products(pair):
+        v1_rows, v2_rows = pair.v1[idx, :], pair.v2[idx, :]
+        prod_rows = v1_rows @ pair.v2
+        defect_int = (np.eye(len(idx)) - v1_rows @ v1_rows.conj().T
+                      - v2_rows @ v2_rows.conj().T + prod_rows @ prod_rows.conj().T)
+        cross_int = (pair.v2[:, idx].conj().T @ pair.v1[:, idx]
+                     - v1_rows @ v2_rows.conj().T)
+        return defect_int, cross_int
+    defect, cross = _raw_defect_cross(pair)
     defect_int = defect[idx, :][:, idx].toarray()
     cross_int = cross[idx, :][:, idx].toarray()
     return defect_int, cross_int

@@ -179,10 +179,20 @@ def check_rank_formula(
 ) -> RankFormulaReport:
     """Evaluate both rank identities for a triple; failures are reported, never hidden."""
     ops = wandering_projections(triple)
-    rank_defect = numerical_rank(ops.defect, rank_tol)
-    rank_cross = numerical_rank(ops.cross, rank_tol)
-    profile = spectral_profile(ops.defect, cluster_tol)
-    return RankFormulaReport(
+    return rank_formula(ops.defect, ops.cross, rank_tol, cluster_tol)[0]
+
+
+def rank_formula(
+    defect,
+    cross,
+    rank_tol: float | None = None,
+    cluster_tol: float = 1e-8,
+) -> tuple[RankFormulaReport, SpectralProfile]:
+    """Both rank identities for a defect and cross-commutator, with the defect's profile."""
+    rank_defect = numerical_rank(defect, rank_tol)
+    rank_cross = numerical_rank(cross, rank_tol)
+    profile = spectral_profile(defect, cluster_tol)
+    report = RankFormulaReport(
         rank_defect=rank_defect,
         rank_cross=rank_cross,
         dim_plus1=profile.dim_plus1,
@@ -196,6 +206,7 @@ def check_rank_formula(
             == 2 * rank_cross + profile.dim_plus1 - profile.dim_minus1
         ),
     )
+    return report, profile
 
 
 @dataclass(frozen=True)

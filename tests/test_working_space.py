@@ -1,0 +1,123 @@
+"""Each input's working data is computed once, and both product paths agree."""
+
+import importlib
+
+import numpy as np
+import pytest
+
+from isopair import bcl, models
+from isopair.classify import classify, decide_equivalence, fundamental_sequence
+from isopair.izuchi import build_izuchi_model
+from isopair.linalg import random_unitary
+from isopair.models import (
+    bishift_truncated,
+    conjugate_split,
+    defect_and_cross_on_interior,
+    dense_products,
+    twisted_shift,
+)
+
+from conftest import two_finite_triple
+from test_classify import shift_unitary_pair
+
+# the package exports the function ``classify`` under the submodule's name
+classify_module = importlib.import_module("isopair.classify")
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture
+def counters(monkeypatch):
+    return {
+        "pair": _count_calls(monkeypatch, models, "defect_and_cross_on_interior"),
+        "triple": _count_calls(monkeypatch, bcl, "wandering_projections"),
+        "validate_pair": _count_calls(monkeypatch, classify_module, "validate_pair"),
+    }
+
+
+class TestComputedOnce:
+    def test_classify_pair(self, counters):
+        pair = build_izuchi_model(0.5, 1j, 8, 8).pair
+        classify(pair)
+        assert len(counters["pair"]) == 1
+        assert len(counters["validate_pair"]) == 1
+        assert counters["triple"] == []
+
+    def test_classify_triple(self, counters):
+        classify(two_finite_triple(1j))
+        assert len(counters["triple"]) == 1
+        assert counters["pair"] == []
+
+    def test_decide_equivalence_pairs(self, counters):
+        a = build_izuchi_model(0.5, 1j, 8, 8).pair
+        b = build_izuchi_model(0.5, 1j, 10, 10).pair
+        assert decide_equivalence(a, b).equivalent
+        assert [p is a for p in counters["pair"]] == [True, False]
+        assert [p is a for p in counters["validate_pair"]] == [True, False]
+
+    def test_decide_equivalence_triples(self, counters):
+        a, b = two_finite_triple(1j), two_finite_triple(1j)
+        assert decide_equivalence(a, b).equivalent
+        assert [t is a for t in counters["triple"]] == [True, False]
+
+    def test_decide_equivalence_triple_against_pair(self, counters):
+        decide_equivalence(two_finite_triple(1j), twisted_shift(1j, 6))
+        assert len(counters["triple"]) == 1
+        assert len(counters["pair"]) == 1
+
+
+@pytest.mark.parametrize("pair", [
+    bishift_truncated(6),
+    twisted_shift(np.exp(0.7j), 12),
+    build_izuchi_model(0.5, 1j, 8, 8).pair,
+], ids=["bishift", "twisted", "invariant_subspace"])
+def test_dense_path_matches_sparse_path(pair):
+    rng = np.random.default_rng(7)
+    w_int = random_unitary(pair.interior_dim, rng)
+    w_bnd = random_unitary(len(pair.boundary), rng)
+    mixed = conjugate_split(pair, w_int, w_bnd)
+    assert not dense_products(pair)
+    assert dense_products(mixed)
+
+    defect, cross = defect_and_cross_on_interior(pair)
+    mixed_defect, mixed_cross = defect_and_cross_on_interior(mixed)
+    wh = w_int.conj().T
+    assert np.linalg.norm(mixed_defect - w_int @ defect @ wh) <= 1e-12
+    assert np.linalg.norm(mixed_cross - w_int @ cross @ wh) <= 1e-12
+
+
+def test_dense_path_keeps_shift_unitary_spectrum():
+    # the residual shift-unitary part goes through the wandering-space model
+    pair = shift_unitary_pair(np.array([0.4, 2.0]), cap=12)
+    rng = np.random.default_rng(3)
+    mixed = conjugate_split(pair, random_unitary(pair.interior_dim, rng),
+                            random_unitary(len(pair.boundary), rng))
+    assert not dense_products(pair)
+    assert dense_products(mixed)
+
+    expected = classify(pair).shift_unitary
+    got = classify(mixed).shift_unitary
+    assert got.eigs_on_pperp == expected.eigs_on_pperp == ()
+    assert np.allclose(got.eigs_on_p, expected.eigs_on_p, atol=1e-10)
+    assert np.allclose(sorted(np.angle(z) for z in got.eigs_on_p), [0.4, 2.0],
+                       atol=1e-10)
+
+
+def test_skipped_cross_check_is_recorded():
+    # above interior dimension 800 the wandering-range cross-check is skipped
+    result = fundamental_sequence(bishift_truncated(30))
+    assert result.residuals["e1_consistency_skipped"] == 841.0
+    assert "e1_consistency" not in result.residuals
+    small = fundamental_sequence(bishift_truncated(6))
+    assert "e1_consistency_skipped" not in small.residuals
+    assert small.residuals["e1_consistency"] == 0.0
