@@ -124,7 +124,7 @@ def wandering_projections(triple: BCLTriple, tol: float = 1e-10) -> WanderingOpe
         proj_w2=eye - conj,
         proj_v1w2=eye - p,
         defect=p - conj,
-        cross=cross_commutator_on_wandering(triple, tol=tol),
+        cross=_cross_commutator(u, p),
     )
 
 
@@ -137,9 +137,12 @@ def cross_commutator_on_wandering(triple: BCLTriple, tol: float = 1e-10) -> np.n
     of ``U P U^* (I - P)``.
     """
     _require_valid(triple, tol)
-    u, p = triple.unitary, triple.projection
+    return _cross_commutator(triple.unitary, triple.projection)
+
+
+def _cross_commutator(u: np.ndarray, p: np.ndarray) -> np.ndarray:
     uh = u.conj().T
-    return p @ uh @ (np.eye(triple.dim) - p) @ uh
+    return p @ uh @ (np.eye(len(p)) - p) @ uh
 
 
 def toeplitz_symbols(triple: BCLTriple, tol: float = 1e-10) -> ToeplitzSymbols:

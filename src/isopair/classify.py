@@ -497,26 +497,47 @@ def _classify(ws: WorkingSpace, report: NormalityReport, tol: float,
     return replace(result, shift_unitary=shift, residuals=residuals)
 
 
-def _greedy_match(left: tuple[complex, ...], right: tuple[complex, ...],
+def _match_within(left: tuple[complex, ...], right: tuple[complex, ...],
                   tol: float) -> list[int] | None:
-    """Greedy matching of two complex multisets; None when no matching fits."""
+    """Match two complex multisets within ``tol``; None when no matching fits.
+
+    Exact: a perfect matching of the graph of pairs with gap at most ``tol``
+    is grown by augmenting paths (Kuhn's algorithm, breadth first), so one is
+    found whenever one exists.  Each element tries its nearest partners
+    first; when the nearest-first greedy choice succeeds, it is the answer.
+    """
     if len(left) != len(right):
         return None
-    used = [False] * len(right)
-    matching: list[int] = []
-    for a in left:
-        best, best_gap = -1, float("inf")
-        for j, b in enumerate(right):
-            if used[j]:
-                continue
-            gap = abs(a - b)
-            if gap < best_gap:
-                best, best_gap = j, gap
-        if best < 0 or best_gap > tol:
+    gaps = np.abs(np.subtract.outer(np.asarray(left, dtype=complex),
+                                    np.asarray(right, dtype=complex)))
+    order = np.argsort(gaps, axis=1, kind="stable")
+    near = [row[gap[row] <= tol].tolist() for row, gap in zip(order, gaps)]
+    match = [-1] * len(left)    # left index -> right index
+    owner = [-1] * len(right)   # right index -> left index
+    for start in range(len(left)):
+        reached_from: dict[int, int] = {}
+        queue, free = [start], -1
+        for i in queue:
+            for j in near[i]:
+                if j not in reached_from:
+                    reached_from[j] = i
+                    if owner[j] < 0:
+                        free = j
+                        break
+                    queue.append(owner[j])
+            if free >= 0:
+                break
+        if free < 0:
             return None
-        used[best] = True
-        matching.append(best)
-    return matching
+        j = free
+        while j >= 0:
+            i = reached_from[j]
+            owner[j], match[i], j = i, j, match[i]
+    return match
+
+
+# the name under which the test suite imports the matcher
+_greedy_match = _match_within
 
 
 @dataclass(frozen=True)
@@ -550,7 +571,7 @@ def decide_equivalence(a: PairInput, b: PairInput,
         report["reason"] = "eigenvalue-1 dimensions differ"
         return EquivalenceVerdict(False, None, report)
 
-    matching = _greedy_match(ca.fundamental_sequence, cb.fundamental_sequence, tol)
+    matching = _match_within(ca.fundamental_sequence, cb.fundamental_sequence, tol)
     if matching is None:
         report["reason"] = "fundamental sequences differ as multisets"
         return EquivalenceVerdict(False, None, report)
@@ -558,7 +579,7 @@ def decide_equivalence(a: PairInput, b: PairInput,
     sa, sb = ca.shift_unitary, cb.shift_unitary
     for label, xs, ys in (("shift_unitary_on_p", sa.eigs_on_p, sb.eigs_on_p),
                           ("shift_unitary_off_p", sa.eigs_on_pperp, sb.eigs_on_pperp)):
-        if _greedy_match(xs, ys, tol) is None:
+        if _match_within(xs, ys, tol) is None:
             report["reason"] = f"{label} spectra differ as multisets"
             return EquivalenceVerdict(False, None, report)
 

@@ -2,11 +2,17 @@
 
 Complex numbers serialize as two-element ``[re, im]`` arrays and matrices as
 ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with row-major data, so
-files stay language-neutral.  Serialization is canonical (sorted keys, fixed
-indentation), which makes generate/parse/re-serialize byte-stable.
+files stay language-neutral.  Serialization is canonical and compact (sorted
+keys, no whitespace between tokens, one trailing newline), which makes
+generate/parse/re-serialize byte-stable.  Readers ignore whitespace, so files
+written in the earlier indented form load to the same objects.  Matrix data
+is checked on load: every entry must be an ``[re, im]`` pair of finite
+numbers.
 """
 
 import json
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -20,29 +26,47 @@ def complex_to_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def complex_from_json(obj) -> complex:
-    re, im = obj
-    return complex(float(re), float(im))
-
-
 def matrix_to_json(m) -> dict:
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.ascontiguousarray(m, dtype=np.complex128)
     rows, cols = m.shape
-    flat = m.reshape(-1)
     return {
         "rows": int(rows),
         "cols": int(cols),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": m.reshape(-1).view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """Decode a matrix; ``ValueError`` unless every entry is a finite ``[re, im]``.
+
+    Values must be JSON numbers (ints or floats); strings, nulls and booleans
+    are rejected rather than coerced.  Each check is one pass of built-in
+    calls over the list, not a Python loop per entry.
+    """
     rows, cols = int(obj["rows"]), int(obj["cols"])
     data = obj["data"]
+    if not isinstance(data, list):
+        raise ValueError("matrix data must be a list")
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} != {rows}*{cols}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    return flat.reshape(rows, cols)
+    try:
+        pairs = set(map(len, data)) <= {2}
+    except TypeError:  # an entry without a length: a number or null
+        pairs = False
+    if not pairs:
+        raise ValueError("matrix data entries must be [re, im] pairs")
+    # flatten by growing one list in place (faster than itertools.chain); a
+    # string or object entry of length 2 adds characters or str keys
+    flat = reduce(operator.iadd, data, [])
+    if not set(map(type, flat)) <= {int, float}:
+        raise ValueError("matrix data values must be numbers")
+    try:
+        values = np.array(flat, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("matrix data value is out of float range") from None
+    if np.count_nonzero(np.isfinite(values)) != len(flat):
+        raise ValueError("matrix data values must be finite")
+    return values.view(np.complex128).reshape(rows, cols)
 
 
 def triple_to_json(triple: BCLTriple) -> dict:
@@ -135,17 +159,28 @@ def to_json(obj) -> dict:
 
 
 def from_json(obj):
+    """Decode a triple or structured pair.
+
+    A missing field or a field of the wrong JSON type raises ``ValueError``,
+    as malformed matrix data does.
+    """
     kind = obj.get("kind")
-    if kind == "bcl_triple":
-        return triple_from_json(obj)
-    if kind == "structured_pair":
-        return pair_from_json(obj)
-    raise ValueError(f"unknown object kind {kind!r}")
+    decode = {"bcl_triple": triple_from_json,
+              "structured_pair": pair_from_json}.get(kind)
+    if decode is None:
+        raise ValueError(f"unknown object kind {kind!r}")
+    try:
+        return decode(obj)
+    except (KeyError, TypeError) as exc:  # a missing field or a wrong JSON type
+        raise ValueError(f"malformed {kind}: {exc!r}") from None
 
 
 def dumps_canonical(payload: dict) -> str:
-    """Canonical serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization: sorted keys, compact separators, trailing newline.
+
+    Without ``indent`` the standard library uses its C encoder.
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def load_input(path: str):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from isopair.classify import (
     ONE_FINITE,
     THREE_FINITE,
     TWO_FINITE,
+    _match_within,
     check_compact_normal,
     classify,
     decide_equivalence,
@@ -244,6 +247,46 @@ class TestDecideEquivalence:
         other = shift_unitary_pair(np.array([0.3, 2.4]), cap=5)
         assert decide_equivalence(same_a, same_b).equivalent
         assert not decide_equivalence(same_a, other).equivalent
+
+
+class TestMatchWithin:
+    def test_finds_matching_missed_by_nearest_first(self):
+        # nearest-first pairs 0 with 0.5 and leaves 0.6 against -0.5
+        assert _match_within((0, 0.6), (0.5, -0.5), 0.55) == [1, 0]
+        assert _match_within((0.5, -0.5), (0, 0.6), 0.55) == [1, 0]
+
+    def test_symmetric_in_its_arguments(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(0, 6))
+            left = tuple(rng.normal(size=n) + 1j * rng.normal(size=n))
+            right = tuple(np.array(left)[rng.permutation(n)]
+                          + 0.3 * rng.normal(size=n))
+            tol = float(rng.uniform(0.05, 0.8))
+            forward = _match_within(left, right, tol)
+            backward = _match_within(right, left, tol)
+            assert (forward is None) == (backward is None)
+
+    def test_matching_is_a_permutation_within_tol(self):
+        # a matching is returned exactly when some permutation fits
+        rng = np.random.default_rng(6)
+        found = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            left = rng.uniform(-1, 1, size=n)
+            right = left[rng.permutation(n)] + rng.uniform(-0.4, 0.4, size=n)
+            matching = _match_within(tuple(left), tuple(right), 0.25)
+            fits = any(all(abs(left[i] - right[j]) <= 0.25
+                           for i, j in enumerate(perm))
+                       for perm in permutations(range(n)))
+            assert (matching is not None) == fits
+            if matching is None:
+                continue
+            found += 1
+            assert sorted(matching) == list(range(n))
+            assert all(abs(left[i] - right[j]) <= 0.25
+                       for i, j in enumerate(matching))
+        assert 20 < found < 200
 
 
 def test_randomized_block_collections_are_recovered():

@@ -210,6 +210,52 @@ class TestEquiv:
         assert code == 2
 
 
+@pytest.mark.parametrize("entry", [
+    3.0,
+    None,
+    [1.0, 0.0, 0.0],
+    ["x", "y"],
+    [None, 0.0],
+    [True, 0.0],
+    [float("nan"), 0.0],
+    [0.0, float("inf")],
+    "missing",
+], ids=["number-entry", "null-entry", "triple-entry", "strings", "null",
+        "bool", "nan", "inf", "length-mismatch"])
+def test_malformed_matrix_data_exits_2(tmp_path, capsys, entry):
+    # the unitary's first entry is replaced, or dropped for a short data list
+    payload = triple_to_json(two_finite_triple(1j))
+    data = payload["unitary"]["data"]
+    if entry == "missing":
+        del data[0]
+    else:
+        data[0] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["classify", str(path)], ["analyze", str(path)],
+                 ["equiv", str(path), str(path)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda payload: payload["v1"].update(rows=None),
+    lambda payload: payload.update(v1=[1, 2]),
+    lambda payload: payload.pop("interior"),
+], ids=["null-rows", "matrix-as-list", "missing-field"])
+def test_malformed_object_exits_2(tmp_path, capsys, spoil):
+    payload = pair_to_json(twisted_shift(1j, 3))
+    spoil(payload)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["classify", str(path)],
+                 ["gen", "scramble", str(path), "-o", str(tmp_path / "x.json")]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:")
+
+
 def test_rank_tol_env_override(tmp_path, capsys, monkeypatch):
     # a huge rank cutoff drops the smaller interior eigenvalue pair from the
     # rank counts and breaks the identities; flags must beat the environment

@@ -76,6 +76,14 @@ class TestComputedOnce:
         assert len(counters["pair"]) == 1
 
 
+def test_wandering_projections_validates_once(monkeypatch):
+    calls = _count_calls(monkeypatch, bcl, "validate_triple")
+    triple = two_finite_triple(1j)
+    ops = bcl.wandering_projections(triple)
+    assert calls == [triple]
+    assert np.array_equal(ops.cross, bcl.cross_commutator_on_wandering(triple))
+
+
 @pytest.mark.parametrize("pair", [
     bishift_truncated(6),
     twisted_shift(np.exp(0.7j), 12),
