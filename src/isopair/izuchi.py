@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import hermitian_eig, numerical_rank
-from .models import StructuredPair, _raw_defect_cross
+from .models import StructuredPair, _csr, _raw_defect_cross, sparse_operators
 
 LaurentSeries = dict[tuple[int, int], complex]
 
@@ -74,13 +74,26 @@ def _basis_labels(monomial_cap: int, chain_len: int) -> tuple[tuple, ...]:
 
 
 def _basis_expansions(ratio: float, monomial_cap: int, chain_len: int,
-                      series_len: int) -> list[LaurentSeries]:
-    out: list[LaurentSeries] = [
-        {(m, n): 1.0}
-        for m in range(monomial_cap) for n in range(monomial_cap)
-    ]
-    out.extend(chain_expansion(ratio, j, series_len) for j in range(chain_len))
-    return out
+                      series_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every basis vector's Laurent terms, as ``(exponents, coefficients, column)``.
+
+    Row ``t`` says that basis vector ``column[t]`` has coefficient
+    ``coefficients[t]`` at exponent ``exponents[t] = (z, w)``; columns run
+    over the basis in label order, and a chain vector's terms in series
+    order.
+    """
+    mono = np.arange(monomial_cap * monomial_cap)
+    mono_exps = np.stack(np.divmod(mono, monomial_cap), axis=1)
+    # chain vector j is z^j times chain vector 0
+    g0 = chain_expansion(ratio, 0, series_len)
+    shifts = np.repeat(np.arange(chain_len), series_len)
+    chain_exps = np.tile(np.array(list(g0)), (chain_len, 1))
+    chain_exps[:, 0] += shifts
+    exponents = np.concatenate([mono_exps, chain_exps])
+    coefficients = np.concatenate([np.ones(mono.size),
+                                   np.tile(np.fromiter(g0.values(), float), chain_len)])
+    column = np.concatenate([mono, mono.size + shifts])
+    return exponents, coefficients.astype(np.complex128), column
 
 
 def _oracle_matrices(ratio: float, twist: complex, monomial_cap: int,
@@ -92,29 +105,26 @@ def _oracle_matrices(ratio: float, twist: complex, monomial_cap: int,
     shift, so entry ``(a, b)`` of each operator is exactly
     ``<coordinate . basis_b, basis_a>`` computed by exponent matching.
     """
-    expansions = _basis_expansions(ratio, monomial_cap, chain_len, series_len)
-    exponents = sorted({exp for series in expansions for exp in series})
-    row_of = {exp: i for i, exp in enumerate(exponents)}
-
-    rows, cols, data = [], [], []
-    for b, series in enumerate(expansions):
-        for exp, coeff in series.items():
-            rows.append(row_of[exp])
-            cols.append(b)
-            data.append(coeff)
-    shape = (len(exponents), len(expansions))
-    coeff = sp.csr_matrix((data, (rows, cols)), shape=shape, dtype=np.complex128)
+    exps, data, cols = _basis_expansions(ratio, monomial_cap, chain_len, series_len)
+    # one row per occurring exponent, in sorted order: an exponent (z, w)
+    # is keyed by an integer that sorts like the pair, with room in the w
+    # part for a shift by one
+    z_low, w_low = exps.min(axis=0)
+    span = int(exps[:, 1].max() - w_low) + 2
+    keys, rows = np.unique((exps[:, 0] - z_low) * span + (exps[:, 1] - w_low),
+                           return_inverse=True)
+    shape = (len(keys), monomial_cap * monomial_cap + chain_len)
+    coeff = sp.csr_matrix((data, (rows, cols)), shape=shape)
 
     def shift_matrix(dz: int, dw: int) -> sp.csr_matrix:
-        s_rows, s_cols = [], []
-        for (ze, we), i in row_of.items():
-            target = (ze + dz, we + dw)
-            if target in row_of:
-                s_rows.append(row_of[target])
-                s_cols.append(i)
-        ones = np.ones(len(s_rows), dtype=np.complex128)
-        return sp.csr_matrix((ones, (s_rows, s_cols)),
-                             shape=(len(exponents),) * 2)
+        target = keys + dz * span + dw
+        at = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
+        hit = keys[at] == target
+        # one entry per hit, in increasing row order: these are the CSR arrays
+        indptr = np.searchsorted(at[hit], np.arange(len(keys) + 1))
+        ones = np.ones(np.count_nonzero(hit), dtype=np.complex128)
+        return sp.csr_matrix((ones, np.flatnonzero(hit), indptr),
+                             shape=(len(keys),) * 2)
 
     ch = coeff.getH()
     v1 = (twist * (ch @ (shift_matrix(1, 0) @ coeff))).tocsr()
@@ -124,12 +134,11 @@ def _oracle_matrices(ratio: float, twist: complex, monomial_cap: int,
 
 
 def _closed_form_matrices(ratio: float, twist: complex, monomial_cap: int,
-                          chain_len: int) -> tuple[np.ndarray, np.ndarray]:
+                          chain_len: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     labels = _basis_labels(monomial_cap, chain_len)
     index = {lab: i for i, lab in enumerate(labels)}
     dim = len(labels)
-    v1 = np.zeros((dim, dim), dtype=np.complex128)
-    v2 = np.zeros_like(v1)
+    v1, v2 = {}, {}
     norm = math.sqrt(1.0 - ratio * ratio)
     for lab, col in index.items():
         if lab[0] == "mono":
@@ -145,7 +154,7 @@ def _closed_form_matrices(ratio: float, twist: complex, monomial_cap: int,
                 v2[index[("chain", j + 1)], col] = ratio
             if j < monomial_cap:
                 v2[index[("mono", j, 0)], col] = norm
-    return v1, v2
+    return _csr(dim, v1), _csr(dim, v2)
 
 
 def _interior_indices(monomial_cap: int, chain_len: int) -> tuple[int, ...]:
@@ -227,7 +236,9 @@ def build_izuchi_model(ratio: float, twist: complex, monomial_cap: int = 12,
             f"{BUILD_RESIDUAL_CAP:.0e}; series_len too small"
         )
     for name, closed, oracle in (("v1", v1, v1_oracle), ("v2", v2, v2_oracle)):
-        gap = float(np.max(np.abs(closed - oracle.toarray())))
+        # entries absent from both sides are equal, so the sparse maximum
+        # is the dense one
+        gap = float(np.abs((closed - oracle).data).max(initial=0.0))
         if gap > BUILD_RESIDUAL_CAP:
             raise ValueError(
                 f"closed-form {name} disagrees with the inner-product oracle "
@@ -256,8 +267,8 @@ def oracle_built_pair(ratio: float, twist: complex, monomial_cap: int,
     v1, v2, _ = _oracle_matrices(ratio, twist, monomial_cap, chain_len, series_len)
     return StructuredPair(
         dim=v1.shape[0],
-        v1=v1.toarray(),
-        v2=v2.toarray(),
+        v1=v1,
+        v2=v2,
         basis_labels=_basis_labels(monomial_cap, chain_len),
         interior=_interior_indices(monomial_cap, chain_len),
         provenance="izuchi",
@@ -267,8 +278,7 @@ def oracle_built_pair(ratio: float, twist: complex, monomial_cap: int,
 def _support_indices(matrix: sp.spmatrix, floor: float = 1e-13) -> np.ndarray:
     coo = matrix.tocoo()
     mask = np.abs(coo.data) > floor
-    touched = set(coo.row[mask].tolist()) | set(coo.col[mask].tolist())
-    return np.array(sorted(touched), dtype=int)
+    return np.unique(np.concatenate([coo.row[mask], coo.col[mask]]).astype(int))
 
 
 def interior_defect_and_cross(pair: StructuredPair) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -435,8 +445,7 @@ def canonical_basis_3finite(model: IzuchiModel, tol: float = 1e-8) -> CanonicalB
     e_plus = simple_vector(lam)
     e_minus = simple_vector(-lam)
 
-    v1 = sp.csr_matrix(pair.v1)
-    v2 = sp.csr_matrix(pair.v2)
+    v1, v2 = sparse_operators(pair)
 
     def proj_w1(vec: np.ndarray) -> np.ndarray:
         return vec - v1 @ (v1.getH() @ vec)
@@ -497,6 +506,5 @@ def canonical_basis_3finite(model: IzuchiModel, tol: float = 1e-8) -> CanonicalB
 
 
 def _cross_apply(pair: StructuredPair, vec: np.ndarray) -> np.ndarray:
-    v1 = sp.csr_matrix(pair.v1)
-    v2 = sp.csr_matrix(pair.v2)
+    v1, v2 = sparse_operators(pair)
     return v2.getH() @ (v1 @ vec) - v1 @ (v2.getH() @ vec)

@@ -1,7 +1,11 @@
 """Dense complex linear-algebra primitives used across the package.
 
-Operators are plain ``numpy.ndarray`` values with complex128 entries.  Every
-function here is pure: inputs are never mutated, outputs are fresh arrays.
+Operators here are plain ``numpy.ndarray`` values with complex128 entries.
+Structured pairs may store theirs as ``scipy.sparse`` CSR matrices (see
+``models``); what reaches these functions is always dense, such as an
+interior compression or the block on the support of a sparse product.
+Every function here is pure: inputs are never mutated, outputs are fresh
+arrays.
 """
 
 from dataclasses import dataclass

@@ -4,9 +4,15 @@ Infinite-dimensional building blocks are represented by finite matrix
 truncations together with an *interior window*: the set of basis indices on
 which the two operators and their adjoints act exactly as in the infinite
 model.  Every derived quantity (defect, cross-commutator, spectra) is
-computed from full-matrix products and then compressed to the interior, so
-truncation artifacts, which live on boundary indices only, never enter a
+computed on the whole truncated space and then compressed to the interior,
+so truncation artifacts, which live on boundary indices only, never enter a
 spectrum.
+
+A pair keeps each operator in the form it was given: the generators, which
+know their nonzeros, pass ``scipy.sparse`` matrices and the pair stores CSR;
+a basis scramble and the JSON reader pass dense arrays.  Products run on the
+form that suits the pair (see :func:`dense_products`): filled pairs are
+multiplied densely, sparse ones through :func:`sparse_operators`.
 
 Basis labels are structured tuples, never strings:
 
@@ -17,6 +23,7 @@ Basis labels are structured tuples, never strings:
 * ``("scrambled", label)`` -- coordinate of a basis-scrambled pair.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,21 +34,110 @@ from .linalg import as_complex, random_unitary
 Label = tuple
 
 
+def _aliases(matrix):
+    """The arrays holding a dense or CSR matrix's entries, and all they view."""
+    arrays = (matrix.data, matrix.indices, matrix.indptr) if sp.issparse(matrix) \
+        else (matrix,)
+    for array in arrays:
+        while isinstance(array, np.ndarray):
+            yield array
+            array = array.base
+
+
+def _read_only(matrix):
+    """Make a dense or CSR matrix read-only, through every array it views."""
+    for array in _aliases(matrix):
+        array.flags.writeable = False
+    return matrix
+
+
+def _frozen(matrix) -> bool:
+    """Whether no writable array aliases the matrix's entries."""
+    return not any(array.flags.writeable for array in _aliases(matrix))
+
+
+class _Operator:
+    """An operator field of :class:`StructuredPair`, kept in the form it was given.
+
+    A ``scipy.sparse`` matrix is stored as complex CSR with summed
+    duplicates, anything else as a C-contiguous complex128 array.  Either
+    way the stored form is read-only: a copy, unless the caller passed a
+    frozen matrix of that form (see :func:`_frozen`), as the generators do,
+    which is kept as it is.  Reading the field returns the dense array,
+    made from the CSR on first read and cached; :meth:`csr` returns the CSR,
+    made from a dense array on first call and cached.  Setting the field
+    (only ``__init__`` can, the class is frozen) drops the cached form, so
+    the two forms never disagree.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+        self._given = f"_{name}_given"
+        self._converted = f"_{name}_converted"
+
+    def __get__(self, pair, owner=None):
+        if pair is None:
+            # the dataclass machinery reads the class attribute as the
+            # field's default; raising here declares that there is none
+            raise AttributeError(f"{owner.__name__}.{self.name} has no default")
+        return self._form(pair, sparse=False)
+
+    def __set__(self, pair, value):
+        if sp.issparse(value):
+            stored = value
+            if not (isinstance(value, sp.csr_matrix) and value.dtype == np.complex128
+                    and _frozen(value) and value.has_canonical_format):
+                stored = sp.csr_matrix(value, dtype=np.complex128, copy=True)
+                stored.sum_duplicates()
+        else:
+            stored = as_complex(value)
+            if not _frozen(stored):
+                stored = stored.copy()
+        pair.__dict__.pop(self._converted, None)
+        pair.__dict__[self._given] = _read_only(stored)
+
+    def given(self, pair):
+        """The stored form: a CSR matrix or a dense array."""
+        return pair.__dict__[self._given]
+
+    def csr(self, pair) -> sp.csr_matrix:
+        return self._form(pair, sparse=True)
+
+    def _form(self, pair, sparse: bool):
+        given = self.given(pair)
+        if sp.issparse(given) == sparse:
+            return given
+        converted = pair.__dict__.get(self._converted)
+        if converted is None:
+            converted = _read_only(sp.csr_matrix(given) if sparse else given.toarray())
+            pair.__dict__[self._converted] = converted
+        return converted
+
+
+_V1 = _Operator()
+_V2 = _Operator()
+
+
 @dataclass(frozen=True)
 class StructuredPair:
-    """Truncated matrix model of an isometric pair with an interior window."""
+    """Truncated matrix model of an isometric pair with an interior window.
+
+    ``v1`` and ``v2`` accept dense arrays or ``scipy.sparse`` matrices and
+    read back as read-only dense arrays; :func:`sparse_operators` gives the
+    CSR form.  Sparse input is stored sparse, so a dense copy exists only
+    once something reads it.
+    """
 
     dim: int
-    v1: np.ndarray
-    v2: np.ndarray
+    v1: np.ndarray = _V1
+    v2: np.ndarray = _V2
     basis_labels: tuple[Label, ...]
     interior: tuple[int, ...]
     provenance: str
 
     def __post_init__(self):
-        v1 = as_complex(self.v1)
-        v2 = as_complex(self.v2)
-        if v1.shape != (self.dim, self.dim) or v2.shape != (self.dim, self.dim):
+        shape = (self.dim, self.dim)
+        if _V1.given(self).shape != shape or _V2.given(self).shape != shape:
             raise ValueError("operator shapes do not match dim")
         if len(self.basis_labels) != self.dim:
             raise ValueError("one label per basis vector required")
@@ -49,10 +145,18 @@ class StructuredPair:
             raise ValueError("interior indices out of range")
         if len(set(self.interior)) != len(self.interior):
             raise ValueError("interior indices must be distinct")
-        object.__setattr__(self, "v1", v1)
-        object.__setattr__(self, "v2", v2)
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
         object.__setattr__(self, "interior", tuple(int(i) for i in self.interior))
+
+    def __repr__(self) -> str:
+        def operator(field: _Operator) -> str:
+            given = field.given(self)
+            form = f"csr, {given.nnz} stored" if sp.issparse(given) else "dense"
+            return f"<{self.dim}x{self.dim} {form}>"
+
+        return (f"StructuredPair(dim={self.dim}, v1={operator(_V1)}, "
+                f"v2={operator(_V2)}, basis_labels={self.basis_labels!r}, "
+                f"interior={self.interior!r}, provenance={self.provenance!r})")
 
     @property
     def interior_dim(self) -> int:
@@ -70,6 +174,45 @@ class StructuredPair:
         return np.ascontiguousarray(operator[np.ix_(idx, idx)])
 
 
+def sparse_operators(pair: StructuredPair) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The pair's operators as read-only CSR matrices, converted once and cached."""
+    return _V1.csr(pair), _V2.csr(pair)
+
+
+def _csr(dim: int, entries: dict[tuple[int, int], complex]) -> sp.csr_matrix:
+    """``dim x dim`` CSR matrix holding a ``{(row, col): value}`` map of entries."""
+    # sorted by row, then column, the entries are the CSR arrays themselves;
+    # this skips scipy's slower conversion from coordinates
+    keys = sorted(entries)
+    flat = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int32,
+                       count=2 * len(keys))
+    values = np.fromiter(map(entries.__getitem__, keys), dtype=np.complex128,
+                         count=len(keys))
+    indptr = np.searchsorted(flat[::2], np.arange(dim + 1)).astype(np.int32)
+    return _read_only(sp.csr_matrix((values, flat[1::2].copy(), indptr),
+                                    shape=(dim, dim)))
+
+
+def _block_diag(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
+    """Block-diagonal CSR matrix of square CSR blocks.
+
+    Concatenates the blocks' CSR arrays, several times faster than
+    ``scipy.sparse.block_diag`` on the few small blocks of a direct sum.
+    """
+    data, indices, indptr = [], [], [np.zeros(1, dtype=np.int32)]
+    dim = nnz = 0
+    for block in blocks:
+        stored = block.nnz
+        data.append(block.data[:stored])
+        indices.append(block.indices[:stored] + np.int32(dim))
+        indptr.append(block.indptr[1:] + np.int32(nnz))
+        dim += block.shape[0]
+        nnz += stored
+    return _read_only(sp.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)),
+        shape=(dim, dim)))
+
+
 @dataclass(frozen=True)
 class PairValidation:
     ok: bool
@@ -77,12 +220,24 @@ class PairValidation:
 
 
 def validate_pair(pair: StructuredPair, tol: float = 1e-12) -> PairValidation:
-    """Isometry and commutation residuals on the interior window."""
+    """Isometry and commutation residuals on the interior window.
+
+    Like the defect and cross-commutator, the products run densely for a
+    filled pair and on the CSR form otherwise (see :func:`dense_products`).
+    """
     idx = np.asarray(pair.interior, dtype=int)
     eye = np.eye(len(idx))
-    gram1 = (pair.v1.conj().T @ pair.v1)[np.ix_(idx, idx)]
-    gram2 = (pair.v2.conj().T @ pair.v2)[np.ix_(idx, idx)]
-    comm = (pair.v1 @ pair.v2 - pair.v2 @ pair.v1)[:, idx]
+    if dense_products(pair):
+        v1, v2 = pair.v1, pair.v2
+        gram1 = (v1.conj().T @ v1)[np.ix_(idx, idx)]
+        gram2 = (v2.conj().T @ v2)[np.ix_(idx, idx)]
+        comm = (v1 @ v2 - v2 @ v1)[:, idx]
+    else:
+        v1, v2 = sparse_operators(pair)
+        gram1 = (v1.getH() @ v1)[idx, :][:, idx].toarray()
+        gram2 = (v2.getH() @ v2)[idx, :][:, idx].toarray()
+        # the Frobenius norm of a sparse matrix is the 2-norm of its entries
+        comm = (v1 @ v2 - v2 @ v1)[:, idx].data
     residuals = {
         "isometry_v1": float(np.linalg.norm(gram1 - eye)),
         "isometry_v2": float(np.linalg.norm(gram2 - eye)),
@@ -100,14 +255,17 @@ def validate_pair(pair: StructuredPair, tol: float = 1e-12) -> PairValidation:
 DENSE_FILL = 0.1
 
 
+def _nonzeros(matrix) -> int:
+    return matrix.count_nonzero() if sp.issparse(matrix) else np.count_nonzero(matrix)
+
+
 def dense_products(pair: StructuredPair) -> bool:
-    """Whether the pair is filled enough for dense products to be cheaper."""
-    nonzero = np.count_nonzero(pair.v1) + np.count_nonzero(pair.v2)
+    """Whether the pair is filled enough for dense products to be cheaper.
+
+    The fill is read from the stored form, so no form is converted.
+    """
+    nonzero = _nonzeros(_V1.given(pair)) + _nonzeros(_V2.given(pair))
     return nonzero > DENSE_FILL * 2 * pair.dim * pair.dim
-
-
-def _sparse_ops(pair: StructuredPair) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    return sp.csr_matrix(pair.v1), sp.csr_matrix(pair.v2)
 
 
 def _raw_defect_cross(pair: StructuredPair) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -117,7 +275,7 @@ def _raw_defect_cross(pair: StructuredPair) -> tuple[sp.csr_matrix, sp.csr_matri
     with at most a couple of entries per column, so this stays cheap even
     for a few thousand basis vectors.
     """
-    v1, v2 = _sparse_ops(pair)
+    v1, v2 = sparse_operators(pair)
     eye = sp.identity(pair.dim, dtype=np.complex128, format="csr")
     prod = v1 @ v2
     defect = eye - v1 @ v1.getH() - v2 @ v2.getH() + prod @ prod.getH()
@@ -133,11 +291,12 @@ def defect_and_cross_on_interior(pair: StructuredPair) -> tuple[np.ndarray, np.n
     """
     idx = np.asarray(pair.interior, dtype=int)
     if dense_products(pair):
-        v1_rows, v2_rows = pair.v1[idx, :], pair.v2[idx, :]
-        prod_rows = v1_rows @ pair.v2
+        v1, v2 = pair.v1, pair.v2
+        v1_rows, v2_rows = v1[idx, :], v2[idx, :]
+        prod_rows = v1_rows @ v2
         defect_int = (np.eye(len(idx)) - v1_rows @ v1_rows.conj().T
                       - v2_rows @ v2_rows.conj().T + prod_rows @ prod_rows.conj().T)
-        cross_int = (pair.v2[:, idx].conj().T @ pair.v1[:, idx]
+        cross_int = (v2[:, idx].conj().T @ v1[:, idx]
                      - v1_rows @ v2_rows.conj().T)
         return defect_int, cross_int
     defect, cross = _raw_defect_cross(pair)
@@ -166,8 +325,7 @@ def bishift_truncated(cap: int) -> StructuredPair:
     labels = tuple(("mono", m, n) for m in range(cap) for n in range(cap))
     index = {lab: i for i, lab in enumerate(labels)}
     dim = cap * cap
-    v1 = np.zeros((dim, dim), dtype=np.complex128)
-    v2 = np.zeros_like(v1)
+    v1, v2 = {}, {}
     for (_, m, n), col in index.items():
         if m + 1 < cap:
             v1[index[("mono", m + 1, n)], col] = 1.0
@@ -175,7 +333,8 @@ def bishift_truncated(cap: int) -> StructuredPair:
             v2[index[("mono", m, n + 1)], col] = 1.0
     interior = tuple(index[("mono", m, n)]
                      for m in range(cap - 1) for n in range(cap - 1))
-    return StructuredPair(dim, v1, v2, labels, interior, "bishift")
+    return StructuredPair(dim, _csr(dim, v1), _csr(dim, v2), labels, interior,
+                          "bishift")
 
 
 def twisted_shift(alpha: complex, cap: int) -> StructuredPair:
@@ -190,12 +349,11 @@ def twisted_shift(alpha: complex, cap: int) -> StructuredPair:
         raise ValueError(f"alpha must be unimodular, got |alpha| = {abs(alpha)}")
     if cap < 3:
         raise ValueError(f"cap must be at least 3, got {cap}")
-    shift = np.zeros((cap, cap), dtype=np.complex128)
-    for k in range(cap - 1):
-        shift[k + 1, k] = 1.0
+    shift = _csr(cap, {(k + 1, k): 1.0 for k in range(cap - 1)})
     labels = tuple(("mono", k) for k in range(cap))
     interior = tuple(range(cap - 1))
-    return StructuredPair(cap, shift, alpha * shift, labels, interior, "twisted")
+    return StructuredPair(cap, shift, _read_only(alpha * shift), labels, interior,
+                          "twisted")
 
 
 def direct_sum(parts: list[StructuredPair]) -> StructuredPair:
@@ -204,20 +362,16 @@ def direct_sum(parts: list[StructuredPair]) -> StructuredPair:
         raise ValueError("direct_sum needs at least one part")
     if len(parts) == 1:
         return parts[0]
-    dim = sum(p.dim for p in parts)
-    v1 = np.zeros((dim, dim), dtype=np.complex128)
-    v2 = np.zeros_like(v1)
+    v1 = _block_diag([_V1.csr(part) for part in parts])
+    v2 = _block_diag([_V2.csr(part) for part in parts])
     labels: list[Label] = []
     interior: list[int] = []
     offset = 0
     for i, part in enumerate(parts):
-        stop = offset + part.dim
-        v1[offset:stop, offset:stop] = part.v1
-        v2[offset:stop, offset:stop] = part.v2
         labels.extend((i, lab) for lab in part.basis_labels)
         interior.extend(offset + j for j in part.interior)
-        offset = stop
-    return StructuredPair(dim, v1, v2, tuple(labels), tuple(interior), "direct_sum")
+        offset += part.dim
+    return StructuredPair(offset, v1, v2, tuple(labels), tuple(interior), "direct_sum")
 
 
 def conjugate_split(pair: StructuredPair, w_interior, w_boundary) -> StructuredPair:
@@ -237,8 +391,9 @@ def conjugate_split(pair: StructuredPair, w_interior, w_boundary) -> StructuredP
         w[np.ix_(bb, bb)] = w_boundary
     wh = w.conj().T
     labels = tuple(("scrambled", lab) for lab in pair.basis_labels)
-    return StructuredPair(pair.dim, w @ pair.v1 @ wh, w @ pair.v2 @ wh,
-                          labels, pair.interior, "scrambled")
+    return StructuredPair(pair.dim, _read_only(w @ pair.v1 @ wh),
+                          _read_only(w @ pair.v2 @ wh), labels, pair.interior,
+                          "scrambled")
 
 
 def scramble(pair: StructuredPair, seed: int) -> StructuredPair:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bcl import BCLTriple
 from .classify import BlockDescriptor, ClassificationResult
-from .models import StructuredPair
+from .models import StructuredPair, _read_only
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -109,10 +109,11 @@ def pair_to_json(pair: StructuredPair) -> dict:
 
 
 def pair_from_json(obj) -> StructuredPair:
+    # the decoded arrays are fresh; frozen, the pair keeps them without a copy
     return StructuredPair(
         dim=int(obj["dim"]),
-        v1=matrix_from_json(obj["v1"]),
-        v2=matrix_from_json(obj["v2"]),
+        v1=_read_only(matrix_from_json(obj["v1"])),
+        v2=_read_only(matrix_from_json(obj["v2"])),
         basis_labels=tuple(_label_from_json(lab) for lab in obj["basis_labels"]),
         interior=tuple(int(i) for i in obj["interior"]),
         provenance=str(obj["provenance"]),

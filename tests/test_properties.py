@@ -1,0 +1,101 @@
+"""Property tests of the classification invariants.
+
+Each property is one the theory guarantees for every input: ``classify`` is
+invariant under a basis scramble, the fundamental sequence of a direct sum
+is the union of its parts' sequences, ``decide_equivalence`` is symmetric,
+and the two rank identities hold on every random triple.  Inputs are kept
+small so that the file runs in a few seconds.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+
+from isopair.bcl import random_triple
+from isopair.classify import classify, decide_equivalence
+from isopair.izuchi import build_izuchi_model
+from isopair.models import bishift_truncated, direct_sum, scramble, twisted_shift
+from isopair.spectral import check_rank_formula
+
+SEQUENCE_TOL = 1e-6
+
+#: Twist angles on a grid of sevenths, so two blocks of one pair either share
+#: a twist exactly or keep theirs far apart compared with the tolerances.
+angles = st.integers(0, 6).map(lambda k: 2 * np.pi * k / 7)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def blocks(draw):
+    """One irreducible-or-simple building block, at most 36-dimensional."""
+    kind = draw(st.sampled_from(["bishift", "twisted", "izuchi"]))
+    if kind == "bishift":
+        return bishift_truncated(draw(st.integers(3, 5)))
+    twist = np.exp(1j * draw(angles))
+    if kind == "twisted":
+        return twisted_shift(twist, draw(st.integers(3, 6)))
+    ratio = draw(st.sampled_from([0.3, 0.5, 0.7, -0.5]))
+    return build_izuchi_model(ratio, twist, 6, 6).pair
+
+
+pairs = st.lists(blocks(), min_size=1, max_size=2).map(direct_sum)
+
+
+def multiset_gap(got, want) -> float:
+    got = np.asarray(got, dtype=complex)
+    want = np.asarray(want, dtype=complex)
+    if got.shape != want.shape:
+        return float("inf")
+    if got.size == 0:
+        return 0.0
+    cost = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def assert_same_invariants(a, b):
+    assert a.k == b.k
+    assert sorted(block.kind for block in a.blocks) == sorted(block.kind for block in b.blocks)
+    assert multiset_gap(a.fundamental_sequence, b.fundamental_sequence) <= SEQUENCE_TOL
+    for side in ("eigs_on_p", "eigs_on_pperp"):
+        assert multiset_gap(getattr(a.shift_unitary, side),
+                            getattr(b.shift_unitary, side)) <= SEQUENCE_TOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(pair=pairs, seed=seeds)
+def test_classify_is_scramble_invariant(pair, seed):
+    assert_same_invariants(classify(scramble(pair, seed)), classify(pair))
+
+
+@settings(max_examples=15, deadline=None)
+@given(parts=st.lists(blocks(), min_size=2, max_size=3))
+def test_fundamental_sequence_adds_over_direct_sums(parts):
+    whole = classify(direct_sum(parts))
+    pieces = [classify(part) for part in parts]
+    assert whole.k == sum(piece.k for piece in pieces)
+    union = [alpha for piece in pieces for alpha in piece.fundamental_sequence]
+    assert multiset_gap(whole.fundamental_sequence, union) <= SEQUENCE_TOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(first=pairs, second=pairs, scrambled=st.booleans(), seed=seeds)
+def test_equivalence_is_symmetric(first, second, scrambled, seed):
+    # half the draws compare a pair with a scramble of itself, so both
+    # verdicts occur
+    if scrambled:
+        second = scramble(first, seed)
+    forward = decide_equivalence(first, second)
+    backward = decide_equivalence(second, first)
+    assert forward.equivalent == backward.equivalent
+    if scrambled:
+        assert forward.equivalent
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 12), share=st.floats(0.0, 1.0), seed=seeds)
+def test_rank_identities_hold_on_random_triples(dim, share, seed):
+    report = check_rank_formula(random_triple(dim, round(share * dim), seed))
+    assert report.sum_identity_ok
+    assert report.difference_identity_ok
