@@ -9,6 +9,7 @@ residual commuting part, and decides unitary equivalence of two inputs by
 comparing the resulting invariants as multisets.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -23,6 +24,7 @@ from .linalg import (
     Subspace,
     _normalize_phases,
     hermitian_eig,
+    normality_residual,
     orthonormal_columns,
     subspace_intersection,
 )
@@ -101,7 +103,7 @@ def check_compact_normal(obj: PairInput, tol: float = 1e-8) -> NormalityReport:
 def _compact_normal(ws: WorkingSpace, tol: float) -> NormalityReport:
     cross = ws.cross
     xnorm = float(np.linalg.norm(cross))
-    residual = float(np.linalg.norm(cross @ cross.conj().T - cross.conj().T @ cross))
+    residual = normality_residual(cross)
     bound = tol * xnorm * xnorm
     # a cross-commutator at round-off scale is the zero operator, which is
     # normal; the relative bound would otherwise reject its own noise
@@ -284,9 +286,7 @@ def _fundamental_sequence(ws: WorkingSpace, tol: float,
         return ClassificationResult(0, (), None, residuals)
 
     xnorm = float(np.linalg.norm(compressed))
-    normality = float(np.linalg.norm(
-        compressed @ compressed.conj().T - compressed.conj().T @ compressed
-    ))
+    normality = normality_residual(compressed)
     residuals["e1_cross_normality"] = normality
     if xnorm > 0 and normality > tol * max(1.0, xnorm * xnorm):
         raise ValueError(
@@ -328,19 +328,32 @@ def _fundamental_sequence(ws: WorkingSpace, tol: float,
     return ClassificationResult(k, tuple(blocks), None, residuals)
 
 
-def _orbit_closure(unitary: np.ndarray, seeds: np.ndarray,
+def _orbit_closure(ops: Sequence[np.ndarray], seeds: np.ndarray,
                    tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the smallest U- and U*-invariant span of ``seeds``."""
-    n = unitary.shape[0]
-    if seeds.size == 0 or seeds.shape[1] == 0:
-        return np.zeros((n, 0), dtype=np.complex128)
-    basis = orthonormal_columns(seeds, tol)
-    while True:
-        extended = np.hstack([basis, unitary @ basis, unitary.conj().T @ basis])
-        refreshed = orthonormal_columns(extended, tol)
-        if refreshed.shape[1] == basis.shape[1]:
-            return refreshed
-        basis = refreshed
+    """Orthonormal basis of the smallest span of ``seeds`` invariant under ``ops``.
+
+    A block Krylov closure: only the directions added last are mapped again;
+    their images are projected off the basis twice, and the remainder is kept
+    along its singular directions above ``tol``.  The loop stops when no
+    direction is added or the basis spans the space.
+    """
+    n = seeds.shape[0]
+    basis = np.empty((n, n), dtype=np.complex128)
+    size = 0
+    block = seeds
+    while block.shape[1] and size < n:
+        kept = basis[:, :size]
+        for _ in range(2):
+            block = block - kept @ (kept.conj().T @ block)
+        # no singular value exceeds the Frobenius norm: nothing would be kept
+        if np.linalg.norm(block) <= tol:
+            break
+        u, s, _ = np.linalg.svd(block, full_matrices=False)
+        new = u[:, s > tol]
+        basis[:, size:size + new.shape[1]] = new
+        size += new.shape[1]
+        block = np.hstack([op @ new for op in ops])
+    return basis[:, :size].copy()
 
 
 def _unitary_eigs(matrix: np.ndarray) -> tuple[complex, ...]:
@@ -357,7 +370,7 @@ def _shift_unitary_from_wandering(unitary: np.ndarray, projection: np.ndarray,
                                   tol: float) -> ShiftUnitaryInvariant:
     values, vectors = defect_eig
     seeds = vectors[:, np.abs(values) > tol]
-    orbit = _orbit_closure(unitary, seeds)
+    orbit = _orbit_closure((unitary, unitary.conj().T), seeds)
     n = unitary.shape[0]
     complement = orthonormal_columns(np.eye(n) - orbit @ orbit.conj().T)
     if complement.shape[1] == 0:
@@ -386,31 +399,6 @@ def _shift_unitary_from_wandering(unitary: np.ndarray, projection: np.ndarray,
         eigs_on_p=_unitary_eigs(on_p.conj().T @ u_n @ on_p),
         eigs_on_pperp=_unitary_eigs(off_p.conj().T @ u_n @ off_p),
     )
-
-
-def _forward_orbit_fills(pair: StructuredPair, seeds: np.ndarray,
-                         tol: float = 1e-8) -> bool:
-    """Does the forward orbit of the seeds under both operators span the interior?"""
-    target = pair.interior_dim
-    if seeds.shape[1] == 0:
-        return target == 0
-    idx = np.asarray(pair.interior, dtype=int)
-    ops = [np.ascontiguousarray(op[np.ix_(idx, idx)]) for op in (pair.v1, pair.v2)]
-    basis = np.zeros((target, 0), dtype=np.complex128)
-    queue = [seeds[:, j].copy() for j in range(seeds.shape[1])]
-    while queue:
-        vec = queue.pop()
-        for _ in range(2):
-            vec = vec - basis @ (basis.conj().T @ vec)
-        norm = float(np.linalg.norm(vec))
-        if norm <= tol:
-            continue
-        vec /= norm
-        basis = np.hstack([basis, vec.reshape(-1, 1)])
-        if basis.shape[1] == target:
-            return True
-        queue.extend(op @ vec for op in ops)
-    return basis.shape[1] == target
 
 
 def _pair_wandering_model(pair: StructuredPair,
@@ -459,12 +447,16 @@ def _shift_unitary(ws: WorkingSpace, tol: float) -> ShiftUnitaryInvariant:
             ws.obj.unitary, ws.obj.projection, ws.defect_eig, tol
         )
 
+    pair = ws.obj
     values, vectors = ws.defect_eig
     e1 = vectors[:, values >= 1.0 - tol]
-    if _forward_orbit_fills(ws.obj, e1):
+    # the forward orbit of the eigenvalue-1 space fills the interior exactly
+    # when the shift-unitary part is empty
+    orbit = _orbit_closure((pair.compress(pair.v1), pair.compress(pair.v2)), e1, 1e-8)
+    if orbit.shape[1] == pair.interior_dim:
         return ShiftUnitaryInvariant((), ())
 
-    basis, u_w, p_w = _pair_wandering_model(ws.obj, ws.interior)
+    basis, u_w, p_w = _pair_wandering_model(pair, ws.interior)
     defect_w = basis.conj().T @ ws.defect @ basis
     return _shift_unitary_from_wandering(u_w, p_w, hermitian_eig(defect_w), tol)
 

@@ -18,6 +18,7 @@ import numpy as np
 from .bcl import random_triple
 from .classify import classify, decide_equivalence, working_space
 from .izuchi import build_izuchi_model
+from .linalg import normality_residual
 from .models import (
     StructuredPair,
     bishift_truncated,
@@ -132,9 +133,7 @@ def analyze_object(obj, rank_tol, cluster_tol) -> dict:
     ws = working_space(obj)
     defect, cross = ws.defect, ws.cross
     ranks, profile = rank_formula(defect, cross, rank_tol, cluster_tol)
-    normality = float(np.linalg.norm(
-        cross @ cross.conj().T - cross.conj().T @ cross
-    ))
+    normality = normality_residual(cross)
 
     values = np.linalg.eigvalsh(defect)[::-1]
     labels = []

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import hermitian_eig, numerical_rank
-from .models import StructuredPair, _csr, _raw_defect_cross, sparse_operators
+from .models import StructuredPair, _csr, interior_defect_and_cross, sparse_operators
 
 LaurentSeries = dict[tuple[int, int], complex]
 
@@ -275,17 +275,14 @@ def oracle_built_pair(ratio: float, twist: complex, monomial_cap: int,
     )
 
 
-def _support_indices(matrix: sp.spmatrix, floor: float = 1e-13) -> np.ndarray:
+def _support_block(matrix: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Indices touched by entries above 1e-13, and the dense block on them."""
     coo = matrix.tocoo()
-    mask = np.abs(coo.data) > floor
-    return np.unique(np.concatenate([coo.row[mask], coo.col[mask]]).astype(int))
-
-
-def interior_defect_and_cross(pair: StructuredPair) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Sparse defect and cross-commutator compressed to the interior window."""
-    defect, cross = _raw_defect_cross(pair)
-    idx = np.asarray(pair.interior, dtype=int)
-    return defect[idx, :][:, idx].tocsr(), cross[idx, :][:, idx].tocsr()
+    mask = np.abs(coo.data) > 1e-13
+    sup = np.unique(np.concatenate([coo.row[mask], coo.col[mask]]).astype(int))
+    if not sup.size:
+        return sup, np.zeros((0, 0), dtype=np.complex128)
+    return sup, matrix[sup, :][:, sup].toarray()
 
 
 @dataclass(frozen=True)
@@ -314,9 +311,7 @@ def verify_izuchi_invariants(model: IzuchiModel, tol: float = 1e-8) -> IzuchiRep
     """
     defect, cross = interior_defect_and_cross(model.pair)
 
-    sup_c = _support_indices(defect)
-    c_block = defect[sup_c, :][:, sup_c].toarray() if sup_c.size else \
-        np.zeros((0, 0), dtype=np.complex128)
+    _, c_block = _support_block(defect)
     c_values, _ = hermitian_eig(c_block)
 
     dim_plus1 = int(np.count_nonzero(c_values >= 1.0 - tol))
@@ -324,9 +319,7 @@ def verify_izuchi_invariants(model: IzuchiModel, tol: float = 1e-8) -> IzuchiRep
     nonzero = tuple(float(v) for v in c_values if abs(v) > tol)
     rank_defect = numerical_rank(c_block)
 
-    sup_x = _support_indices(cross)
-    x_block = cross[sup_x, :][:, sup_x].toarray() if sup_x.size else \
-        np.zeros((0, 0), dtype=np.complex128)
+    _, x_block = _support_block(cross)
     rank_cross = numerical_rank(x_block)
     x_eigs = np.linalg.eigvals(x_block) if x_block.size else np.array([])
     x_nonzero = x_eigs[np.abs(x_eigs) > tol]
@@ -427,8 +420,7 @@ def canonical_basis_3finite(model: IzuchiModel, tol: float = 1e-8) -> CanonicalB
     """
     pair = model.pair
     defect, _ = interior_defect_and_cross(pair)
-    sup = _support_indices(defect)
-    block = defect[sup, :][:, sup].toarray()
+    sup, block = _support_block(defect)
     values, vectors = hermitian_eig(block)
 
     lam = abs(model.ratio)

@@ -87,6 +87,11 @@ def numerical_rank(a, tol: float | None = None) -> int:
     return int(np.count_nonzero(s > cutoff))
 
 
+def normality_residual(x: np.ndarray) -> float:
+    """Frobenius norm of the self-commutator ``x x^H - x^H x``; zero when ``x`` is normal."""
+    return float(np.linalg.norm(x @ x.conj().T - x.conj().T @ x))
+
+
 def orthonormal_columns(a, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis of the column space of ``a`` (SVD based).
 

@@ -268,29 +268,32 @@ def dense_products(pair: StructuredPair) -> bool:
     return nonzero > DENSE_FILL * 2 * pair.dim * pair.dim
 
 
-def _raw_defect_cross(pair: StructuredPair) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Full-space defect and cross-commutator as sparse matrices.
+def interior_defect_and_cross(pair: StructuredPair) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Defect and cross-commutator compressed to the interior window, as CSR.
 
-    Products are carried out sparsely; the generators fill their matrices
-    with at most a couple of entries per column, so this stays cheap even
-    for a few thousand basis vectors.
+    Products are carried out sparsely on the whole truncated space; the
+    generators fill their matrices with at most a couple of entries per
+    column, so this stays cheap even for a few thousand basis vectors.
     """
     v1, v2 = sparse_operators(pair)
     eye = sp.identity(pair.dim, dtype=np.complex128, format="csr")
     prod = v1 @ v2
     defect = eye - v1 @ v1.getH() - v2 @ v2.getH() + prod @ prod.getH()
     cross = v2.getH() @ v1 - v1 @ v2.getH()
-    return defect.tocsr(), cross.tocsr()
+    idx = np.asarray(pair.interior, dtype=int)
+    return (defect.tocsr()[idx, :][:, idx].tocsr(),
+            cross.tocsr()[idx, :][:, idx].tocsr())
 
 
 def defect_and_cross_on_interior(pair: StructuredPair) -> tuple[np.ndarray, np.ndarray]:
     """Defect operator and cross-commutator compressed to the interior window.
 
     A dense pair (see :func:`dense_products`) is multiplied densely on the
-    interior rows and columns only; a sparse one through :func:`_raw_defect_cross`.
+    interior rows and columns only; a sparse one through
+    :func:`interior_defect_and_cross`.
     """
-    idx = np.asarray(pair.interior, dtype=int)
     if dense_products(pair):
+        idx = np.asarray(pair.interior, dtype=int)
         v1, v2 = pair.v1, pair.v2
         v1_rows, v2_rows = v1[idx, :], v2[idx, :]
         prod_rows = v1_rows @ v2
@@ -299,10 +302,8 @@ def defect_and_cross_on_interior(pair: StructuredPair) -> tuple[np.ndarray, np.n
         cross_int = (v2[:, idx].conj().T @ v1[:, idx]
                      - v1_rows @ v2_rows.conj().T)
         return defect_int, cross_int
-    defect, cross = _raw_defect_cross(pair)
-    defect_int = defect[idx, :][:, idx].toarray()
-    cross_int = cross[idx, :][:, idx].toarray()
-    return defect_int, cross_int
+    defect, cross = interior_defect_and_cross(pair)
+    return defect.toarray(), cross.toarray()
 
 
 def defect_on_interior(pair: StructuredPair) -> np.ndarray:
