@@ -55,11 +55,6 @@ def laurent_inner(a: LaurentSeries, b: LaurentSeries) -> complex:
     return sum(coeff * b.get(exp, 0.0).conjugate() for exp, coeff in a.items())
 
 
-def laurent_shift(series: LaurentSeries, dz: int, dw: int) -> LaurentSeries:
-    """Multiply by ``z^dz w^dw``: shift every exponent."""
-    return {(ze + dz, we + dw): c for (ze, we), c in series.items()}
-
-
 def chain_expansion(ratio: float, j: int, series_len: int) -> LaurentSeries:
     """Normalized chain vector ``sqrt(1-r^2) g_j`` as a truncated expansion."""
     norm = math.sqrt(1.0 - ratio * ratio)
@@ -254,25 +249,6 @@ def build_izuchi_model(ratio: float, twist: complex, monomial_cap: int = 12,
         provenance="izuchi",
     )
     return IzuchiModel(ratio, twist, monomial_cap, chain_len, series_len, pair)
-
-
-def oracle_built_pair(ratio: float, twist: complex, monomial_cap: int,
-                      chain_len: int, series_len: int) -> StructuredPair:
-    """Pair whose matrices come from the inner-product oracle alone.
-
-    Unlike :func:`build_izuchi_model` this performs no series-length
-    validation, so the truncation error of the kept geometric tail shows up
-    directly in the spectra.  Used to measure convergence in ``series_len``.
-    """
-    v1, v2, _ = _oracle_matrices(ratio, twist, monomial_cap, chain_len, series_len)
-    return StructuredPair(
-        dim=v1.shape[0],
-        v1=v1,
-        v2=v2,
-        basis_labels=_basis_labels(monomial_cap, chain_len),
-        interior=_interior_indices(monomial_cap, chain_len),
-        provenance="izuchi",
-    )
 
 
 def _support_block(matrix: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:

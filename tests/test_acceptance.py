@@ -14,7 +14,7 @@ from isopair.classify import (
     ONE_FINITE,
     THREE_FINITE,
     TWO_FINITE,
-    _greedy_match,
+    _match_within,
     classify,
     decide_equivalence,
 )
@@ -172,7 +172,7 @@ def test_acceptance_6_classification_roundtrip():
         pair = base if trial == 0 else scramble(base, seed=trial)
         result = classify(pair)
         kinds = sorted(b.kind for b in result.blocks)
-        matched = _greedy_match(result.fundamental_sequence, expected, 1e-6)
+        matched = _match_within(result.fundamental_sequence, expected, 1e-6)
         if result.k != 4 or kinds != expected_kinds or matched is None:
             failures += 1
     report(6, failures == 0,

@@ -292,7 +292,6 @@ class TestMatchWithin:
 def test_randomized_block_collections_are_recovered():
     # build random collections of known blocks, scramble, classify, and
     # compare the recovered sequence to the construction parameters
-    from isopair.classify import _greedy_match
     from isopair.models import bishift_truncated as bishift
 
     rng = np.random.default_rng(424242)
@@ -315,7 +314,7 @@ def test_randomized_block_collections_are_recovered():
         pair = scramble(direct_sum(parts), seed=trial)
         result = classify(pair)
         assert result.k == len(expected)
-        assert _greedy_match(result.fundamental_sequence, tuple(expected),
+        assert _match_within(result.fundamental_sequence, tuple(expected),
                              1e-6) is not None
         assert result.shift_unitary.empty
 

@@ -3,17 +3,43 @@ import pytest
 
 from isopair.classify import classify
 from isopair.izuchi import (
+    LaurentSeries,
+    _basis_labels,
+    _interior_indices,
+    _oracle_matrices,
     build_izuchi_model,
     canonical_basis_3finite,
     chain_expansion,
     interior_defect_and_cross,
     laurent_inner,
-    laurent_shift,
     minimal_series_len,
-    oracle_built_pair,
     verify_izuchi_invariants,
 )
-from isopair.models import direct_sum
+from isopair.models import StructuredPair, direct_sum
+
+
+def laurent_shift(series: LaurentSeries, dz: int, dw: int) -> LaurentSeries:
+    """Reference: multiply by ``z^dz w^dw`` by shifting every exponent."""
+    return {(ze + dz, we + dw): c for (ze, we), c in series.items()}
+
+
+def oracle_built_pair(ratio: float, twist: complex, monomial_cap: int,
+                      chain_len: int, series_len: int) -> StructuredPair:
+    """Reference pair whose matrices come from the inner-product oracle alone.
+
+    Unlike :func:`build_izuchi_model` this performs no series-length
+    validation, so the truncation error of the kept geometric tail shows up
+    directly in the spectra.  Used to measure convergence in ``series_len``.
+    """
+    v1, v2, _ = _oracle_matrices(ratio, twist, monomial_cap, chain_len, series_len)
+    return StructuredPair(
+        dim=v1.shape[0],
+        v1=v1,
+        v2=v2,
+        basis_labels=_basis_labels(monomial_cap, chain_len),
+        interior=_interior_indices(monomial_cap, chain_len),
+        provenance="izuchi",
+    )
 
 
 class TestLaurentOracle:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isopair.bcl import BCLTriple, random_triple, wandering_projections
-from isopair.classify import _orbit_closure, working_space
+from isopair.classify import _orbit_closure, classify, working_space
 from isopair.izuchi import build_izuchi_model
 from isopair.linalg import hermitian_eig, orthonormal_columns
 from isopair.models import bishift_truncated, direct_sum, scramble, twisted_shift
@@ -74,6 +74,9 @@ def test_pair_fill_decision_matches_reference(name, scrambled):
     orbit = _orbit_closure((pair.compress(pair.v1), pair.compress(pair.v2)), seeds, 1e-8)
     assert (orbit.shape[1] == pair.interior_dim) == fills
     assert reference_forward_orbit_fills(pair, seeds) == fills
+    # classify decides emptiness inside the wandering model; the interior
+    # reference checks that decision
+    assert classify(pair).shift_unitary.empty == fills
     assert np.linalg.norm(orbit.conj().T @ orbit - np.eye(orbit.shape[1])) <= 1e-10
 
 

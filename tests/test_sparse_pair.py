@@ -18,7 +18,6 @@ from isopair.izuchi import (
     _oracle_matrices,
     build_izuchi_model,
     chain_expansion,
-    oracle_built_pair,
     verify_izuchi_invariants,
 )
 from isopair.models import (
@@ -32,6 +31,8 @@ from isopair.models import (
     validate_pair,
 )
 from isopair.serialize import classification_to_json, dumps_canonical, to_json
+
+from test_izuchi import oracle_built_pair
 
 GENERATED = {
     "izuchi": lambda: build_izuchi_model(0.5, 1j, 8, 8).pair,

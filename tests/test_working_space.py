@@ -121,11 +121,20 @@ def test_dense_path_keeps_shift_unitary_spectrum():
                        atol=1e-10)
 
 
-def test_skipped_cross_check_is_recorded():
-    # above interior dimension 800 the wandering-range cross-check is skipped
-    result = fundamental_sequence(bishift_truncated(30))
-    assert result.residuals["e1_consistency_skipped"] == 841.0
-    assert "e1_consistency" not in result.residuals
-    small = fundamental_sequence(bishift_truncated(6))
-    assert "e1_consistency_skipped" not in small.residuals
-    assert small.residuals["e1_consistency"] == 0.0
+def test_cross_check_runs_at_every_size():
+    # the eigenvalue-1 cross-check runs inside W, with no interior-size limit
+    for cap in (6, 30):
+        result = fundamental_sequence(bishift_truncated(cap))
+        assert result.residuals["e1_consistency"] == 0.0
+        assert "e1_consistency_skipped" not in result.residuals
+
+
+def test_large_shift_unitary_pair_classifies():
+    # interior dimension 1202, and the shift-unitary part is not empty
+    pair = shift_unitary_pair(np.array([0.4, 2.0]), cap=602)
+    assert pair.interior_dim == 1202
+    result = classify(pair)
+    assert result.k == 0
+    assert result.shift_unitary.eigs_on_pperp == ()
+    assert np.allclose(sorted(np.angle(z) for z in result.shift_unitary.eigs_on_p),
+                       [0.4, 2.0], atol=1e-10)
