@@ -8,28 +8,31 @@ blocks of defect rank 1, 2 or 3, computes the eigenvalue data of the
 residual commuting part, and decides unitary equivalence of two inputs by
 comparing the resulting invariants as multisets.
 
-Every stage reads a structured pair through its one wandering model (the
-wandering space of the product ``V1 V2`` and the operators on it), with no
-limit on the interior size.
+Both input kinds carry one wandering model: the wandering space of the
+product ``V1 V2``, the model unitary and the kernels of the two adjoints on
+it.  A triple is that model, with the identity as basis; a structured pair
+builds it once, with no limit on the interior size.  The eigenvalue-1
+cross-check and the shift-unitary part both read it.
 """
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 # the working-space builder calls through these modules, so a test can
 # count how often each input's defect and cross-commutator are computed
 from . import bcl, models
-from .bcl import BCLTriple, WanderingOperators
+from .bcl import BCLTriple
 from .linalg import (
     Subspace,
     _normalize_phases,
+    as_complex,
     hermitian_eig,
+    lift,
     normality_residual,
     orthonormal_columns,
     subspace_intersection,
@@ -48,7 +51,13 @@ PairInput = BCLTriple | StructuredPair
 
 
 class WanderingModel(NamedTuple):
-    """A pair's wandering space and operators (see ``WorkingSpace.wandering_model``)."""
+    """The wandering space of an input's product ``V1 V2`` and the operators on it.
+
+    ``basis`` spans the space in working coordinates; in that basis,
+    ``unitary`` is the model unitary U and ``kernel1``, ``kernel2`` are the
+    kernels P and ``I - U P U^H`` of the two adjoints.  A triple is this
+    model with the identity as basis.
+    """
 
     basis: np.ndarray
     unitary: np.ndarray
@@ -60,18 +69,18 @@ class WanderingModel(NamedTuple):
 class WorkingSpace:
     """Working data of one input, computed once and shared by every stage.
 
-    For a triple the working space is the wandering space itself and
-    ``wandering`` holds its operators; for a structured pair it is the
-    interior window, whose indices ``interior`` holds, with one
-    :attr:`wandering_model`.  Exactly one of ``wandering`` and ``interior``
-    is set.  Nothing outlives the call that built the object.
+    For a triple the working space is the wandering space itself; for a
+    structured pair it is the interior window, whose indices ``interior``
+    holds (None for a triple).  ``build_model`` makes the
+    :attr:`wandering_model`.  Nothing outlives the call that built the
+    object.
     """
 
     obj: PairInput
     defect: np.ndarray
     cross: np.ndarray
-    wandering: WanderingOperators | None = None
-    interior: np.ndarray | None = None
+    interior: np.ndarray | None
+    build_model: Callable[[], WanderingModel]
 
     @cached_property
     def defect_eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -80,30 +89,32 @@ class WorkingSpace:
 
     @cached_property
     def wandering_model(self) -> WanderingModel:
-        """Wandering space ``W = ker V^H`` of a pair's product ``V = V1 V2``.
+        """The input's wandering model, built on first use."""
+        return self.build_model()
 
-        ``basis`` spans W in interior coordinates: the majority range of the
-        interior compression of ``I - V V^H``, the one interior-size matrix.
-        In that basis, ``unitary`` is ``V2 (I - V1 V1^H) + V1^H V1 V1^H`` and
-        ``kernel1``, ``kernel2`` compress ``I - V1 V1^H`` and ``I - V2 V2^H``;
-        on a truncation they are quasi-projections.  All three come from
-        thin products with the lifted basis.
-        """
-        v1, v2 = _pair_operators(self.obj)
-        rows = v1[self.interior, :] @ v2
-        gram = rows @ rows.conj().T
-        gram = gram.toarray() if sp.issparse(gram) else gram
-        basis, _ = _majority_split(np.eye(len(self.interior)) - gram)
-        lifted = np.zeros((self.obj.dim, basis.shape[1]), dtype=np.complex128)
-        lifted[self.interior] = basis
-        adj1 = v1.conj().T @ lifted
-        adj2 = v2.conj().T @ lifted
-        range1 = v1 @ adj1
-        unitary = (lifted.conj().T @ (v2 @ (lifted - range1))
-                   + (v1 @ lifted).conj().T @ range1)
-        eye = np.eye(basis.shape[1])
-        return WanderingModel(basis, unitary,
-                              eye - adj1.conj().T @ adj1, eye - adj2.conj().T @ adj2)
+
+def _pair_wandering_model(pair: StructuredPair, interior: np.ndarray) -> WanderingModel:
+    """Wandering space ``W = ker V^H`` of a pair's product ``V = V1 V2``.
+
+    ``basis`` spans W in interior coordinates: the majority range of the
+    interior compression of ``I - V V^H``, the one interior-size matrix.
+    In that basis, ``unitary`` is ``V2 (I - V1 V1^H) + V1^H V1 V1^H`` and
+    ``kernel1``, ``kernel2`` compress ``I - V1 V1^H`` and ``I - V2 V2^H``;
+    on a truncation they are quasi-projections.  All three come from thin
+    products with the lifted basis.
+    """
+    v1, v2 = models.product_operators(pair)
+    rows = v1[interior, :] @ v2
+    basis, _ = _majority_split(np.eye(len(interior)) - as_complex(rows @ rows.conj().T))
+    lifted = lift(pair.dim, interior, basis)
+    adj1 = v1.conj().T @ lifted
+    adj2 = v2.conj().T @ lifted
+    range1 = v1 @ adj1
+    unitary = (lifted.conj().T @ (v2 @ (lifted - range1))
+               + (v1 @ lifted).conj().T @ range1)
+    eye = np.eye(basis.shape[1])
+    return WanderingModel(basis, unitary,
+                          eye - adj1.conj().T @ adj1, eye - adj2.conj().T @ adj2)
 
 
 def working_space(obj: PairInput) -> WorkingSpace:
@@ -113,11 +124,13 @@ def working_space(obj: PairInput) -> WorkingSpace:
     """
     if isinstance(obj, BCLTriple):
         ops = bcl.wandering_projections(obj)
-        return WorkingSpace(obj, ops.defect, ops.cross, wandering=ops)
+        model = WanderingModel(np.eye(obj.dim), obj.unitary, ops.proj_w1, ops.proj_w2)
+        return WorkingSpace(obj, ops.defect, ops.cross, None, lambda: model)
     if isinstance(obj, StructuredPair):
         defect, cross = models.defect_and_cross_on_interior(obj)
-        return WorkingSpace(obj, defect, cross,
-                            interior=np.asarray(obj.interior, dtype=int))
+        interior = np.asarray(obj.interior, dtype=int)
+        return WorkingSpace(obj, defect, cross, interior,
+                            partial(_pair_wandering_model, obj, interior))
     raise TypeError(f"unsupported input type {type(obj).__name__}")
 
 
@@ -159,11 +172,6 @@ def _compact_normal(ws: WorkingSpace, tol: float) -> NormalityReport:
     return NormalityReport(ok, xnorm, residual, bound, structure)
 
 
-def _pair_operators(pair: StructuredPair):
-    """The pair's operators in the form its products run on (see ``models.dense_products``)."""
-    return (pair.v1, pair.v2) if models.dense_products(pair) else models.sparse_operators(pair)
-
-
 def _majority_split(quasi_projection: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors of a Hermitian quasi-projection with eigenvalue above 1/2, and the rest."""
     values, vectors = hermitian_eig(quasi_projection)
@@ -176,21 +184,21 @@ def _pair_membership_residual(pair: StructuredPair, idx: np.ndarray,
     """Largest distance of the lifted vectors from both wandering subspaces."""
     if vectors.shape[1] == 0:
         return 0.0
-    full = np.zeros((pair.dim, vectors.shape[1]), dtype=np.complex128)
-    full[idx] = vectors
+    full = lift(pair.dim, idx, vectors)
     # distance from the kernel of V^H is the length of the part in range(V)
     return max(float(np.max(np.linalg.norm(v @ (v.conj().T @ full), axis=0)))
-               for v in _pair_operators(pair))
+               for v in models.product_operators(pair))
 
 
 def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[str, float]]:
     values, vectors = ws.defect_eig
     eig_basis = Subspace(ws.defect.shape[0], vectors[:, values >= 1.0 - tol])
     residuals: dict[str, float] = {}
+    model = ws.wandering_model
 
-    if ws.wandering is not None:
-        s1 = Subspace.from_columns(ws.wandering.proj_w1)
-        s2 = Subspace.from_columns(ws.wandering.proj_w2)
+    if ws.interior is None:
+        s1 = Subspace.from_columns(model.kernel1)
+        s2 = Subspace.from_columns(model.kernel2)
         basis = subspace_intersection(s1, s2, tol)
         gap = float(np.linalg.norm(basis.projector() - eig_basis.projector()))
         residuals["e1_consistency"] = gap
@@ -210,7 +218,6 @@ def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[s
                 f"(residual {membership:.3e}); inconsistent pair"
             )
         # inside W, the two kernels meet in the eigenvalue-1 space
-        model = ws.wandering_model
         s1, s2 = (Subspace(model.basis.shape[1], _majority_split(kernel)[0])
                   for kernel in (model.kernel1, model.kernel2))
         inter = subspace_intersection(s1, s2, max(tol, 1e-8))
@@ -401,11 +408,25 @@ def _unitary_eigs(matrix: np.ndarray) -> tuple[complex, ...]:
     return tuple(ordered)
 
 
-def _shift_unitary_from_wandering(unitary: np.ndarray, projection: np.ndarray,
-                                  defect_eig: tuple[np.ndarray, np.ndarray],
-                                  tol: float) -> ShiftUnitaryInvariant:
-    values, vectors = defect_eig
-    seeds = vectors[:, np.abs(values) > tol]
+def shift_unitary_invariant(obj: PairInput, tol: float = 1e-8) -> ShiftUnitaryInvariant:
+    """Eigenvalue multisets of the residual commuting part.
+
+    The residual is the orthogonal complement, inside the wandering space,
+    of the smallest invariant subspace containing the defect's nonzero
+    eigenvectors under the model unitary and its adjoint.  There the
+    projection commutes with the unitary, and its range/kernel split the
+    unitary's spectrum into the two returned multisets.
+    """
+    return _shift_unitary(working_space(obj), tol)
+
+
+def _shift_unitary(ws: WorkingSpace, tol: float) -> ShiftUnitaryInvariant:
+    model = ws.wandering_model
+    values, vectors = ws.defect_eig
+    # the defect vanishes on range(V1 V2), so its eigenvectors off the kernel
+    # lie in W, where the basis restricts them
+    seeds = model.basis.conj().T @ vectors[:, np.abs(values) > tol]
+    unitary = model.unitary
     orbit = _orbit_closure((unitary, unitary.conj().T), seeds)
     n = unitary.shape[0]
     if orbit.shape[1] == n:
@@ -413,7 +434,7 @@ def _shift_unitary_from_wandering(unitary: np.ndarray, projection: np.ndarray,
     complement = orthonormal_columns(np.eye(n) - orbit @ orbit.conj().T)
 
     u_n = complement.conj().T @ unitary @ complement
-    p_n = complement.conj().T @ projection @ complement
+    p_n = complement.conj().T @ model.kernel1 @ complement
     commute = float(np.linalg.norm(p_n - u_n @ p_n @ u_n.conj().T))
     if commute > tol:
         raise ValueError(
@@ -433,30 +454,6 @@ def _shift_unitary_from_wandering(unitary: np.ndarray, projection: np.ndarray,
         eigs_on_p=_unitary_eigs(on_p.conj().T @ u_n @ on_p),
         eigs_on_pperp=_unitary_eigs(off_p.conj().T @ u_n @ off_p),
     )
-
-
-def shift_unitary_invariant(obj: PairInput, tol: float = 1e-8) -> ShiftUnitaryInvariant:
-    """Eigenvalue multisets of the residual commuting part.
-
-    The residual is the orthogonal complement, inside the wandering space,
-    of the smallest invariant subspace containing the defect's nonzero
-    eigenvectors under the model unitary and its adjoint.  There the
-    projection commutes with the unitary, and its range/kernel split the
-    unitary's spectrum into the two returned multisets.
-    """
-    return _shift_unitary(working_space(obj), tol)
-
-
-def _shift_unitary(ws: WorkingSpace, tol: float) -> ShiftUnitaryInvariant:
-    if ws.wandering is not None:
-        return _shift_unitary_from_wandering(
-            ws.obj.unitary, ws.obj.projection, ws.defect_eig, tol
-        )
-
-    model = ws.wandering_model
-    defect_w = model.basis.conj().T @ ws.defect @ model.basis
-    return _shift_unitary_from_wandering(model.unitary, model.kernel1,
-                                         hermitian_eig(defect_w), tol)
 
 
 def classify(obj: PairInput, tol: float = 1e-8,

@@ -2,13 +2,15 @@
 
 Exit codes are a stable contract: 0 success, 1 mathematical-check failure,
 2 input/parameter error, 3 not-equivalent.  Tolerances are overridable by
-flags and by ISOPAIR_-prefixed environment variables; flags win.
+flags and by ISOPAIR_-prefixed environment variables; flags win.  A
+tolerance that is not a finite positive number is a parameter error.
 """
 
 import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -48,28 +50,21 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex number {text!r}") from None
 
 
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name} is not a number: {raw!r}")
-
-
-def _resolve_tol(flag_value, env_name: str, default):
-    if flag_value is not None:
-        return flag_value
-    env_value = _env_float(env_name)
-    if env_value is not None:
-        return env_value
-    return default
-
-
-def _positive(value, name: str):
-    if value is not None and value <= 0:
-        raise ValueError(f"{name} must be positive")
+def _tolerance(flag_value, env_name: str, default):
+    """A tolerance from its flag, else ``env_name``, else ``default``; a set one is finite and > 0."""
+    value = flag_value
+    if value is None:
+        raw = os.environ.get(env_name, "")
+        if raw == "":
+            return default
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"environment variable {env_name} is not a number: "
+                             f"{raw!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {value} "
+                         f"(flag or {env_name})")
     return value
 
 
@@ -135,7 +130,7 @@ def analyze_object(obj, rank_tol, cluster_tol) -> dict:
     ranks, profile = rank_formula(defect, cross, rank_tol, cluster_tol)
     normality = normality_residual(cross)
 
-    values = np.linalg.eigvalsh(defect)[::-1]
+    values = profile.eigenvalues
     labels = []
     for v in values:
         if v >= 1.0 - cluster_tol:
@@ -205,12 +200,10 @@ def _analysis_csv(report: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
-    rank_tol = _resolve_tol(args.rank_tol, "ISOPAIR_RANK_TOL", None)
-    cluster_tol = _resolve_tol(args.cluster_tol, "ISOPAIR_CLUSTER_TOL",
-                               DEFAULT_CLUSTER_TOL)
     try:
-        _positive(rank_tol, "rank tolerance")
-        _positive(cluster_tol, "cluster tolerance")
+        rank_tol = _tolerance(args.rank_tol, "ISOPAIR_RANK_TOL", None)
+        cluster_tol = _tolerance(args.cluster_tol, "ISOPAIR_CLUSTER_TOL",
+                                 DEFAULT_CLUSTER_TOL)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -290,9 +283,8 @@ def _classification_text(payload: dict) -> str:
 
 
 def cmd_classify(args) -> int:
-    band_tol = _resolve_tol(args.band_tol, "ISOPAIR_BAND_TOL", DEFAULT_BAND_TOL)
     try:
-        _positive(band_tol, "band tolerance")
+        band_tol = _tolerance(args.band_tol, "ISOPAIR_BAND_TOL", DEFAULT_BAND_TOL)
         obj = load_input(args.input)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -312,12 +304,12 @@ def cmd_classify(args) -> int:
 
 def cmd_equiv(args) -> int:
     try:
+        tol = _tolerance(args.tol, "ISOPAIR_EQUIV_TOL", DEFAULT_BAND_TOL)
         first = load_input(args.first)
         second = load_input(args.second)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    tol = _resolve_tol(args.tol, "ISOPAIR_EQUIV_TOL", DEFAULT_BAND_TOL)
     try:
         verdict = decide_equivalence(first, second, tol=tol)
     except ValueError as exc:

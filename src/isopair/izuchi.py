@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import hermitian_eig, numerical_rank
+from .linalg import hermitian_eig, lift, normality_residual, numerical_rank
 from .models import StructuredPair, _csr, interior_defect_and_cross, sparse_operators
 
 LaurentSeries = dict[tuple[int, int], complex]
@@ -301,8 +301,7 @@ def verify_izuchi_invariants(model: IzuchiModel, tol: float = 1e-8) -> IzuchiRep
     x_nonzero = x_eigs[np.abs(x_eigs) > tol]
     cross_eig = complex(x_nonzero[0]) if x_nonzero.size == 1 else complex(0.0)
 
-    xxh_minus_xhx = cross @ cross.getH() - cross.getH() @ cross
-    normality = float(sp.linalg.norm(xxh_minus_xhx))
+    normality = normality_residual(cross)
 
     lam = abs(model.ratio)
     expected = np.array([1.0, lam, -lam])
@@ -340,17 +339,6 @@ def verify_izuchi_invariants(model: IzuchiModel, tol: float = 1e-8) -> IzuchiRep
         rank_formula_ok=rank_formula_ok,
         residuals=residuals,
     )
-
-
-def _lift(pair: StructuredPair, interior_vec: np.ndarray,
-          positions: np.ndarray | None = None) -> np.ndarray:
-    """Scatter an interior-coordinate vector into the pair's full space."""
-    idx = np.asarray(pair.interior, dtype=int)
-    if positions is not None:
-        idx = idx[positions]
-    full = np.zeros(pair.dim, dtype=np.complex128)
-    full[idx] = interior_vec
-    return full
 
 
 @dataclass(frozen=True)
@@ -398,6 +386,7 @@ def canonical_basis_3finite(model: IzuchiModel, tol: float = 1e-8) -> CanonicalB
     defect, _ = interior_defect_and_cross(pair)
     sup, block = _support_block(defect)
     values, vectors = hermitian_eig(block)
+    rows = np.asarray(pair.interior, dtype=int)[sup]
 
     lam = abs(model.ratio)
 
@@ -407,7 +396,7 @@ def canonical_basis_3finite(model: IzuchiModel, tol: float = 1e-8) -> CanonicalB
             raise ValueError(
                 f"defect eigenvalue {target} is not simple (found {hits.size})"
             )
-        return _lift(pair, vectors[:, hits[0]], positions=sup)
+        return lift(pair.dim, rows, vectors[:, hits[0]])
 
     f = simple_vector(1.0)
     e_plus = simple_vector(lam)

@@ -2,8 +2,8 @@
 
 Operators here are plain ``numpy.ndarray`` values with complex128 entries.
 Structured pairs may store theirs as ``scipy.sparse`` CSR matrices (see
-``models``); what reaches these functions is always dense, such as an
-interior compression or the block on the support of a sparse product.
+``models``); of the functions here, :func:`as_complex` (which densifies),
+:func:`frobenius_norm` and :func:`normality_residual` also take that form.
 Every function here is pure: inputs are never mutated, outputs are fresh
 arrays.
 """
@@ -11,6 +11,7 @@ arrays.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 #: Relative factor for the default numerical-rank cutoff.
 RANK_TOL_FACTOR = 1e-12
@@ -20,7 +21,10 @@ RANK_FLOOR = 1e-12
 
 
 def as_complex(a) -> np.ndarray:
-    """Coerce ``a`` to a C-contiguous complex128 array."""
+    """Coerce ``a``, dense or ``scipy.sparse``, to a C-contiguous complex128 array."""
+    # the ndarray test first: sp.issparse, an ABC check, is slow on hot paths
+    if not isinstance(a, np.ndarray) and sp.issparse(a):
+        a = a.toarray(order="C")
     return np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
 
 
@@ -87,9 +91,21 @@ def numerical_rank(a, tol: float | None = None) -> int:
     return int(np.count_nonzero(s > cutoff))
 
 
-def normality_residual(x: np.ndarray) -> float:
-    """Frobenius norm of the self-commutator ``x x^H - x^H x``; zero when ``x`` is normal."""
-    return float(np.linalg.norm(x @ x.conj().T - x.conj().T @ x))
+def frobenius_norm(x) -> float:
+    """Frobenius norm of a dense array or a ``scipy.sparse`` matrix."""
+    return float(np.linalg.norm(x) if isinstance(x, np.ndarray) else sp.linalg.norm(x))
+
+
+def normality_residual(x) -> float:
+    """Frobenius norm of ``x x^H - x^H x`` for dense or sparse ``x``; zero when ``x`` is normal."""
+    return frobenius_norm(x @ x.conj().T - x.conj().T @ x)
+
+
+def lift(dim: int, rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Place the rows of ``vectors`` at indices ``rows`` of a zero ``dim``-row array."""
+    full = np.zeros((dim,) + vectors.shape[1:], dtype=np.complex128)
+    full[rows] = vectors
+    return full
 
 
 def orthonormal_columns(a, tol: float | None = None) -> np.ndarray:

@@ -11,8 +11,10 @@ spectrum.
 A pair keeps each operator in the form it was given: the generators, which
 know their nonzeros, pass ``scipy.sparse`` matrices and the pair stores CSR;
 a basis scramble and the JSON reader pass dense arrays.  Products run on the
-form that suits the pair (see :func:`dense_products`): filled pairs are
-multiplied densely, sparse ones through :func:`sparse_operators`.
+form :func:`product_operators` picks: dense for filled pairs, CSR for sparse
+ones (see :func:`dense_products`).  Each product -- the isometry and
+commutation residuals, the defect and the cross-commutator -- is one
+formula on the interior rows and columns that runs on either form.
 
 Basis labels are structured tuples, never strings:
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import as_complex, random_unitary
+from .linalg import as_complex, frobenius_norm, random_unitary
 
 Label = tuple
 
@@ -167,12 +169,6 @@ class StructuredPair:
         inside = set(self.interior)
         return tuple(i for i in range(self.dim) if i not in inside)
 
-    def compress(self, operator) -> np.ndarray:
-        """Submatrix of a full-space operator on interior rows and columns."""
-        idx = np.asarray(self.interior, dtype=int)
-        operator = np.asarray(operator)
-        return np.ascontiguousarray(operator[np.ix_(idx, idx)])
-
 
 def sparse_operators(pair: StructuredPair) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """The pair's operators as read-only CSR matrices, converted once and cached."""
@@ -219,39 +215,11 @@ class PairValidation:
     residuals: dict[str, float]
 
 
-def validate_pair(pair: StructuredPair, tol: float = 1e-12) -> PairValidation:
-    """Isometry and commutation residuals on the interior window.
-
-    Like the defect and cross-commutator, the products run densely for a
-    filled pair and on the CSR form otherwise (see :func:`dense_products`).
-    """
-    idx = np.asarray(pair.interior, dtype=int)
-    eye = np.eye(len(idx))
-    if dense_products(pair):
-        v1, v2 = pair.v1, pair.v2
-        gram1 = (v1.conj().T @ v1)[np.ix_(idx, idx)]
-        gram2 = (v2.conj().T @ v2)[np.ix_(idx, idx)]
-        comm = (v1 @ v2 - v2 @ v1)[:, idx]
-    else:
-        v1, v2 = sparse_operators(pair)
-        gram1 = (v1.getH() @ v1)[idx, :][:, idx].toarray()
-        gram2 = (v2.getH() @ v2)[idx, :][:, idx].toarray()
-        # the Frobenius norm of a sparse matrix is the 2-norm of its entries
-        comm = (v1 @ v2 - v2 @ v1)[:, idx].data
-    residuals = {
-        "isometry_v1": float(np.linalg.norm(gram1 - eye)),
-        "isometry_v2": float(np.linalg.norm(gram2 - eye)),
-        "commutation": float(np.linalg.norm(comm)),
-    }
-    return PairValidation(ok=all(r <= tol for r in residuals.values()),
-                          residuals=residuals)
-
-
-#: Share of nonzero entries above which a pair's defect and cross-commutator
-#: are multiplied densely.  Generated models hold a couple of entries per
-#: column and stay far below it; a basis scramble fills the interior and
-#: boundary blocks, well above.  The two paths cost the same between 4 % and
-#: 18 % fill on models of dimension 240 to 930.
+#: Share of nonzero entries above which a pair's products run densely.
+#: Generated models hold a couple of entries per column and stay far below
+#: it; a basis scramble fills the interior and boundary blocks, well above.
+#: The two paths cost the same between 4 % and 18 % fill on models of
+#: dimension 240 to 930.
 DENSE_FILL = 0.1
 
 
@@ -268,42 +236,77 @@ def dense_products(pair: StructuredPair) -> bool:
     return nonzero > DENSE_FILL * 2 * pair.dim * pair.dim
 
 
+def product_operators(pair: StructuredPair):
+    """The pair's operators in the form its products run on.
+
+    Dense arrays for a filled pair (see :func:`dense_products`), the CSR form
+    of :func:`sparse_operators` otherwise.
+    """
+    return (pair.v1, pair.v2) if dense_products(pair) else sparse_operators(pair)
+
+
+def _identity(like, n: int):
+    """The ``n x n`` identity in the form of ``like``: CSR or dense."""
+    return sp.identity(n, np.complex128, "csr") if sp.issparse(like) else np.eye(n)
+
+
+def _pair_residuals(v1, v2, idx: np.ndarray) -> dict[str, float]:
+    """Isometry and commutation residuals on interior columns ``idx``, in either form."""
+    cols1, cols2 = v1[:, idx], v2[:, idx]
+    eye = _identity(v1, len(idx))
+    return {
+        "isometry_v1": frobenius_norm(cols1.conj().T @ cols1 - eye),
+        "isometry_v2": frobenius_norm(cols2.conj().T @ cols2 - eye),
+        "commutation": frobenius_norm(v1 @ cols2 - v2 @ cols1),
+    }
+
+
+def _defect_and_cross(v1, v2, idx: np.ndarray):
+    """Defect and cross-commutator on interior rows and columns ``idx``.
+
+    Only thin products are formed; dense operators give dense results, CSR
+    ones sparse.
+    """
+    rows1, rows2 = v1[idx, :], v2[idx, :]
+    prod = rows1 @ v2
+    defect = (_identity(v1, len(idx)) - rows1 @ rows1.conj().T
+              - rows2 @ rows2.conj().T + prod @ prod.conj().T)
+    cross = v2[:, idx].conj().T @ v1[:, idx] - rows1 @ rows2.conj().T
+    return defect, cross
+
+
+def validate_pair(pair: StructuredPair, tol: float = 1e-12) -> PairValidation:
+    """Isometry and commutation residuals on the interior window.
+
+    Like the defect and cross-commutator, the products run on the form
+    :func:`product_operators` picks.
+    """
+    residuals = _pair_residuals(*product_operators(pair),
+                                np.asarray(pair.interior, dtype=int))
+    return PairValidation(ok=all(r <= tol for r in residuals.values()),
+                          residuals=residuals)
+
+
 def interior_defect_and_cross(pair: StructuredPair) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Defect and cross-commutator compressed to the interior window, as CSR.
 
-    Products are carried out sparsely on the whole truncated space; the
-    generators fill their matrices with at most a couple of entries per
+    The generators fill their matrices with at most a couple of entries per
     column, so this stays cheap even for a few thousand basis vectors.
     """
-    v1, v2 = sparse_operators(pair)
-    eye = sp.identity(pair.dim, dtype=np.complex128, format="csr")
-    prod = v1 @ v2
-    defect = eye - v1 @ v1.getH() - v2 @ v2.getH() + prod @ prod.getH()
-    cross = v2.getH() @ v1 - v1 @ v2.getH()
-    idx = np.asarray(pair.interior, dtype=int)
-    return (defect.tocsr()[idx, :][:, idx].tocsr(),
-            cross.tocsr()[idx, :][:, idx].tocsr())
+    defect, cross = _defect_and_cross(*sparse_operators(pair),
+                                      np.asarray(pair.interior, dtype=int))
+    return defect.tocsr(), cross.tocsr()
 
 
 def defect_and_cross_on_interior(pair: StructuredPair) -> tuple[np.ndarray, np.ndarray]:
     """Defect operator and cross-commutator compressed to the interior window.
 
-    A dense pair (see :func:`dense_products`) is multiplied densely on the
-    interior rows and columns only; a sparse one through
-    :func:`interior_defect_and_cross`.
+    The products run on the form :func:`product_operators` picks; the
+    results are dense.
     """
-    if dense_products(pair):
-        idx = np.asarray(pair.interior, dtype=int)
-        v1, v2 = pair.v1, pair.v2
-        v1_rows, v2_rows = v1[idx, :], v2[idx, :]
-        prod_rows = v1_rows @ v2
-        defect_int = (np.eye(len(idx)) - v1_rows @ v1_rows.conj().T
-                      - v2_rows @ v2_rows.conj().T + prod_rows @ prod_rows.conj().T)
-        cross_int = (v2[:, idx].conj().T @ v1[:, idx]
-                     - v1_rows @ v2_rows.conj().T)
-        return defect_int, cross_int
-    defect, cross = interior_defect_and_cross(pair)
-    return defect.toarray(), cross.toarray()
+    defect, cross = _defect_and_cross(*product_operators(pair),
+                                      np.asarray(pair.interior, dtype=int))
+    return as_complex(defect), as_complex(cross)
 
 
 def defect_on_interior(pair: StructuredPair) -> np.ndarray:

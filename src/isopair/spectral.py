@@ -54,9 +54,10 @@ class InteriorPair:
 
 @dataclass(frozen=True)
 class SpectralProfile:
-    """Eigen-data of a Hermitian contraction, split by spectral region."""
+    """Eigen-data of a Hermitian contraction (all ``eigenvalues``, descending), split by region."""
 
     ambient_dim: int
+    eigenvalues: np.ndarray
     dim_plus1: int
     dim_minus1: int
     basis_plus1: Subspace
@@ -140,6 +141,7 @@ def spectral_profile(defect, cluster_tol: float = 1e-8) -> SpectralProfile:
 
     return SpectralProfile(
         ambient_dim=n,
+        eigenvalues=values,
         dim_plus1=basis_plus.dim,
         dim_minus1=basis_minus.dim,
         basis_plus1=basis_plus,

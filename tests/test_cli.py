@@ -273,3 +273,26 @@ def test_rank_tol_env_override(tmp_path, capsys, monkeypatch):
 
     code_flag, _, _ = run(capsys, "analyze", str(path), "--rank-tol", "1e-12")
     assert code_flag == 0
+
+
+@pytest.mark.parametrize("command,flags,env", [
+    ("classify", ["--band-tol", "inf"], {}),
+    ("classify", ["--band-tol", "nan"], {}),
+    ("classify", [], {"ISOPAIR_BAND_TOL": "abc"}),
+    ("equiv", ["--tol", "-1"], {}),
+    ("equiv", [], {"ISOPAIR_EQUIV_TOL": "0"}),
+    ("analyze", ["--rank-tol", "nan"], {}),
+    ("analyze", [], {"ISOPAIR_CLUSTER_TOL": "inf"}),
+], ids=["classify-inf", "classify-nan", "classify-env-text", "equiv-negative",
+        "equiv-env-zero", "analyze-nan", "analyze-env-inf"])
+def test_bad_tolerance_exits_2(tmp_path, capsys, monkeypatch, command, flags, env):
+    # a tolerance must be a finite positive number, from a flag or the environment
+    path = tmp_path / "tw.json"
+    assert main(["gen", "twisted", "--alpha", "1j", "--N", "8", "-o", str(path)]) == 0
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    inputs = [str(path)] * (2 if command == "equiv" else 1)
+    code, _, err = run(capsys, command, *inputs, *flags)
+    assert code == 2
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1

@@ -12,6 +12,12 @@ from isopair.models import bishift_truncated, direct_sum, scramble, twisted_shif
 from test_classify import shift_unitary_pair
 
 
+def compress(pair, operator) -> np.ndarray:
+    """Submatrix of a full-space operator on interior rows and columns."""
+    idx = np.asarray(pair.interior, dtype=int)
+    return np.ascontiguousarray(np.asarray(operator)[np.ix_(idx, idx)])
+
+
 def reference_forward_orbit_fills(pair, seeds, tol=1e-8):
     """Per-vector Gram-Schmidt: does the forward orbit of the seeds span the interior?"""
     target = pair.interior_dim
@@ -71,7 +77,7 @@ def test_pair_fill_decision_matches_reference(name, scrambled):
     values, vectors = working_space(pair).defect_eig
     seeds = vectors[:, values >= 1.0 - 1e-8]
 
-    orbit = _orbit_closure((pair.compress(pair.v1), pair.compress(pair.v2)), seeds, 1e-8)
+    orbit = _orbit_closure((compress(pair, pair.v1), compress(pair, pair.v2)), seeds, 1e-8)
     assert (orbit.shape[1] == pair.interior_dim) == fills
     assert reference_forward_orbit_fills(pair, seeds) == fills
     # classify decides emptiness inside the wandering model; the interior

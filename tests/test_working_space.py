@@ -4,6 +4,7 @@ import importlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from isopair import bcl, models
 from isopair.classify import classify, decide_equivalence, fundamental_sequence
@@ -14,11 +15,14 @@ from isopair.models import (
     conjugate_split,
     defect_and_cross_on_interior,
     dense_products,
+    scramble,
+    sparse_operators,
     twisted_shift,
 )
 
 from conftest import two_finite_triple
 from test_classify import shift_unitary_pair
+from test_sparse_pair import GENERATED
 
 # the package exports the function ``classify`` under the submodule's name
 classify_module = importlib.import_module("isopair.classify")
@@ -102,6 +106,26 @@ def test_dense_path_matches_sparse_path(pair):
     wh = w_int.conj().T
     assert np.linalg.norm(mixed_defect - w_int @ defect @ wh) <= 1e-12
     assert np.linalg.norm(mixed_cross - w_int @ cross @ wh) <= 1e-12
+
+
+BOTH_FORMS = dict(GENERATED, scrambled=lambda: scramble(GENERATED["direct_sum"](), seed=3))
+
+
+@pytest.mark.parametrize("name", sorted(BOTH_FORMS))
+def test_product_forms_agree_on_one_pair(name):
+    # each product is one formula; its dense and CSR runs agree on the same pair
+    pair = BOTH_FORMS[name]()
+    idx = np.asarray(pair.interior, dtype=int)
+    dense, csr = (pair.v1, pair.v2), sparse_operators(pair)
+    residuals = models._pair_residuals(*dense, idx)
+    csr_residuals = models._pair_residuals(*csr, idx)
+    assert residuals.keys() == csr_residuals.keys()
+    for key, value in residuals.items():
+        assert abs(value - csr_residuals[key]) <= 1e-13
+    for got, csr_got in zip(models._defect_and_cross(*dense, idx),
+                            models._defect_and_cross(*csr, idx)):
+        assert isinstance(got, np.ndarray) and sp.issparse(csr_got)
+        assert np.linalg.norm(got - csr_got.toarray()) <= 1e-13
 
 
 def test_dense_path_keeps_shift_unitary_spectrum():
