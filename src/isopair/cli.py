@@ -4,16 +4,22 @@ Exit codes are a stable contract: 0 success, 1 mathematical-check failure,
 2 input/parameter error, 3 not-equivalent.  Tolerances are overridable by
 flags and by ISOPAIR_-prefixed environment variables; flags win.  A
 tolerance that is not a finite positive number is a parameter error.
+
+Commands raise :class:`InputError` for an unreadable or malformed input
+file, an unwritable ``-o`` path or a bad parameter, and let a
+``ValueError`` from a mathematical check propagate; :func:`main` alone
+turns either into one ``error:`` or ``check failed:`` line on stderr and
+exit code 2 or 1.
 """
 
 import argparse
 import csv
 import io
-import json
 import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,6 +46,19 @@ DEFAULT_CLUSTER_TOL = 1e-8
 DEFAULT_BAND_TOL = 1e-6
 
 
+class InputError(Exception):
+    """A malformed input file, an unwritable output path or a bad parameter (exit 2)."""
+
+
+@contextmanager
+def _input_errors():
+    """Re-raise what reading inputs or parameters raises as :class:`InputError`."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise InputError(exc) from exc
+
+
 def parse_complex(text: str) -> complex:
     """Parse '1+0i', '-i', '0.5i', '2', and the j-suffixed equivalents."""
     t = text.strip().replace(" ", "").lower().replace("i", "j")
@@ -60,20 +79,25 @@ def _tolerance(flag_value, env_name: str, default):
         try:
             value = float(raw)
         except ValueError:
-            raise ValueError(f"environment variable {env_name} is not a number: "
+            raise InputError(f"environment variable {env_name} is not a number: "
                              f"{raw!r}") from None
     if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {value} "
+        raise InputError(f"tolerance must be finite and positive, got {value} "
                          f"(flag or {env_name})")
     return value
 
 
 def _write_output(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
+        with _input_errors(), open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _load(path: str):
+    with _input_errors():
+        return load_input(path)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +126,9 @@ def _build_object(args):
             raise ValueError("direct-sum combines structured pairs only")
         return direct_sum(parts)
     if kind == "scramble":
+        if len(args.inputs) != 1:
+            raise ValueError(f"scramble takes exactly one input file, "
+                             f"got {len(args.inputs)}")
         pair = load_input(args.inputs[0])
         if not isinstance(pair, StructuredPair):
             raise ValueError("scramble applies to structured pairs only")
@@ -110,11 +137,9 @@ def _build_object(args):
 
 
 def cmd_gen(args) -> int:
-    try:
+    # every model parameter and input file is the caller's: any failure is exit 2
+    with _input_errors():
         obj = _build_object(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     _write_output(dumps_canonical(to_json(obj)), args.output)
     return 0
 
@@ -129,29 +154,11 @@ def analyze_object(obj, rank_tol, cluster_tol) -> dict:
     defect, cross = ws.defect, ws.cross
     ranks, profile = rank_formula(defect, cross, rank_tol, cluster_tol)
     normality = normality_residual(cross)
-
-    values = profile.eigenvalues
-    labels = []
-    for v in values:
-        if v >= 1.0 - cluster_tol:
-            labels.append("plus_one")
-        elif v <= -1.0 + cluster_tol:
-            labels.append("minus_one")
-        elif abs(v) <= cluster_tol:
-            labels.append("kernel")
-        else:
-            side = "pos" if v > 0 else "neg"
-            idx = min(
-                range(len(profile.interior_pairs)),
-                key=lambda i: abs(abs(v) - profile.interior_pairs[i].value),
-            ) if profile.interior_pairs else 0
-            labels.append(f"pair{idx}_{side}")
-
     return {
         "kind": "analysis",
         "spectrum": [
             {"eigenvalue": [float(v), 0.0], "cluster": lab}
-            for v, lab in zip(values, labels)
+            for v, lab in zip(profile.eigenvalues, profile.clusters)
         ],
         "rank_defect": ranks.rank_defect,
         "rank_cross": ranks.rank_cross,
@@ -200,31 +207,14 @@ def _analysis_csv(report: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        rank_tol = _tolerance(args.rank_tol, "ISOPAIR_RANK_TOL", None)
-        cluster_tol = _tolerance(args.cluster_tol, "ISOPAIR_CLUSTER_TOL",
-                                 DEFAULT_CLUSTER_TOL)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    rank_tol = _tolerance(args.rank_tol, "ISOPAIR_RANK_TOL", None)
+    cluster_tol = _tolerance(args.cluster_tol, "ISOPAIR_CLUSTER_TOL",
+                             DEFAULT_CLUSTER_TOL)
     if args.trials is not None:
         return _analyze_trials(args, rank_tol, cluster_tol)
-
     if args.input is None:
-        print("error: provide an input file or --trials", file=sys.stderr)
-        return 2
-    try:
-        obj = load_input(args.input)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = analyze_object(obj, rank_tol, cluster_tol)
-    except ValueError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
-
+        raise InputError("provide an input file or --trials")
+    report = analyze_object(_load(args.input), rank_tol, cluster_tol)
     if args.format == "json":
         _write_output(dumps_canonical(report), args.output)
     elif args.format == "csv":
@@ -235,6 +225,10 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze_trials(args, rank_tol, cluster_tol) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be at least 0, got {args.trials}")
+    if args.max_dim < 2:
+        raise InputError(f"--max-dim must be at least 2, got {args.max_dim}")
     rng = np.random.default_rng(args.seed)
     failures = 0
     lines = []
@@ -283,18 +277,8 @@ def _classification_text(payload: dict) -> str:
 
 
 def cmd_classify(args) -> int:
-    try:
-        band_tol = _tolerance(args.band_tol, "ISOPAIR_BAND_TOL", DEFAULT_BAND_TOL)
-        obj = load_input(args.input)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        result = classify(obj, band_tol=band_tol)
-    except ValueError as exc:
-        print(f"classification failed: {exc}", file=sys.stderr)
-        return 1
-    payload = classification_to_json(result)
+    band_tol = _tolerance(args.band_tol, "ISOPAIR_BAND_TOL", DEFAULT_BAND_TOL)
+    payload = classification_to_json(classify(_load(args.input), band_tol=band_tol))
     if args.format == "json":
         _write_output(dumps_canonical(payload), args.output)
     else:
@@ -303,18 +287,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    try:
-        tol = _tolerance(args.tol, "ISOPAIR_EQUIV_TOL", DEFAULT_BAND_TOL)
-        first = load_input(args.first)
-        second = load_input(args.second)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        verdict = decide_equivalence(first, second, tol=tol)
-    except ValueError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+    tol = _tolerance(args.tol, "ISOPAIR_EQUIV_TOL", DEFAULT_BAND_TOL)
+    verdict = decide_equivalence(_load(args.first), _load(args.second), tol=tol)
     if verdict.equivalent:
         print(f"equivalent  (matching permutation: {list(verdict.matching)})")
         return 0
@@ -384,7 +358,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

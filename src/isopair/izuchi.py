@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import hermitian_eig, lift, normality_residual, numerical_rank
+from .linalg import hermitian_eig, lift, normality_residual
 from .models import StructuredPair, _csr, interior_defect_and_cross, sparse_operators
+from .spectral import rank_formula
 
 LaurentSeries = dict[tuple[int, int], complex]
 
@@ -288,15 +289,11 @@ def verify_izuchi_invariants(model: IzuchiModel, tol: float = 1e-8) -> IzuchiRep
     defect, cross = interior_defect_and_cross(model.pair)
 
     _, c_block = _support_block(defect)
-    c_values, _ = hermitian_eig(c_block)
-
-    dim_plus1 = int(np.count_nonzero(c_values >= 1.0 - tol))
-    dim_minus1 = int(np.count_nonzero(c_values <= -1.0 + tol))
-    nonzero = tuple(float(v) for v in c_values if abs(v) > tol)
-    rank_defect = numerical_rank(c_block)
-
     _, x_block = _support_block(cross)
-    rank_cross = numerical_rank(x_block)
+    ranks, profile = rank_formula(c_block, x_block, None, tol)
+    nonzero = [float(v) for v, cluster in zip(profile.eigenvalues, profile.clusters)
+               if cluster != "kernel"]
+
     x_eigs = np.linalg.eigvals(x_block) if x_block.size else np.array([])
     x_nonzero = x_eigs[np.abs(x_eigs) > tol]
     cross_eig = complex(x_nonzero[0]) if x_nonzero.size == 1 else complex(0.0)
@@ -317,25 +314,24 @@ def verify_izuchi_invariants(model: IzuchiModel, tol: float = 1e-8) -> IzuchiRep
         "normality": normality,
         "defect_spectrum": spectrum_residual,
     }
-    rank_formula_ok = (rank_defect == 2 * rank_cross + dim_plus1 - dim_minus1
-                       and rank_defect == 3)
+    rank_formula_ok = ranks.difference_identity_ok and ranks.rank_defect == 3
     ok = (
-        rank_cross == 1
+        ranks.rank_cross == 1
         and residuals["cross_eigenvalue"] <= tol
         and normality <= tol
         and spectrum_residual <= tol
-        and dim_plus1 == 1
-        and dim_minus1 == 0
+        and ranks.dim_plus1 == 1
+        and ranks.dim_minus1 == 0
         and rank_formula_ok
     )
     return IzuchiReport(
         ok=ok,
-        cross_rank=rank_cross,
+        cross_rank=ranks.rank_cross,
         cross_eigenvalue=cross_eig,
         normality_residual=normality,
         defect_nonzero=tuple(got.tolist()),
-        dim_plus1=dim_plus1,
-        dim_minus1=dim_minus1,
+        dim_plus1=ranks.dim_plus1,
+        dim_minus1=ranks.dim_minus1,
         rank_formula_ok=rank_formula_ok,
         residuals=residuals,
     )

@@ -7,7 +7,8 @@ keys, no whitespace between tokens, one trailing newline), which makes
 generate/parse/re-serialize byte-stable.  Readers ignore whitespace, so files
 written in the earlier indented form load to the same objects.  Matrix data
 is checked on load: every entry must be an ``[re, im]`` pair of finite
-numbers.
+numbers, a shape must not be negative, and a triple's ``dim`` must match
+its matrices.
 """
 
 import json
@@ -44,6 +45,8 @@ def matrix_from_json(obj) -> np.ndarray:
     calls over the list, not a Python loop per entry.
     """
     rows, cols = int(obj["rows"]), int(obj["cols"])
+    if rows < 0 or cols < 0:
+        raise ValueError(f"matrix shape {rows}x{cols} is negative")
     data = obj["data"]
     if not isinstance(data, list):
         raise ValueError("matrix data must be a list")
@@ -79,11 +82,13 @@ def triple_to_json(triple: BCLTriple) -> dict:
 
 
 def triple_from_json(obj) -> BCLTriple:
-    return BCLTriple(
-        dim=int(obj["dim"]),
-        unitary=matrix_from_json(obj["unitary"]),
-        projection=matrix_from_json(obj["projection"]),
-    )
+    dim = int(obj["dim"])
+    unitary = matrix_from_json(obj["unitary"])
+    projection = matrix_from_json(obj["projection"])
+    if unitary.shape != (dim, dim) or projection.shape != (dim, dim):
+        raise ValueError(f"triple dim {dim} disagrees with matrix shapes "
+                         f"{unitary.shape} and {projection.shape}")
+    return BCLTriple(dim=dim, unitary=unitary, projection=projection)
 
 
 def _label_to_json(label):

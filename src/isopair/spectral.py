@@ -12,6 +12,7 @@ the canonical difference-of-two-projections model from its parameters.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .bcl import BCLTriple, wandering_projections
 from .linalg import Subspace, as_complex, hermitian_eig, numerical_rank
@@ -54,10 +55,16 @@ class InteriorPair:
 
 @dataclass(frozen=True)
 class SpectralProfile:
-    """Eigen-data of a Hermitian contraction (all ``eigenvalues``, descending), split by region."""
+    """Eigen-data of a Hermitian contraction (all ``eigenvalues``, descending), split by region.
+
+    ``clusters[i]`` names the cluster of ``eigenvalues[i]``: ``plus_one``,
+    ``minus_one``, ``kernel``, or ``pair{j}_pos`` / ``pair{j}_neg`` for the
+    two sides of ``interior_pairs[j]``.
+    """
 
     ambient_dim: int
     eigenvalues: np.ndarray
+    clusters: tuple[str, ...]
     dim_plus1: int
     dim_minus1: int
     basis_plus1: Subspace
@@ -93,6 +100,9 @@ def spectral_profile(defect, cluster_tol: float = 1e-8) -> SpectralProfile:
     kernel_mask = np.abs(values) <= cluster_tol
     interior_mask = ~(plus_mask | minus_mask | kernel_mask)
 
+    # +1 wins over -1 and -1 over the kernel when a large tolerance overlaps them
+    clusters = ["plus_one" if plus else "minus_one" if minus else "kernel"
+                for plus, minus in zip(plus_mask.tolist(), minus_mask.tolist())]
     basis_plus = Subspace(n, vectors[:, plus_mask])
     basis_minus = Subspace(n, vectors[:, minus_mask])
 
@@ -112,6 +122,16 @@ def spectral_profile(defect, cluster_tol: float = 1e-8) -> SpectralProfile:
     pairs: list[InteriorPair] = []
     symmetric = True
     used = [False] * len(neg_clusters)
+
+    def add_pair(value, members, neg_members):
+        for side, indices in (("pos", members), ("neg", neg_members)):
+            label = f"pair{len(pairs)}_{side}"
+            for i in indices:
+                clusters[i] = label
+        pairs.append(InteriorPair(value, len(members), len(neg_members),
+                                  Subspace(n, vectors[:, members]),
+                                  Subspace(n, vectors[:, neg_members])))
+
     for mean, members in pos_clusters:
         match = None
         for j, (neg_mean, _) in enumerate(neg_clusters):
@@ -120,28 +140,23 @@ def spectral_profile(defect, cluster_tol: float = 1e-8) -> SpectralProfile:
                 break
         if match is None:
             symmetric = False
-            pairs.append(InteriorPair(mean, len(members), 0,
-                                      Subspace(n, vectors[:, members]),
-                                      Subspace.zero(n)))
+            add_pair(mean, members, [])
             continue
         used[match] = True
         neg_members = neg_clusters[match][1]
         if len(neg_members) != len(members):
             symmetric = False
-        pairs.append(InteriorPair(mean, len(members), len(neg_members),
-                                  Subspace(n, vectors[:, members]),
-                                  Subspace(n, vectors[:, neg_members])))
+        add_pair(mean, members, neg_members)
     for j, (neg_mean, neg_members) in enumerate(neg_clusters):
         if used[j]:
             continue
         symmetric = False
-        pairs.append(InteriorPair(-neg_mean, 0, len(neg_members),
-                                  Subspace.zero(n),
-                                  Subspace(n, vectors[:, neg_members])))
+        add_pair(-neg_mean, [], neg_members)
 
     return SpectralProfile(
         ambient_dim=n,
         eigenvalues=values,
+        clusters=tuple(clusters),
         dim_plus1=basis_plus.dim,
         dim_minus1=basis_minus.dim,
         basis_plus1=basis_plus,
@@ -264,17 +279,6 @@ class DiffProjCanonicalForm:
         return self.kernel_dim + self.dim_plus1 + self.dim_minus1 + 2 * self.generic_dim
 
 
-def _block_diag(*blocks: np.ndarray) -> np.ndarray:
-    total = sum(b.shape[0] for b in blocks)
-    out = np.zeros((total, total), dtype=np.complex128)
-    at = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[at:at + k, at:at + k] = b
-        at += k
-    return out
-
-
 def build_difference_projections(
     form: DiffProjCanonicalForm,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -295,7 +299,7 @@ def build_difference_projections(
     eye_k = np.eye(k)
     root = np.diag(np.sqrt(1.0 - np.diagonal(d).real ** 2)).astype(np.complex128)
 
-    a = _block_diag(
+    a = block_diag(
         np.zeros((form.kernel_dim, form.kernel_dim), dtype=np.complex128),
         np.eye(form.dim_plus1, dtype=np.complex128),
         -np.eye(form.dim_minus1, dtype=np.complex128),
@@ -307,13 +311,13 @@ def build_difference_projections(
     p_generic = 0.5 * np.block([[eye_k + d, off], [off.conj().T, eye_k - d]])
     q_generic = 0.5 * np.block([[eye_k - d, off], [off.conj().T, eye_k + d]])
 
-    p = _block_diag(
+    p = block_diag(
         form.kernel_proj,
         np.eye(form.dim_plus1, dtype=np.complex128),
         np.zeros((form.dim_minus1, form.dim_minus1), dtype=np.complex128),
         p_generic,
     )
-    q = _block_diag(
+    q = block_diag(
         form.kernel_proj,
         np.zeros((form.dim_plus1, form.dim_plus1), dtype=np.complex128),
         np.eye(form.dim_minus1, dtype=np.complex128),

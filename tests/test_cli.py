@@ -296,3 +296,42 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, monkeypatch, command, flags, en
     assert code == 2
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--trials", "-3"],
+    ["analyze", "--trials", "2", "--max-dim", "1"],
+    ["gen", "scramble"],
+    ["gen", "bishift", "-o", "{missing}"],
+    ["classify", "{triple}", "-o", "{missing}"],
+    ["analyze", "{triple}", "-o", "{missing}"],
+], ids=["negative-trials", "max-dim-1", "scramble-no-input", "gen-output-dir",
+        "classify-output-dir", "analyze-output-dir"])
+def test_bad_parameter_exits_2(tmp_path, capsys, argv):
+    # a bad count, a missing input file or an unwritable -o path is the caller's error
+    triple = tmp_path / "t.json"
+    triple.write_text(dumps_canonical(triple_to_json(two_finite_triple(1j))))
+    missing = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run(capsys, *(a.format(triple=triple, missing=missing)
+                                   for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda payload: payload.update(dim=3),
+    lambda payload: payload["unitary"].update(rows=-2, cols=-2),
+], ids=["dim-disagrees", "negative-shape"])
+def test_inconsistent_triple_shape_exits_2(tmp_path, capsys, spoil):
+    payload = triple_to_json(two_finite_triple(1j))
+    spoil(payload)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["classify", str(path)], ["analyze", str(path)],
+                 ["equiv", str(path), str(path)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
