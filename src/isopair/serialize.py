@@ -1,14 +1,29 @@
 """JSON schemas for triples, structured pairs, and classification results.
 
-Complex numbers serialize as two-element ``[re, im]`` arrays and matrices as
-``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with row-major data, so
-files stay language-neutral.  Serialization is canonical and compact (sorted
-keys, no whitespace between tokens, one trailing newline), which makes
-generate/parse/re-serialize byte-stable.  Readers ignore whitespace, so files
-written in the earlier indented form load to the same objects.  Matrix data
-is checked on load: every entry must be an ``[re, im]`` pair of finite
-numbers, a shape must not be negative, and a triple's ``dim`` must match
-its matrices.
+Complex numbers serialize as two-element ``[re, im]`` arrays.  A matrix has
+two encodings, both with its ``"rows"`` and ``"cols"``:
+
+* dense, ``{"data": [[re, im], ...]}``: every entry, row-major;
+* COO, ``{"index": [...], "re": [...], "im": [...]}``: the stored entries
+  only, at strictly increasing row-major flat indices, with their real and
+  imaginary parts as flat lists.  An entry is stored when the bit pattern of
+  either part is nonzero, so ``-0.0`` survives the round trip.
+
+Triples, and :func:`matrix_to_json`, always write dense.  A structured
+pair's operators, whose generators leave O(dim) nonzeros, are written in
+COO when that writes fewer numbers (``3 * stored < 2 * rows * cols``).
+The encoder reads the form the pair stores, CSR or dense, and does not
+convert a sparse one.  It reads a CSR entry as the dense form reads it (a
+stored -0.0 as 0.0), so both forms write the same bytes.
+:func:`matrix_from_json` reads either encoding into a dense array.
+
+Serialization is canonical and compact (sorted keys, no whitespace between
+tokens, one trailing newline), which makes generate/parse/re-serialize
+byte-stable.  Readers ignore whitespace, so files written in the earlier
+indented form load to the same objects.  Matrix data is checked on load:
+every value must be a finite number, a shape must not be negative, COO
+indices must be ints in range and strictly increasing, and a triple's
+``dim`` must match its matrices.
 """
 
 import json
@@ -16,10 +31,11 @@ import operator
 from functools import reduce
 
 import numpy as np
+import scipy.sparse as sp
 
 from .bcl import BCLTriple
 from .classify import BlockDescriptor, ClassificationResult
-from .models import StructuredPair, _read_only
+from .models import _V1, _V2, StructuredPair, _read_only
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -37,21 +53,49 @@ def matrix_to_json(m) -> dict:
     }
 
 
-def matrix_from_json(obj) -> np.ndarray:
-    """Decode a matrix; ``ValueError`` unless every entry is a finite ``[re, im]``.
+def _operator_to_json(matrix) -> dict:
+    """Encode a pair operator, a dense array or a CSR matrix, as it is stored.
 
-    Values must be JSON numbers (ints or floats); strings, nulls and booleans
-    are rejected rather than coerced.  Each check is one pass of built-in
-    calls over the list, not a Python loop per entry.
+    COO when it writes fewer numbers than dense; see the module docstring.
     """
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    if rows < 0 or cols < 0:
-        raise ValueError(f"matrix shape {rows}x{cols} is negative")
-    data = obj["data"]
+    rows, cols = matrix.shape
+    if sp.issparse(matrix):
+        # canonical CSR: row-major flat indices, strictly increasing.  Its
+        # dense form adds each entry to a zero, which turns -0.0 into 0.0;
+        # so does this, and both forms of a pair write the same bytes
+        flat = np.repeat(np.arange(rows) * cols, np.diff(matrix.indptr)) + matrix.indices
+        values = matrix.data + 0.0
+    else:
+        flat, values = None, matrix.reshape(-1)
+    bits = values.view(np.uint64)
+    stored = (bits[0::2] | bits[1::2]) != 0
+    if 3 * np.count_nonzero(stored) >= 2 * rows * cols:
+        return matrix_to_json(matrix.toarray() if sp.issparse(matrix) else matrix)
+    index = np.flatnonzero(stored) if flat is None else flat[stored]
+    values = values[stored]
+    return {"rows": int(rows), "cols": int(cols), "index": index.tolist(),
+            "re": values.real.tolist(), "im": values.imag.tolist()}
+
+
+def _finite_values(values: list) -> np.ndarray:
+    """The float64 array of a list of JSON numbers, each of them finite."""
+    if not set(map(type, values)) <= {int, float}:
+        raise ValueError("matrix values must be numbers")
+    try:
+        array = np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("matrix value is out of float range") from None
+    if np.count_nonzero(np.isfinite(array)) != len(values):
+        raise ValueError("matrix values must be finite")
+    return array
+
+
+def _dense_values(data, size: int) -> np.ndarray:
+    """The interleaved parts of dense ``[re, im]`` entries."""
     if not isinstance(data, list):
         raise ValueError("matrix data must be a list")
-    if len(data) != rows * cols:
-        raise ValueError(f"matrix data length {len(data)} != {rows}*{cols}")
+    if len(data) != size:
+        raise ValueError(f"matrix data length {len(data)} != {size}")
     try:
         pairs = set(map(len, data)) <= {2}
     except TypeError:  # an entry without a length: a number or null
@@ -60,15 +104,48 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError("matrix data entries must be [re, im] pairs")
     # flatten by growing one list in place (faster than itertools.chain); a
     # string or object entry of length 2 adds characters or str keys
-    flat = reduce(operator.iadd, data, [])
-    if not set(map(type, flat)) <= {int, float}:
-        raise ValueError("matrix data values must be numbers")
+    return _finite_values(reduce(operator.iadd, data, []))
+
+
+def _coo_values(obj, size: int) -> np.ndarray:
+    """The interleaved parts of all ``size`` entries of a COO matrix."""
+    index, re, im = obj["index"], obj["re"], obj["im"]
+    if not (isinstance(index, list) and isinstance(re, list) and isinstance(im, list)):
+        raise ValueError("matrix index, re and im must be lists")
+    if not len(index) == len(re) == len(im):
+        raise ValueError(f"matrix index, re and im lengths {len(index)}, {len(re)}, "
+                         f"{len(im)} differ")
+    if not set(map(type, index)) <= {int}:
+        raise ValueError("matrix indices must be ints")
     try:
-        values = np.array(flat, dtype=np.float64)
+        flat = np.array(index, dtype=np.int64)
     except OverflowError:
-        raise ValueError("matrix data value is out of float range") from None
-    if np.count_nonzero(np.isfinite(values)) != len(flat):
-        raise ValueError("matrix data values must be finite")
+        raise ValueError("matrix index is out of range") from None
+    if flat.size and (flat.min() < 0 or flat.max() >= size):
+        raise ValueError(f"matrix index is out of range for {size} entries")
+    if np.any(np.diff(flat) <= 0):
+        raise ValueError("matrix indices must be strictly increasing")
+    parts = _finite_values(re + im).reshape(2, -1)
+    values = np.zeros((size, 2))
+    values[flat] = parts.T
+    return values.reshape(-1)
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    """Decode a dense or COO matrix into a dense complex128 array.
+
+    ``ValueError`` unless every value is a finite JSON number (an int or a
+    float; strings, nulls and booleans are rejected rather than coerced),
+    a dense matrix holds ``rows * cols`` ``[re, im]`` pairs, and a COO
+    matrix's indices are in-range, strictly increasing ints, as many as its
+    real and imaginary parts.  Each check is one pass of built-in calls over
+    a list, not a Python loop per entry.
+    """
+    rows, cols = int(obj["rows"]), int(obj["cols"])
+    if rows < 0 or cols < 0:
+        raise ValueError(f"matrix shape {rows}x{cols} is negative")
+    values = (_dense_values(obj["data"], rows * cols) if "data" in obj
+              else _coo_values(obj, rows * cols))
     return values.view(np.complex128).reshape(rows, cols)
 
 
@@ -105,8 +182,8 @@ def pair_to_json(pair: StructuredPair) -> dict:
     return {
         "kind": "structured_pair",
         "dim": pair.dim,
-        "v1": matrix_to_json(pair.v1),
-        "v2": matrix_to_json(pair.v2),
+        "v1": _operator_to_json(_V1.given(pair)),
+        "v2": _operator_to_json(_V2.given(pair)),
         "basis_labels": [_label_to_json(lab) for lab in pair.basis_labels],
         "interior": list(pair.interior),
         "provenance": pair.provenance,

@@ -15,10 +15,17 @@ from isopair.classify import (
     e1_data,
     fundamental_sequence,
     shift_unitary_invariant,
+    working_space,
 )
 from isopair.izuchi import build_izuchi_model
 from isopair.linalg import random_unitary
-from isopair.models import bishift_truncated, direct_sum, scramble, twisted_shift
+from isopair.models import (
+    StructuredPair,
+    bishift_truncated,
+    direct_sum,
+    scramble,
+    twisted_shift,
+)
 
 from conftest import find_non_normal_triple, random_projection, two_finite_triple
 
@@ -56,6 +63,36 @@ class TestCompactNormal:
             (np.eye(5) - triple.projection) @ triple.unitary.conj().T
         direct = np.linalg.norm(x @ x.conj().T - x.conj().T @ x)
         assert abs(direct - report.normality_residual) < 1e-12
+
+
+@pytest.mark.parametrize("make,partial", [
+    (lambda: direct_sum([bishift_truncated(6), twisted_shift(1.0, 6),
+                         twisted_shift(np.exp(1j * np.pi / 3), 6),
+                         build_izuchi_model(0.5, 1j, 8, 8).pair]), True),
+    (lambda: build_izuchi_model(0.5, 1j, 12, 12).pair, True),
+    (lambda: bishift_truncated(6), True),
+    (lambda: padded_triple(find_non_normal_triple(), 3), True),
+    (lambda: find_non_normal_triple(), False),
+], ids=["mixed-sum", "model", "bishift", "padded-non-normal", "non-normal"])
+def test_normality_residual_on_the_support_matches_the_full_one(make, partial):
+    obj = make()
+    x = np.array(working_space(obj).cross)
+    touched = x != 0
+    assert (touched.any(axis=0) | touched.any(axis=1)).all() != partial
+    full = np.linalg.norm(x @ x.conj().T - x.conj().T @ x)
+    report = check_compact_normal(obj)
+    assert abs(report.normality_residual - full) <= 1e-14 * max(1.0, report.cross_norm ** 2)
+    assert report.ok == isinstance(obj, StructuredPair)
+
+
+def padded_triple(triple: BCLTriple, extra: int) -> BCLTriple:
+    """The triple plus ``extra`` dimensions where U is the identity and P is zero."""
+    dim = triple.dim + extra
+    u = np.eye(dim, dtype=complex)
+    p = np.zeros((dim, dim), dtype=complex)
+    u[:triple.dim, :triple.dim] = triple.unitary
+    p[:triple.dim, :triple.dim] = triple.projection
+    return BCLTriple(dim, u, p)
 
 
 class TestE1Data:

@@ -256,6 +256,44 @@ def test_malformed_object_exits_2(tmp_path, capsys, spoil):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("spoil", [
+    {"index": [0, 1.0]},
+    {"index": [True, 1]},
+    {"index": ["0", 1]},
+    {"index": [-1, 1]},
+    {"index": [0, 9]},
+    {"index": [1, 1]},
+    {"index": [1, 0]},
+    {"index": [3]},
+    {"re": [1.0]},
+    {"im": None},
+    {"re": [float("nan"), 1.0]},
+    {"re": [float("inf"), 1.0]},
+    {"im": [0.0, float("-inf")]},
+    {"re": [None, 1.0]},
+    {"im": [False, 0.0]},
+    {"re": ["1", 1.0]},
+], ids=["float-index", "bool-index", "string-index", "negative-index",
+        "index-past-end", "repeated-index", "decreasing-index", "short-index", "short-re",
+        "missing-im", "nan", "inf", "-inf", "null", "bool", "string"])
+def test_malformed_coo_matrix_exits_2(tmp_path, capsys, spoil):
+    payload = pair_to_json(twisted_shift(1j, 3))
+    v1 = payload["v1"]
+    assert v1["index"] == [3, 7]  # two stored entries of nine: COO
+    v1.update(spoil)
+    if v1["im"] is None:  # the field is dropped
+        del v1["im"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["classify", str(path)], ["analyze", str(path)],
+                 ["equiv", str(path), str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_rank_tol_env_override(tmp_path, capsys, monkeypatch):
     # a huge rank cutoff drops the smaller interior eigenvalue pair from the
     # rank counts and breaks the identities; flags must beat the environment

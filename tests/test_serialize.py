@@ -4,11 +4,19 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isopair.bcl import BCLTriple
-from isopair.models import StructuredPair, bishift_truncated
+from isopair.bcl import BCLTriple, random_triple
+from isopair.izuchi import build_izuchi_model
+from isopair.models import (
+    StructuredPair,
+    bishift_truncated,
+    direct_sum,
+    scramble,
+    twisted_shift,
+)
 from isopair.serialize import (
     dumps_canonical,
     load_input,
@@ -51,6 +59,55 @@ def structured_pairs(draw):
         interior=tuple(interior),
         provenance=draw(st.text(max_size=8)),
     )
+
+
+@st.composite
+def sparse_matrices(draw, rows, cols):
+    """Mostly zero entries; a stored part may be a signed zero."""
+    size = rows * cols
+    stored = draw(st.sets(st.integers(0, size - 1), max_size=size)) if size else set()
+    parts = np.zeros((size, 2))
+    for i in stored:
+        parts[i] = draw(finite), draw(finite)
+    return parts.reshape(-1).view(np.complex128).reshape(rows, cols)
+
+
+@st.composite
+def sparse_pairs(draw):
+    dim = draw(st.integers(0, 6))
+    return StructuredPair(
+        dim=dim,
+        v1=draw(sparse_matrices(dim, dim)),
+        v2=draw(sparse_matrices(dim, dim)),
+        basis_labels=tuple(("mono", k) for k in range(dim)),
+        interior=tuple(draw(st.lists(st.integers(0, dim - 1), unique=True))) if dim else (),
+        provenance="sparse",
+    )
+
+
+def stored_count(m: np.ndarray) -> int:
+    """Entries with a nonzero bit pattern in either part."""
+    return int(np.count_nonzero(bits(m).reshape(-1, 2).any(axis=1)))
+
+
+def reference_matrix_json(m) -> dict:
+    """The dense matrix encoding, as every matrix was written before COO."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    rows, cols = m.shape
+    return {"rows": int(rows), "cols": int(cols),
+            "data": m.reshape(-1).view(np.float64).reshape(-1, 2).tolist()}
+
+
+def reference_json(obj) -> dict:
+    """A triple or pair in the all-dense encoding written before COO."""
+    if isinstance(obj, BCLTriple):
+        return {"kind": "bcl_triple", "dim": obj.dim,
+                "unitary": reference_matrix_json(obj.unitary),
+                "projection": reference_matrix_json(obj.projection)}
+    return {"kind": "structured_pair", "dim": obj.dim,
+            "v1": reference_matrix_json(obj.v1), "v2": reference_matrix_json(obj.v2),
+            "basis_labels": [list(lab) for lab in obj.basis_labels],
+            "interior": list(obj.interior), "provenance": obj.provenance}
 
 
 def bits(m: np.ndarray) -> np.ndarray:
@@ -155,3 +212,112 @@ def test_malformed_matrix_data_raises_value_error(data):
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 1, "cols": 2, "data": data})
 
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=sparse_pairs())
+def test_sparse_pairs_round_trip_in_the_shorter_encoding(pair, tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("codec")
+    payload = to_json(pair)
+    for name in ("v1", "v2"):
+        stored = stored_count(getattr(pair, name))
+        assert ("index" in payload[name]) == (3 * stored < 2 * pair.dim ** 2)
+        assert ("data" in payload[name]) != ("index" in payload[name])
+    text = dumps_canonical(payload)
+    loaded = load_text(tmp_path, text)
+    assert_identical(loaded, pair)
+    assert dumps_canonical(to_json(loaded)) == text
+    # and the file written before COO loads to the same object
+    assert_identical(load_text(tmp_path, dumps_canonical(reference_json(pair))), pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=sparse_pairs())
+def test_csr_and_dense_forms_write_the_same_bytes(pair):
+    # CSR conversion drops the signed zeros, so compare it with its own dense copy
+    csr = StructuredPair(pair.dim, sp.csr_matrix(pair.v1), sp.csr_matrix(pair.v2),
+                         pair.basis_labels, pair.interior, pair.provenance)
+    dense = StructuredPair(pair.dim, np.array(csr.v1), np.array(csr.v2),
+                           pair.basis_labels, pair.interior, pair.provenance)
+    assert dumps_canonical(to_json(csr)) == dumps_canonical(to_json(dense))
+
+
+LABELS3 = (("mono", 0), ("mono", 1), ("mono", 2))
+
+
+def test_csr_operator_writes_what_its_dense_form_reads():
+    # explicit zeros are not written, and a stored -0.0 reads as 0.0 densely
+    m = sp.csr_matrix((np.array([0.0, -0.0, 2.0, complex(0.0, -0.0)]),
+                       ([0, 1, 2, 2], [0, 1, 0, 2])), shape=(3, 3))
+    assert m.nnz == 4
+    pair = StructuredPair(3, m, sp.csr_matrix((3, 3)), LABELS3, (), "z")
+    payload = to_json(pair)
+    assert payload["v1"] == {"rows": 3, "cols": 3, "index": [6], "re": [2.0], "im": [0.0]}
+    assert payload["v2"] == {"rows": 3, "cols": 3, "index": [], "re": [], "im": []}
+    assert np.array_equal(bits(matrix_from_json(payload["v1"])), bits(pair.v1))
+
+
+def test_dense_operator_keeps_its_signed_zeros():
+    m = np.zeros((3, 3), dtype=complex)
+    m[1, 1] = -0.0
+    m[2, 0] = complex(2.0, -0.0)
+    payload = to_json(StructuredPair(3, m, m, LABELS3, (), "z"))
+    assert payload["v1"] == {"rows": 3, "cols": 3, "index": [4, 6], "re": [-0.0, 2.0],
+                             "im": [0.0, -0.0]}
+    assert np.array_equal(bits(matrix_from_json(payload["v1"])), bits(m))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: scramble(direct_sum([bishift_truncated(4), twisted_shift(1j, 5)]), 3),
+    lambda: scramble(build_izuchi_model(0.5, 1j, 6, 6).pair, 1),
+    lambda: StructuredPair(2, sp.csr_matrix(np.arange(1, 5).reshape(2, 2) * 1j),
+                           sp.csr_matrix(np.ones((2, 2))), LABELS3[:2], (0,), "f"),
+    lambda: random_triple(6, 2, 5),
+    lambda: random_triple(0, 0, 1),
+    lambda: BCLTriple(3, np.eye(3, dtype=complex), np.zeros((3, 3), dtype=complex)),
+], ids=["scrambled-sum", "scrambled-model", "filled-csr-pair", "random-triple",
+        "empty-triple", "sparse-triple"])
+def test_filled_pairs_and_all_triples_stay_dense(make):
+    obj = make()
+    assert dumps_canonical(to_json(obj)) == dumps_canonical(reference_json(obj))
+
+
+@settings(max_examples=30, deadline=None)
+@given(obj=triples())
+def test_triples_encode_like_the_reference(obj):
+    assert dumps_canonical(to_json(obj)) == dumps_canonical(reference_json(obj))
+
+
+@pytest.mark.parametrize("coo", [
+    {"index": [0, 1.0], "re": [1.0, 1.0], "im": [0.0, 0.0]},
+    {"index": [True], "re": [1.0], "im": [0.0]},
+    {"index": ["0"], "re": [1.0], "im": [0.0]},
+    {"index": [-1], "re": [1.0], "im": [0.0]},
+    {"index": [2], "re": [1.0], "im": [0.0]},
+    {"index": [2 ** 70], "re": [1.0], "im": [0.0]},
+    {"index": [1, 1], "re": [1.0, 1.0], "im": [0.0, 0.0]},
+    {"index": [1, 0], "re": [1.0, 1.0], "im": [0.0, 0.0]},
+    {"index": [0, 1], "re": [1.0], "im": [0.0, 0.0]},
+    {"index": [0], "re": [1.0], "im": []},
+    {"index": [0], "re": [1.0]},
+    {"index": 0, "re": [1.0], "im": [0.0]},
+    {"index": [0], "re": [float("nan")], "im": [0.0]},
+    {"index": [0], "re": [1.0], "im": [float("-inf")]},
+    {"index": [0], "re": [None], "im": [0.0]},
+    {"index": [0], "re": [False], "im": [0.0]},
+    {"index": [0], "re": ["1"], "im": [0.0]},
+    {"index": [0], "re": [10 ** 400], "im": [0.0]},
+], ids=["float-index", "bool-index", "string-index", "negative-index",
+        "index-past-end", "huge-index", "repeated-index", "decreasing-index",
+        "short-re", "short-im", "missing-im", "index-not-list", "nan", "-inf",
+        "null", "bool", "string", "huge-value"])
+def test_malformed_coo_matrix_raises_value_error(coo):
+    with pytest.raises((ValueError, KeyError)):
+        matrix_from_json({"rows": 1, "cols": 2, **coo})
+
+
+def test_coo_matrix_decodes_to_dense():
+    m = matrix_from_json({"rows": 2, "cols": 2, "index": [1, 2], "re": [1, 0.5],
+                          "im": [0, -2]})
+    assert m.dtype == np.complex128 and m.flags.c_contiguous
+    assert m.tolist() == [[0j, 1 + 0j], [0.5 - 2j, 0j]]

@@ -6,6 +6,7 @@ forms of one operator must never disagree; and the invariant-subspace model
 must build and verify without any dense ``dim x dim`` array.
 """
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -30,9 +31,15 @@ from isopair.models import (
     twisted_shift,
     validate_pair,
 )
-from isopair.serialize import classification_to_json, dumps_canonical, to_json
+from isopair.serialize import (
+    classification_to_json,
+    dumps_canonical,
+    from_json,
+    to_json,
+)
 
 from test_izuchi import oracle_built_pair
+from test_serialize import assert_identical, reference_json
 
 GENERATED = {
     "izuchi": lambda: build_izuchi_model(0.5, 1j, 8, 8).pair,
@@ -69,6 +76,30 @@ def test_csr_and_dense_builds_agree(generated):
     assert validate_pair(generated) == validate_pair(dense)
     assert (dumps_canonical(classification_to_json(classify(generated)))
             == dumps_canonical(classification_to_json(classify(dense))))
+
+
+def test_both_forms_write_coo_and_load_back(generated):
+    dense = dense_copy(generated)
+    for pair in (generated, dense):
+        payload = to_json(pair)
+        assert {"index", "re", "im"} <= set(payload["v1"]) and "data" not in payload["v1"]
+        assert {"index", "re", "im"} <= set(payload["v2"]) and "data" not in payload["v2"]
+        assert_identical(from_json(json.loads(dumps_canonical(payload))), pair)
+    # a file in the dense encoding written before COO loads to the same object
+    old = json.loads(dumps_canonical(reference_json(generated)))
+    assert_identical(from_json(old), generated)
+
+
+def test_cap_40_model_file_is_small_and_written_from_csr():
+    pair = build_izuchi_model(0.5, 1j, 40, 40).pair
+    tracemalloc.start()
+    try:
+        text = dumps_canonical(to_json(pair))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) < 1_000_000  # 53.8 MB in the dense encoding
+    assert peak < 8e6  # a dense operator would take 43 MB
 
 
 def test_verify_reports_agree():
