@@ -11,8 +11,11 @@ comparing the resulting invariants as multisets.
 Both input kinds carry one wandering model: the wandering space of the
 product ``V1 V2``, the model unitary and the kernels of the two adjoints on
 it.  A triple is that model, with the identity as basis; a structured pair
-builds it once, with no limit on the interior size.  The eigenvalue-1
-cross-check and the shift-unitary part both read it.
+builds it once, with no limit on the interior size.  The eigenvalue-1 check
+and the shift-unitary part both read it, with one code path for both kinds:
+the defect's eigenvalue-1 space must lie in the wandering space and in both
+kernels (``e1_membership``), and have the dimension of the kernels' meet
+(``e1_consistency``).
 """
 
 from collections.abc import Callable, Sequence
@@ -22,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 # the working-space builder calls through these modules, so a test can
 # count how often each input's defect and cross-commutator are computed
@@ -36,7 +38,6 @@ from .linalg import (
     lift,
     normality_residual,
     orthonormal_columns,
-    subspace_intersection,
 )
 from .models import StructuredPair, validate_pair
 
@@ -160,15 +161,6 @@ def check_compact_normal(obj: PairInput, tol: float = 1e-8) -> NormalityReport:
 def _compact_normal(ws: WorkingSpace, tol: float) -> NormalityReport:
     cross = ws.cross
     xnorm = float(np.linalg.norm(cross))
-    # rows and columns outside the exact support add only zeros to both
-    # products, so the residual is taken on the rest.  That is multiplied as
-    # CSR: BLAS picks its kernels by size, and on a small dense block it can
-    # round a single-term entry unlike the full product (3e-17 for 0.0)
-    touched = cross != 0
-    if not touched.all():
-        support = np.flatnonzero(touched.any(axis=0) | touched.any(axis=1))
-        if support.size < len(cross):
-            cross = sp.csr_matrix(cross[np.ix_(support, support)])
     residual = normality_residual(cross)
     bound = tol * xnorm * xnorm
     # a cross-commutator at round-off scale is the zero operator, which is
@@ -183,60 +175,46 @@ def _compact_normal(ws: WorkingSpace, tol: float) -> NormalityReport:
 
 
 def _majority_split(quasi_projection: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of a Hermitian quasi-projection with eigenvalue above 1/2, and the rest."""
-    values, vectors = hermitian_eig(quasi_projection)
+    """Eigenvectors of a Hermitian quasi-projection with eigenvalue above 1/2, and the rest.
+
+    Callers read only the two spans, so no phase is fixed.
+    """
+    values, vectors = np.linalg.eigh(quasi_projection)
     above = values > 0.5
     return vectors[:, above], vectors[:, ~above]
 
 
-def _pair_membership_residual(pair: StructuredPair, idx: np.ndarray,
-                              vectors: np.ndarray) -> float:
-    """Largest distance of the lifted vectors from both wandering subspaces."""
+def _largest_distance(vectors: np.ndarray, basis: np.ndarray) -> float:
+    """Largest distance of the columns of ``vectors`` from the span of the orthonormal ``basis``."""
     if vectors.shape[1] == 0:
         return 0.0
-    full = lift(pair.dim, idx, vectors)
-    # distance from the kernel of V^H is the length of the part in range(V)
-    return max(float(np.max(np.linalg.norm(v @ (v.conj().T @ full), axis=0)))
-               for v in models.product_operators(pair))
+    return float(np.max(np.linalg.norm(vectors - basis @ (basis.conj().T @ vectors), axis=0)))
 
 
 def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[str, float]]:
+    floor = max(tol, 1e-8)
     values, vectors = ws.defect_eig
-    eig_basis = Subspace(ws.defect.shape[0], vectors[:, values >= 1.0 - tol])
-    residuals: dict[str, float] = {}
+    basis = Subspace(ws.defect.shape[0], vectors[:, values >= 1.0 - tol])
     model = ws.wandering_model
-
-    if ws.interior is None:
-        s1 = Subspace.from_columns(model.kernel1)
-        s2 = Subspace.from_columns(model.kernel2)
-        basis = subspace_intersection(s1, s2, tol)
-        gap = float(np.linalg.norm(basis.projector() - eig_basis.projector()))
-        residuals["e1_consistency"] = gap
-        if basis.dim != eig_basis.dim or gap > max(tol, 1e-8):
-            raise ValueError(
-                "wandering-subspace intersection disagrees with the defect's "
-                f"eigenvalue-1 space (gap {gap:.3e})"
-            )
-    else:
-        pair, idx = ws.obj, ws.interior
-        basis = eig_basis
-        membership = _pair_membership_residual(pair, idx, basis.basis)
-        residuals["e1_membership"] = membership
-        if membership > max(tol, 1e-8):
-            raise ValueError(
-                "eigenvalue-1 vectors leave the wandering subspaces "
-                f"(residual {membership:.3e}); inconsistent pair"
-            )
-        # inside W, the two kernels meet in the eigenvalue-1 space
-        s1, s2 = (Subspace(model.basis.shape[1], _majority_split(kernel)[0])
-                  for kernel in (model.kernel1, model.kernel2))
-        inter = subspace_intersection(s1, s2, max(tol, 1e-8))
-        residuals["e1_consistency"] = float(abs(inter.dim - basis.dim))
-        if inter.dim != basis.dim:
-            raise ValueError(
-                "wandering-subspace intersection has dimension "
-                f"{inter.dim}, defect eigenvalue-1 space has {basis.dim}"
-            )
+    # inside W, the eigenvalue-1 space is where the two kernels meet
+    range1, range2 = (_majority_split(kernel)[0] for kernel in (model.kernel1, model.kernel2))
+    coords = model.basis.conj().T @ basis.basis
+    membership = max(_largest_distance(basis.basis, model.basis),
+                     _largest_distance(coords, range1), _largest_distance(coords, range2))
+    residuals = {"e1_membership": membership}
+    if membership > floor:
+        raise ValueError(
+            "eigenvalue-1 vectors leave the wandering subspaces "
+            f"(residual {membership:.3e}); inconsistent input"
+        )
+    meet = np.linalg.eigvalsh(range1 @ range1.conj().T + range2 @ range2.conj().T)
+    inter_dim = int(np.count_nonzero(meet >= 2.0 - floor))
+    residuals["e1_consistency"] = float(abs(inter_dim - basis.dim))
+    if inter_dim != basis.dim:
+        raise ValueError(
+            "wandering-subspace intersection has dimension "
+            f"{inter_dim}, defect eigenvalue-1 space has {basis.dim}"
+        )
 
     cross = ws.cross
     compressed = basis.basis.conj().T @ cross @ basis.basis
@@ -245,7 +223,7 @@ def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[s
         cross - basis.basis @ compressed @ basis.basis.conj().T
     ))
     residuals["cross_confined"] = contract
-    if contract > max(tol, 1e-8):
+    if contract > floor:
         raise ValueError(
             f"cross-commutator is not confined to the eigenvalue-1 space "
             f"(residual {contract:.3e})"
@@ -256,9 +234,11 @@ def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[s
 def e1_data(obj: PairInput, tol: float = 1e-8) -> tuple[Subspace, np.ndarray]:
     """Eigenvalue-1 space of the defect and the cross-commutator compressed to it.
 
-    The space is computed twice, as the intersection of the two wandering
-    subspaces and as the defect's eigenvalue-1 eigenspace; a mismatch beyond
-    ``tol`` raises, since it signals an input outside the modeled class.
+    The space is the defect's eigenvalue-1 eigenspace.  It is checked
+    against the intersection of the two wandering subspaces: each of its
+    vectors must lie in both, and its dimension must be theirs.  A mismatch
+    beyond ``tol`` raises, since it signals an input outside the modeled
+    class.
     """
     basis, compressed, _ = _e1_core(working_space(obj), tol)
     return basis, compressed

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .bcl import BCLTriple, wandering_projections
-from .linalg import Subspace, as_complex, hermitian_eig, numerical_rank
+from .linalg import as_complex, hermitian_eig, numerical_rank
 
 
 def cluster_values(values, tol: float) -> list[tuple[float, list[int]]]:
@@ -49,8 +49,6 @@ class InteriorPair:
     value: float
     mult_pos: int
     mult_neg: int
-    basis_pos: Subspace
-    basis_neg: Subspace
 
 
 @dataclass(frozen=True)
@@ -67,8 +65,6 @@ class SpectralProfile:
     clusters: tuple[str, ...]
     dim_plus1: int
     dim_minus1: int
-    basis_plus1: Subspace
-    basis_minus1: Subspace
     interior_pairs: tuple[InteriorPair, ...]
     dim_kplus: int
     kernel_dim: int
@@ -90,8 +86,7 @@ def spectral_profile(defect, cluster_tol: float = 1e-8) -> SpectralProfile:
     trip it, so a set flag is diagnostic data.
     """
     defect = as_complex(defect)
-    values, vectors = hermitian_eig(defect)
-    n = defect.shape[0]
+    values, _ = hermitian_eig(defect)
     if values.size and float(np.max(np.abs(values))) > 1.0 + 1e-8:
         raise ValueError("operator norm exceeds 1 beyond tolerance; not a contraction")
 
@@ -103,8 +98,6 @@ def spectral_profile(defect, cluster_tol: float = 1e-8) -> SpectralProfile:
     # +1 wins over -1 and -1 over the kernel when a large tolerance overlaps them
     clusters = ["plus_one" if plus else "minus_one" if minus else "kernel"
                 for plus, minus in zip(plus_mask.tolist(), minus_mask.tolist())]
-    basis_plus = Subspace(n, vectors[:, plus_mask])
-    basis_minus = Subspace(n, vectors[:, minus_mask])
 
     interior_idx = np.flatnonzero(interior_mask)
     pos_idx = [int(i) for i in interior_idx if values[i] > 0]
@@ -128,9 +121,7 @@ def spectral_profile(defect, cluster_tol: float = 1e-8) -> SpectralProfile:
             label = f"pair{len(pairs)}_{side}"
             for i in indices:
                 clusters[i] = label
-        pairs.append(InteriorPair(value, len(members), len(neg_members),
-                                  Subspace(n, vectors[:, members]),
-                                  Subspace(n, vectors[:, neg_members])))
+        pairs.append(InteriorPair(value, len(members), len(neg_members)))
 
     for mean, members in pos_clusters:
         match = None
@@ -154,13 +145,11 @@ def spectral_profile(defect, cluster_tol: float = 1e-8) -> SpectralProfile:
         add_pair(-neg_mean, [], neg_members)
 
     return SpectralProfile(
-        ambient_dim=n,
+        ambient_dim=defect.shape[0],
         eigenvalues=values,
         clusters=tuple(clusters),
-        dim_plus1=basis_plus.dim,
-        dim_minus1=basis_minus.dim,
-        basis_plus1=basis_plus,
-        basis_minus1=basis_minus,
+        dim_plus1=int(np.count_nonzero(plus_mask)),
+        dim_minus1=int(np.count_nonzero(minus_mask)),
         interior_pairs=tuple(pairs),
         dim_kplus=sum(p.mult_pos for p in pairs),
         kernel_dim=int(np.count_nonzero(kernel_mask)),
@@ -273,10 +262,6 @@ class DiffProjCanonicalForm:
     @property
     def generic_dim(self) -> int:
         return self.diag.shape[0]
-
-    @property
-    def total_dim(self) -> int:
-        return self.kernel_dim + self.dim_plus1 + self.dim_minus1 + 2 * self.generic_dim
 
 
 def build_difference_projections(

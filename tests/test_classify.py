@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -8,6 +9,7 @@ from isopair.classify import (
     ONE_FINITE,
     THREE_FINITE,
     TWO_FINITE,
+    _e1_core,
     _match_within,
     check_compact_normal,
     classify,
@@ -17,8 +19,9 @@ from isopair.classify import (
     shift_unitary_invariant,
     working_space,
 )
-from isopair.izuchi import build_izuchi_model
-from isopair.linalg import random_unitary
+from isopair.cli import analyze_object
+from isopair.izuchi import build_izuchi_model, verify_izuchi_invariants
+from isopair.linalg import as_complex, random_unitary
 from isopair.models import (
     StructuredPair,
     bishift_truncated,
@@ -85,6 +88,22 @@ def test_normality_residual_on_the_support_matches_the_full_one(make, partial):
     assert report.ok == isinstance(obj, StructuredPair)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: two_finite_triple(np.exp(0.25j)),
+    lambda: padded_triple(find_non_normal_triple(), 3),
+    lambda: build_izuchi_model(0.5, 1j, 8, 8),
+], ids=["two-finite", "padded-non-normal", "model"])
+def test_every_caller_takes_one_normality_residual(make):
+    # the compact-normal check, `analyze` and the model's invariants share
+    # one residual, taken on the support of a dense cross-commutator
+    obj = make()
+    pair = getattr(obj, "pair", obj)
+    residual = check_compact_normal(pair).normality_residual
+    assert analyze_object(pair, None, 1e-8)["normality_residual"] == residual
+    if pair is not obj:
+        assert verify_izuchi_invariants(obj).normality_residual == residual
+
+
 def padded_triple(triple: BCLTriple, extra: int) -> BCLTriple:
     """The triple plus ``extra`` dimensions where U is the identity and P is zero."""
     dim = triple.dim + extra
@@ -121,6 +140,40 @@ class TestE1Data:
         basis, compressed = e1_data(BCLTriple(4, np.eye(4), p))
         assert basis.dim == 0
         assert compressed.shape == (0, 0)
+
+
+E1_INPUTS = pytest.mark.parametrize("make", [
+    lambda: two_finite_triple(np.exp(0.25j)),
+    lambda: build_izuchi_model(0.5, 1j, 8, 8).pair,
+], ids=["triple", "pair"])
+
+
+class TestE1Check:
+    """One eigenvalue-1 check for both input kinds, and both of its raises."""
+
+    @E1_INPUTS
+    def test_both_residuals_for_both_kinds(self, make):
+        _, _, residuals = _e1_core(working_space(make()), 1e-8)
+        assert residuals["e1_membership"] <= 1e-10
+        assert residuals["e1_consistency"] == 0.0
+
+    @E1_INPUTS
+    def test_swapped_kernel_fails_membership(self, make):
+        ws = working_space(make())
+        model = ws.wandering_model
+        flipped = model._replace(kernel1=np.eye(len(model.kernel1)) - model.kernel1)
+        with pytest.raises(ValueError, match="leave the wandering subspaces"):
+            _e1_core(replace(ws, build_model=lambda: flipped), 1e-8)
+
+    @E1_INPUTS
+    def test_lowered_eigenvalue_fails_consistency(self, make):
+        ws = working_space(make())
+        values, vectors = ws.defect_eig
+        assert values[0] >= 1.0 - 1e-8
+        v = vectors[:, :1]
+        lowered = as_complex(ws.defect) - 0.5 * (v @ v.conj().T)
+        with pytest.raises(ValueError, match="intersection has dimension 1"):
+            _e1_core(replace(ws, defect=lowered), 1e-8)
 
 
 class TestFundamentalSequence:
