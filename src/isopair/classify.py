@@ -16,6 +16,13 @@ and the shift-unitary part both read it, with one code path for both kinds:
 the defect's eigenvalue-1 space must lie in the wandering space and in both
 kernels (``e1_membership``), and have the dimension of the kernels' meet
 (``e1_consistency``).
+
+A structured pair's eigen-data comes from its exactly coupled rows.  Its
+building blocks have defects of finite rank, so on a truncation almost every
+interior row of the defect, and of ``V V^H``, is an exact 1x1 block:
+``linalg.coupled_eig`` reads those off and diagonalizes only the block of
+the other rows.  A filled (scrambled) input has no such rows and takes one
+decomposition of the whole interior.
 """
 
 from collections.abc import Callable, Sequence
@@ -33,7 +40,7 @@ from .bcl import BCLTriple
 from .linalg import (
     Subspace,
     _normalize_phases,
-    as_complex,
+    coupled_eig,
     hermitian_eig,
     lift,
     normality_residual,
@@ -74,8 +81,10 @@ class WorkingSpace:
     For a triple the working space is the wandering space itself; for a
     structured pair it is the interior window, whose indices ``interior``
     holds (None for a triple).  ``build_model`` makes the
-    :attr:`wandering_model`.  Nothing outlives the call that built the
-    object.
+    :attr:`wandering_model`.  Both eigen-data, :attr:`defect_eig` and the
+    model's basis, diagonalize only the coupled block of their matrix, so
+    a sparse pair forms no eigenvector array of interior size.  Nothing
+    outlives the call that built the object.
     """
 
     obj: PairInput
@@ -86,8 +95,14 @@ class WorkingSpace:
 
     @cached_property
     def defect_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """``hermitian_eig`` of the defect, computed on first use."""
-        return hermitian_eig(self.defect)
+        """The defect's eigenpairs off its zero rows, computed on first use.
+
+        Every reader selects nonzero eigenvalues only, so the kernel of the
+        defect's zero rows is left out; the rest comes from
+        :func:`~isopair.linalg.coupled_eig` with ``hermitian_eig`` on the
+        coupled block, whose phase choice fixes the ``f_vector`` phases.
+        """
+        return coupled_eig(self.defect, lambda values: values != 0, hermitian_eig)
 
     @cached_property
     def wandering_model(self) -> WanderingModel:
@@ -99,15 +114,18 @@ def _pair_wandering_model(pair: StructuredPair, interior: np.ndarray) -> Wanderi
     """Wandering space ``W = ker V^H`` of a pair's product ``V = V1 V2``.
 
     ``basis`` spans W in interior coordinates: the majority range of the
-    interior compression of ``I - V V^H``, the one interior-size matrix.
-    In that basis, ``unitary`` is ``V2 (I - V1 V1^H) + V1^H V1 V1^H`` and
-    ``kernel1``, ``kernel2`` compress ``I - V1 V1^H`` and ``I - V2 V2^H``;
-    on a truncation they are quasi-projections.  All three come from thin
+    interior compression of ``I - V V^H``, kept in the products' form.  Its
+    decoupled rows (``coupled_eig``) with diagonal above 1/2 give unit
+    vectors of W; only the coupled block is diagonalized.  In that basis,
+    ``unitary`` is ``V2 (I - V1 V1^H) + V1^H V1 V1^H`` and ``kernel1``,
+    ``kernel2`` compress ``I - V1 V1^H`` and ``I - V2 V2^H``; on a
+    truncation they are quasi-projections.  All three come from thin
     products with the lifted basis.
     """
     v1, v2 = models.product_operators(pair)
     rows = v1[interior, :] @ v2
-    basis, _ = _majority_split(np.eye(len(interior)) - as_complex(rows @ rows.conj().T))
+    _, basis = coupled_eig(models._identity(rows, len(interior)) - rows @ rows.conj().T,
+                           lambda values: values > 0.5, np.linalg.eigh)
     lifted = lift(pair.dim, interior, basis)
     adj1 = v1.conj().T @ lifted
     adj2 = v2.conj().T @ lifted

@@ -3,11 +3,13 @@
 Operators here are plain ``numpy.ndarray`` values with complex128 entries.
 Structured pairs may store theirs as ``scipy.sparse`` CSR matrices (see
 ``models``); of the functions here, :func:`as_complex` (which densifies),
-:func:`frobenius_norm` and :func:`normality_residual` also take that form.
+:func:`frobenius_norm`, :func:`normality_residual` and :func:`coupled_eig`
+also take that form.
 Every function here is pure: inputs are never mutated, outputs are fresh
 arrays.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +66,63 @@ def hermitian_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
 
 def _normalize_phases(vectors: np.ndarray) -> None:
     """Rotate each column in place so its first largest-modulus entry is real and >= 0."""
-    for j in range(vectors.shape[1]):
-        v = vectors[:, j]
-        k = int(np.argmax(np.abs(v)))
-        pivot = v[k]
-        if abs(pivot) > 0:
-            vectors[:, j] = v * (pivot.conjugate() / abs(pivot))
+    if vectors.size == 0:
+        return
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    # np.hypot rounds like the scalar abs(); np.abs on an array may not
+    moduli = np.hypot(pivots.real, pivots.imag)
+    # a zero column keeps the factor 1, which multiplies exactly
+    factors = np.ones_like(pivots)
+    np.divide(pivots.conj(), moduli, out=factors, where=moduli > 0)
+    vectors *= factors
+
+
+def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray],
+                eig: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a Hermitian matrix, taken from its coupled rows only.
+
+    A row whose only nonzero entry, if any, is on the diagonal (and whose
+    column is alike) is an exact 1x1 block, with eigenpair ``(entry, e_i)``.
+    The other rows, the coupled ones, form one block, which goes to one
+    call of ``eig``: ``np.linalg.eigh``, or :func:`hermitian_eig` to check
+    the block and fix each vector's phase.  A filled matrix has no 1x1
+    blocks and takes that one call on the whole matrix.
+
+    ``keep`` maps eigenvalues to a mask of the pairs to return; only their
+    vectors are formed, as columns on all rows.  Values come in descending
+    order.  ``a`` is dense or ``scipy.sparse``.
+    """
+    n = a.shape[0]
+    if sp.issparse(a):
+        entries = a.tocoo()
+        off = (entries.row != entries.col) & (entries.data != 0)
+        coupled = np.zeros(n, dtype=bool)
+        coupled[entries.row[off]] = coupled[entries.col[off]] = True
+        diagonal = a.diagonal()
+    else:
+        off = a != 0
+        np.fill_diagonal(off, False)
+        coupled = off.any(axis=0) | off.any(axis=1)
+        diagonal = np.diagonal(a)
+    if coupled.all():
+        values, vectors = eig(as_complex(a))
+        kept = keep(values)
+        values, vectors = values[kept], vectors[:, kept]
+    else:
+        rows = np.flatnonzero(coupled)
+        values, block = np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
+        if rows.size:
+            values, block = eig(as_complex(a[rows][:, rows] if sp.issparse(a)
+                                           else a[np.ix_(rows, rows)]))
+        kept = keep(values)
+        singles = np.flatnonzero(~coupled)
+        units = singles[keep(diagonal[singles].real)]
+        values = np.concatenate([values[kept], diagonal[units].real])
+        vectors = np.zeros((n, values.size), dtype=np.complex128)
+        vectors[rows, :np.count_nonzero(kept)] = block[:, kept]
+        vectors[units, np.arange(values.size - units.size, values.size)] = 1.0
+    order = np.argsort(-values, kind="stable")
+    return values[order], vectors[:, order]
 
 
 def numerical_rank(a, tol: float | None = None) -> int:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from isopair.bcl import wandering_projections
 from isopair.linalg import (
     Subspace,
+    _normalize_phases,
+    coupled_eig,
     hermitian_eig,
     numerical_rank,
     orthonormal_columns,
@@ -60,6 +64,124 @@ class TestHermitianEig:
         base, _ = hermitian_eig(a)
         conj, _ = hermitian_eig(w @ a @ w.conj().T)
         assert np.max(np.abs(base - conj)) < 1e-8
+
+
+def reference_normalize_phases(vectors: np.ndarray) -> None:
+    """The column-by-column phase pass the vectorised one replaced."""
+    for j in range(vectors.shape[1]):
+        v = vectors[:, j]
+        k = int(np.argmax(np.abs(v)))
+        pivot = v[k]
+        if abs(pivot) > 0:
+            vectors[:, j] = v * (pivot.conjugate() / abs(pivot))
+
+
+def _phase_inputs():
+    """Eigenbases and Schur bases as the package makes them, plus edge cases.
+
+    A random unit entry in a one-row column is left out: there the loop's
+    one-dimensional multiply takes numpy's contiguous kernel, which rounds
+    the product's imaginary part differently (2e-17 for 0.0).  A one-row
+    eigenbasis or Schur basis is ``[[1]]``.
+    """
+    rng = np.random.default_rng(17)
+    for dim in (1, 2, 3, 5, 8, 24, 60):
+        for _ in range(6):
+            yield np.linalg.eigh(random_hermitian(dim, rng))[1]
+            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            yield sla.schur(z, output="complex")[1]
+        if dim > 1:
+            yield random_unitary(dim, rng)[:, : max(1, dim // 3)]
+    yield np.array([[1.0, -1.0j], [1.0j, 1.0], [0.0, 0.0]])   # tied pivots
+    yield np.array([[0.0, 0.6 - 0.8j], [0.0, 0.0]])            # a zero column
+    yield np.zeros((0, 0), dtype=np.complex128)
+    yield np.zeros((3, 0), dtype=np.complex128)
+
+
+@pytest.mark.parametrize("vectors", list(_phase_inputs()))
+def test_phase_pass_matches_column_loop_bit_for_bit(vectors):
+    got = np.array(vectors, dtype=np.complex128)
+    want = got.copy()
+    _normalize_phases(got)
+    reference_normalize_phases(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_phase_pass_leaves_zero_rows_alone():
+    # the column loop cannot take an argmax over no rows
+    vectors = np.zeros((0, 3), dtype=np.complex128)
+    _normalize_phases(vectors)
+    assert vectors.shape == (0, 3)
+
+
+def eigh_sizes(monkeypatch) -> list:
+    """Record the size of every matrix passed to ``np.linalg.eigh``."""
+    sizes = []
+    original = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return sizes
+
+
+class TestCoupledEig:
+    """Exact 1x1 blocks are read off; only the coupled rows are diagonalized."""
+
+    def _matrix(self, rng):
+        # coupled rows 1, 3, 4; rows 0 and 5 carry diagonal entries only, row 2 is zero
+        a = np.zeros((6, 6), dtype=np.complex128)
+        block = random_hermitian(3, rng)
+        a[np.ix_([1, 3, 4], [1, 3, 4])] = block
+        a[0, 0], a[5, 5] = 0.75, -0.5
+        return a
+
+    @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
+    def test_matches_full_decomposition(self, rng, monkeypatch, form):
+        a = self._matrix(rng)
+        sizes = eigh_sizes(monkeypatch)
+        values, vectors = coupled_eig(form(a), lambda v: v != 0, hermitian_eig)
+        assert sizes == [3]
+        full_values, full_vectors = hermitian_eig(a)
+        # the zero row's eigenvalue, which the full decomposition rounds
+        nonzero = np.abs(full_values) > 1e-12
+        assert np.allclose(values, full_values[nonzero], atol=1e-13)
+        assert np.linalg.norm(vectors - full_vectors[:, nonzero]) <= 1e-12
+        assert np.all(np.diff(values) <= 0)
+
+    def test_keep_selects_unit_vectors_and_block_vectors(self, rng):
+        a = self._matrix(rng)
+        values, vectors = coupled_eig(a, lambda v: v > 0.5, np.linalg.eigh)
+        full_values, full_vectors = np.linalg.eigh(a)
+        above = full_vectors[:, full_values > 0.5]
+        assert np.allclose(values, np.sort(full_values[full_values > 0.5])[::-1])
+        assert np.linalg.norm(vectors @ vectors.conj().T - above @ above.conj().T) <= 1e-12
+        assert np.array_equal(vectors[:, values == 0.75], np.eye(6)[:, :1])
+
+    @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
+    def test_diagonal_matrix_takes_no_decomposition(self, monkeypatch, form):
+        sizes = eigh_sizes(monkeypatch)
+        values, vectors = coupled_eig(form(np.diag([0.0, 2.0, 0.0, -1.0])),
+                                      lambda v: v != 0, hermitian_eig)
+        assert sizes == []
+        assert values.tolist() == [2.0, -1.0]
+        assert np.array_equal(vectors, np.eye(4)[:, [1, 3]])
+
+    def test_zero_matrix_gives_no_pairs(self):
+        values, vectors = coupled_eig(np.zeros((5, 5)), lambda v: v != 0, hermitian_eig)
+        assert values.shape == (0,) and vectors.shape == (5, 0)
+
+    def test_filled_matrix_takes_one_full_decomposition(self, rng, monkeypatch):
+        a = random_hermitian(7, rng)
+        sizes = eigh_sizes(monkeypatch)
+        values, vectors = coupled_eig(a, lambda v: v != 0, hermitian_eig)
+        assert sizes == [7]
+        full_values, full_vectors = hermitian_eig(a)
+        assert np.array_equal(values, full_values)
+        assert np.array_equal(vectors, full_vectors)
 
 
 class TestNumericalRank:

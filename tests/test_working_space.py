@@ -1,20 +1,30 @@
-"""Each input's working data is computed once, and both product paths agree."""
+"""Each input's working data is computed once, both product paths agree, and
+a structured pair's eigen-data come from its coupled blocks only."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from isopair import bcl, models
-from isopair.classify import classify, decide_equivalence, fundamental_sequence
+from isopair.classify import (
+    ONE_FINITE,
+    THREE_FINITE,
+    classify,
+    decide_equivalence,
+    fundamental_sequence,
+    working_space,
+)
 from isopair.izuchi import build_izuchi_model
-from isopair.linalg import random_unitary
+from isopair.linalg import as_complex, hermitian_eig, random_unitary
 from isopair.models import (
     bishift_truncated,
     conjugate_split,
     defect_and_cross_on_interior,
     dense_products,
+    product_operators,
     scramble,
     sparse_operators,
     twisted_shift,
@@ -22,6 +32,7 @@ from isopair.models import (
 
 from conftest import two_finite_triple
 from test_classify import shift_unitary_pair
+from test_linalg import eigh_sizes
 from test_sparse_pair import GENERATED
 
 # the package exports the function ``classify`` under the submodule's name
@@ -162,3 +173,105 @@ def test_large_shift_unitary_pair_classifies():
     assert result.shift_unitary.eigs_on_pperp == ()
     assert np.allclose(sorted(np.angle(z) for z in result.shift_unitary.eigs_on_p),
                        [0.4, 2.0], atol=1e-10)
+
+
+#: The three twists the structured benchmark draws for seed 0: evenly spaced
+#: from a seeded offset.  On the second, every identity-like row of
+#: ``V V^H`` has diagonal 0.9999999999999999 rather than 1.
+_OFFSET = float(np.random.default_rng(0).uniform(0, 2 * np.pi))
+SWEEP_TWISTS = tuple(complex(np.exp(1j * (_OFFSET + 2 * np.pi * k / 3))) for k in range(3))
+
+SPLIT_INPUTS = {
+    **{f"model{cap}_twist{k}": (lambda cap=cap, k=k:
+                                build_izuchi_model(0.5, SWEEP_TWISTS[k], cap, cap).pair)
+       for cap in (8, 10, 13, 20) for k in range(3)},
+    "bishift5": lambda: bishift_truncated(5),
+    "bishift20": lambda: bishift_truncated(20),
+    "twisted": lambda: twisted_shift(np.exp(0.7j), 12),
+    "direct_sum": GENERATED["direct_sum"],
+    "scrambled": lambda: scramble(build_izuchi_model(0.5, 1j, 8, 8).pair, seed=3),
+    "shift_unitary": lambda: shift_unitary_pair(np.array([0.4, 2.0]), cap=12),
+}
+
+
+def _gram_rows(pair):
+    """Interior rows of ``V = V1 V2``, in the form the pair's products run on."""
+    v1, v2 = product_operators(pair)
+    return v1[np.asarray(pair.interior, dtype=int), :] @ v2
+
+
+def _projector(basis: np.ndarray) -> np.ndarray:
+    return basis @ basis.conj().T
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_INPUTS))
+def test_coupled_blocks_match_full_decompositions(name):
+    # the split path against one decomposition of the whole interior matrix
+    ws = working_space(SPLIT_INPUTS[name]())
+    values, vectors = ws.defect_eig
+    full_values, full_vectors = hermitian_eig(ws.defect)
+    got, want = values[np.abs(values) > 1e-8], full_values[np.abs(full_values) > 1e-8]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
+    e1, full_e1 = vectors[:, values >= 1 - 1e-8], full_vectors[:, full_values >= 1 - 1e-8]
+    assert np.linalg.norm(_projector(e1) - _projector(full_e1)) <= 1e-12
+
+    rows = _gram_rows(ws.obj)
+    w_values, w_vectors = np.linalg.eigh(np.eye(len(ws.interior))
+                                         - as_complex(rows @ rows.conj().T))
+    full_w = w_vectors[:, w_values > 0.5]
+    basis = ws.wandering_model.basis
+    assert basis.shape == full_w.shape
+    assert np.linalg.norm(_projector(basis) - _projector(full_w)) <= 1e-12
+
+
+def test_no_pair_defect_gives_no_eigenpairs():
+    # the unitary second operator leaves the interior defect zero
+    ws = working_space(shift_unitary_pair(np.array([0.4, 2.0]), cap=12))
+    assert not np.any(ws.defect)
+    values, vectors = ws.defect_eig
+    assert values.shape == (0,) and vectors.shape == (len(ws.interior), 0)
+    assert classify(ws.obj).k == 0
+
+
+def test_bishift_wandering_space_has_no_coupled_block(monkeypatch):
+    # every interior row of V V^H is a 1x1 block: W takes no decomposition
+    pair = bishift_truncated(20)
+    sizes = eigh_sizes(monkeypatch)
+    basis = working_space(pair).wandering_model.basis
+    assert sizes == []
+    assert basis.shape == (361, 37)
+    assert np.array_equal(np.abs(basis).sum(axis=0), np.ones(37))
+
+
+def test_classify_diagonalizes_coupled_blocks_only(monkeypatch):
+    # a silent fall-back to interior-size decompositions fails here
+    pair = build_izuchi_model(0.5, SWEEP_TWISTS[1], 20, 20).pair
+    rows = _gram_rows(pair)
+    gram = np.diagonal(as_complex(rows @ rows.conj().T)).real
+    assert np.any((gram > 0.5) & (gram < 1.0))   # identity-like rows are not exactly 1
+    sizes = eigh_sizes(monkeypatch)
+    result = classify(pair)
+    assert pair.interior_dim == 342
+    assert result.k == 1 and result.blocks[0].kind == THREE_FINITE
+    assert sizes and max(sizes) <= 36
+
+
+def test_large_inputs_classify_on_their_coupled_blocks():
+    tracemalloc.start()
+    try:
+        model40 = build_izuchi_model(0.5, 1j, 40, 40).pair
+        result = classify(model40)
+        bishift = classify(bishift_truncated(30))
+        verdict = decide_equivalence(build_izuchi_model(0.5, 1j, 30, 30).pair, model40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.k == 1
+    assert [b.kind for b in result.blocks] == [THREE_FINITE]
+    assert abs(result.fundamental_sequence[0] - 0.5j) <= 1e-8
+    assert bishift.k == 1
+    assert [b.kind for b in bishift.blocks] == [ONE_FINITE]
+    assert bishift.fundamental_sequence == (0j,)
+    assert verdict.equivalent
+    assert peak <= 400e6
