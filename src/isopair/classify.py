@@ -40,6 +40,7 @@ from .bcl import BCLTriple
 from .linalg import (
     Subspace,
     _normalize_phases,
+    _support,
     coupled_eig,
     hermitian_eig,
     lift,
@@ -234,12 +235,16 @@ def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[s
             f"{inter_dim}, defect eigenvalue-1 space has {basis.dim}"
         )
 
-    cross = ws.cross
-    compressed = basis.basis.conj().T @ cross @ basis.basis
-    # P X P through the thin basis, with no product of two interior-size matrices
-    contract = float(np.linalg.norm(
-        cross - basis.basis @ compressed @ basis.basis.conj().T
-    ))
+    cross, vectors = ws.cross, basis.basis
+    compressed = vectors.conj().T @ cross @ vectors
+    # P X P through the thin basis, with no product of two interior-size
+    # matrices.  Rows and columns where neither X nor the basis has a
+    # nonzero entry add only zeros to the residual, so it is taken on the rest
+    support = _support(cross) | (vectors != 0).any(axis=1)
+    if not support.all():
+        rows = np.flatnonzero(support)
+        cross, vectors = cross[np.ix_(rows, rows)], vectors[rows]
+    contract = float(np.linalg.norm(cross - vectors @ compressed @ vectors.conj().T))
     residuals["cross_confined"] = contract
     if contract > floor:
         raise ValueError(

@@ -48,6 +48,20 @@ def hermitian_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
         largest modulus is real and nonnegative, making repeated runs and
         cross-run comparisons deterministic.
     """
+    values, vectors = np.linalg.eigh(_checked_hermitian(a, tol))
+    order = np.argsort(values)[::-1]
+    values = np.ascontiguousarray(values[order])
+    vectors = np.ascontiguousarray(vectors[:, order])
+    _normalize_phases(vectors)
+    return values, vectors
+
+
+def _checked_hermitian(a, tol: float = 1e-10) -> np.ndarray:
+    """``a`` as complex128, after the Hermitian check of :func:`hermitian_eig`.
+
+    Raises ``ValueError`` unless ``a`` is square with
+    ``norm(a - a^H) <= tol * max(norm(a), 1)``.
+    """
     a = as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -56,12 +70,7 @@ def hermitian_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     scale = max(float(np.linalg.norm(a)), 1.0)
     if np.linalg.norm(a - a.conj().T) > tol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    values, vectors = np.linalg.eigh(a)
-    order = np.argsort(values)[::-1]
-    values = np.ascontiguousarray(values[order])
-    vectors = np.ascontiguousarray(vectors[:, order])
-    _normalize_phases(vectors)
-    return values, vectors
+    return a
 
 
 def _normalize_phases(vectors: np.ndarray) -> None:
@@ -135,13 +144,26 @@ def numerical_rank(a, tol: float | None = None) -> int:
     a = as_complex(a)
     if a.size == 0:
         return 0
-    if tol is None:
-        tol = max(a.shape) * RANK_TOL_FACTOR
-    if tol <= 0:
+    if tol is not None and tol <= 0:
         raise ValueError("rank tolerance must be positive")
-    s = np.linalg.svd(a, compute_uv=False)
-    cutoff = max(tol * float(s[0]), RANK_FLOOR)
-    return int(np.count_nonzero(s > cutoff))
+    return _rank_from_moduli(np.linalg.svd(a, compute_uv=False), a.shape, tol)
+
+
+def _rank_from_moduli(moduli: np.ndarray, shape: tuple[int, ...],
+                      tol: float | None = None) -> int:
+    """The rank cutoff of :func:`numerical_rank`, applied to given values.
+
+    ``moduli`` are the singular values of a matrix of ``shape``, or, for a
+    Hermitian matrix, the moduli of its eigenvalues, which are the same
+    numbers.  Counts those above ``max(tol * max(moduli), 1e-12)``, where
+    ``tol`` defaults to ``max(shape) * 1e-12``.
+    """
+    if moduli.size == 0:
+        return 0
+    if tol is None:
+        tol = max(shape) * RANK_TOL_FACTOR
+    cutoff = max(tol * float(np.max(moduli)), RANK_FLOOR)
+    return int(np.count_nonzero(moduli > cutoff))
 
 
 def frobenius_norm(x) -> float:
@@ -160,12 +182,17 @@ def normality_residual(x) -> float:
     stored entries.
     """
     if isinstance(x, np.ndarray):
-        touched = x != 0
-        if not touched.all():
-            support = np.flatnonzero(touched.any(axis=0) | touched.any(axis=1))
-            if support.size < len(x):
-                x = sp.csr_matrix(x[np.ix_(support, support)])
+        support = _support(x)
+        if not support.all():
+            rows = np.flatnonzero(support)
+            x = sp.csr_matrix(x[np.ix_(rows, rows)])
     return frobenius_norm(x @ x.conj().T - x.conj().T @ x)
+
+
+def _support(x: np.ndarray) -> np.ndarray:
+    """Mask of the indices whose row or column of the square ``x`` holds a nonzero entry."""
+    touched = x != 0
+    return touched.any(axis=0) | touched.any(axis=1)
 
 
 def lift(dim: int, rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -187,11 +214,7 @@ def orthonormal_columns(a, tol: float | None = None) -> np.ndarray:
     if a.shape[1] == 0 or a.shape[0] == 0:
         return np.zeros((a.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if tol is None:
-        tol = max(a.shape) * RANK_TOL_FACTOR
-    cutoff = max(tol * float(s[0]), RANK_FLOOR)
-    r = int(np.count_nonzero(s > cutoff))
-    return np.ascontiguousarray(u[:, :r])
+    return np.ascontiguousarray(u[:, :_rank_from_moduli(s, a.shape, tol)])
 
 
 @dataclass(frozen=True)

@@ -261,9 +261,13 @@ def from_json(obj):
 def dumps_canonical(payload: dict) -> str:
     """Canonical serialization: sorted keys, compact separators, trailing newline.
 
-    Without ``indent`` the standard library uses its C encoder.
+    Without ``indent`` the standard library uses its C encoder.  Every
+    payload is a fresh tree (an encoder's output or a CLI report), which
+    cannot hold a cycle, so the encoder's circular-reference bookkeeping
+    is switched off.
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      check_circular=False) + "\n"
 
 
 def load_input(path: str):

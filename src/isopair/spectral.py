@@ -9,13 +9,14 @@ identities tying the defect rank to the cross-commutator rank, and builds
 the canonical difference-of-two-projections model from its parameters.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
 
 from .bcl import BCLTriple, wandering_projections
-from .linalg import as_complex, hermitian_eig, numerical_rank
+from .linalg import _checked_hermitian, _rank_from_moduli, as_complex, numerical_rank
 
 
 def cluster_values(values, tol: float) -> list[tuple[float, list[int]]]:
@@ -28,14 +29,17 @@ def cluster_values(values, tol: float) -> list[tuple[float, list[int]]]:
     if values.size == 0:
         return []
     order = np.argsort(values)[::-1]
-    clusters: list[list[int]] = [[int(order[0])]]
-    for idx in order[1:]:
-        idx = int(idx)
-        if abs(values[idx] - values[clusters[-1][-1]]) <= tol:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return [(float(np.mean(values[c])), c) for c in clusters]
+    ordered = values[order]
+    # a cluster ends where the next value is not within tol of the last one
+    ends = (~(np.abs(ordered[1:] - ordered[:-1]) <= tol)).nonzero()[0] + 1
+    bounds = [0, *ends.tolist(), values.size]
+    return [
+        # np.mean of one value is exactly 0.0 + value: its sum starts at
+        # +0.0, which turns -0.0 into 0.0 and leaves every other value as is
+        (float(ordered[lo]) + 0.0 if hi - lo == 1 else float(np.mean(ordered[lo:hi])),
+         order[lo:hi].tolist())
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 @dataclass(frozen=True)
@@ -84,9 +88,16 @@ def spectral_profile(defect, cluster_tol: float = 1e-8) -> SpectralProfile:
     unpaired interior cluster (or a multiplicity mismatch) clears the
     ``symmetric`` flag instead of raising: genuine defect operators never
     trip it, so a set flag is diagnostic data.
+
+    The eigenvalues come from one ``np.linalg.eigh``, after the Hermitian
+    check of :func:`~isopair.linalg.hermitian_eig`; no eigenvector is kept.
+    ``eigvalsh`` would skip the vectors, but it takes another LAPACK path
+    whose eigenvalues round differently, and the profile's eigenvalues
+    are what ``isopair analyze`` prints.
     """
-    defect = as_complex(defect)
-    values, _ = hermitian_eig(defect)
+    defect = _checked_hermitian(defect)
+    values = np.linalg.eigh(defect)[0]
+    values = values[np.argsort(values)[::-1]]
     if values.size and float(np.max(np.abs(values))) > 1.0 + 1e-8:
         raise ValueError("operator norm exceeds 1 beyond tolerance; not a contraction")
 
@@ -95,43 +106,47 @@ def spectral_profile(defect, cluster_tol: float = 1e-8) -> SpectralProfile:
     kernel_mask = np.abs(values) <= cluster_tol
     interior_mask = ~(plus_mask | minus_mask | kernel_mask)
 
-    # +1 wins over -1 and -1 over the kernel when a large tolerance overlaps them
-    clusters = ["plus_one" if plus else "minus_one" if minus else "kernel"
-                for plus, minus in zip(plus_mask.tolist(), minus_mask.tolist())]
+    # +1 wins over -1 and -1 over the kernel when a large tolerance overlaps
+    # them; interior values are labelled by their pair below
+    labels = np.full(values.size, "kernel", dtype=object)
+    labels[minus_mask] = "minus_one"
+    labels[plus_mask] = "plus_one"
 
-    interior_idx = np.flatnonzero(interior_mask)
-    pos_idx = [int(i) for i in interior_idx if values[i] > 0]
-    neg_idx = [int(i) for i in interior_idx if values[i] < 0]
+    def side_clusters(mask):
+        idx = mask.nonzero()[0]
+        return [(mean, idx[local]) for mean, local in cluster_values(values[idx], cluster_tol)]
 
-    pos_clusters = [
-        (mean, [pos_idx[j] for j in local])
-        for mean, local in cluster_values([values[i] for i in pos_idx], cluster_tol)
-    ]
-    neg_clusters = [
-        (mean, [neg_idx[j] for j in local])
-        for mean, local in cluster_values([values[i] for i in neg_idx], cluster_tol)
-    ]
+    pos_clusters = side_clusters(interior_mask & (values > 0))
+    neg_clusters = side_clusters(interior_mask & (values < 0))
 
     pairs: list[InteriorPair] = []
     symmetric = True
-    used = [False] * len(neg_clusters)
+    no_members = np.zeros(0, dtype=np.intp)
 
     def add_pair(value, members, neg_members):
-        for side, indices in (("pos", members), ("neg", neg_members)):
-            label = f"pair{len(pairs)}_{side}"
-            for i in indices:
-                clusters[i] = label
+        labels[members] = f"pair{len(pairs)}_pos"
+        labels[neg_members] = f"pair{len(pairs)}_neg"
         pairs.append(InteriorPair(value, len(members), len(neg_members)))
 
+    # Each positive cluster, largest first, takes the first unused negative
+    # cluster (in descending order) with |mean + neg_mean| <= cluster_tol.
+    # Any such neg_mean lies within 2 * cluster_tol of -mean, whatever the
+    # rounding, so only that window of the sorted negative means is tested
+    # (bisect is searchsorted on a list; these are a few clusters)
+    ascending = sorted((neg_mean, j) for j, (neg_mean, _) in enumerate(neg_clusters))
+    keys = [neg_mean for neg_mean, _ in ascending]
+    used = [False] * len(neg_clusters)
     for mean, members in pos_clusters:
+        window = ascending[bisect_left(keys, -mean - 2 * cluster_tol):
+                           bisect_right(keys, -mean + 2 * cluster_tol)]
         match = None
-        for j, (neg_mean, _) in enumerate(neg_clusters):
-            if not used[j] and abs(mean + neg_mean) <= cluster_tol:
+        for j in sorted(j for _, j in window):
+            if not used[j] and abs(mean + neg_clusters[j][0]) <= cluster_tol:
                 match = j
                 break
         if match is None:
             symmetric = False
-            add_pair(mean, members, [])
+            add_pair(mean, members, no_members)
             continue
         used[match] = True
         neg_members = neg_clusters[match][1]
@@ -142,12 +157,12 @@ def spectral_profile(defect, cluster_tol: float = 1e-8) -> SpectralProfile:
         if used[j]:
             continue
         symmetric = False
-        add_pair(-neg_mean, [], neg_members)
+        add_pair(-neg_mean, no_members, neg_members)
 
     return SpectralProfile(
         ambient_dim=defect.shape[0],
         eigenvalues=values,
-        clusters=tuple(clusters),
+        clusters=tuple(labels.tolist()),
         dim_plus1=int(np.count_nonzero(plus_mask)),
         dim_minus1=int(np.count_nonzero(minus_mask)),
         interior_pairs=tuple(pairs),
@@ -194,10 +209,18 @@ def rank_formula(
     rank_tol: float | None = None,
     cluster_tol: float = 1e-8,
 ) -> tuple[RankFormulaReport, SpectralProfile]:
-    """Both rank identities for a defect and cross-commutator, with the defect's profile."""
-    rank_defect = numerical_rank(defect, rank_tol)
+    """Both rank identities for a defect and cross-commutator, with the defect's profile.
+
+    Each matrix is decomposed once.  The defect is Hermitian, so its
+    singular values are the moduli of its eigenvalues: its rank is read
+    from the profile's eigenvalues (one ``eigh``), with the cutoff of
+    :func:`~isopair.linalg.numerical_rank`.  The cross-commutator is not
+    Hermitian and keeps its SVD.
+    """
     rank_cross = numerical_rank(cross, rank_tol)
     profile = spectral_profile(defect, cluster_tol)
+    rank_defect = _rank_from_moduli(np.abs(profile.eigenvalues),
+                                    (profile.ambient_dim,) * 2, rank_tol)
     report = RankFormulaReport(
         rank_defect=rank_defect,
         rank_cross=rank_cross,

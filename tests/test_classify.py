@@ -175,6 +175,28 @@ class TestE1Check:
         with pytest.raises(ValueError, match="intersection has dimension 1"):
             _e1_core(replace(ws, defect=lowered), 1e-8)
 
+    @pytest.mark.parametrize("make", [
+        lambda: build_izuchi_model(0.5, 1j, 8, 8).pair,
+        lambda: direct_sum([bishift_truncated(4), twisted_shift(1j, 5)]),
+        lambda: scramble(direct_sum([bishift_truncated(4), twisted_shift(1j, 5)]), 3),
+    ], ids=["model", "sum", "scrambled-sum"])
+    def test_cross_confined_is_the_whole_matrix_residual(self, make):
+        ws = working_space(make())
+        basis, compressed, residuals = _e1_core(ws, 1e-8)
+        b = basis.basis
+        whole = float(np.linalg.norm(ws.cross - b @ compressed @ b.conj().T))
+        assert abs(residuals["cross_confined"] - whole) <= 1e-15
+
+    def test_cross_entry_off_the_basis_rows_fails(self):
+        ws = working_space(build_izuchi_model(0.5, 1j, 8, 8).pair)
+        basis, _, _ = _e1_core(ws, 1e-8)
+        row = np.flatnonzero(~(basis.basis != 0).any(axis=1))[-1]
+        assert not ws.cross[row].any()
+        bumped = ws.cross.copy()
+        bumped[row, row] = 1e-3
+        with pytest.raises(ValueError, match="not confined"):
+            _e1_core(replace(ws, cross=bumped), 1e-8)
+
 
 class TestFundamentalSequence:
     def test_mixed_direct_sum(self):

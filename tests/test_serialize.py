@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isopair.bcl import BCLTriple, random_triple
+from isopair.classify import classify
 from isopair.izuchi import build_izuchi_model
 from isopair.models import (
     StructuredPair,
@@ -18,6 +19,7 @@ from isopair.models import (
     twisted_shift,
 )
 from isopair.serialize import (
+    classification_to_json,
     dumps_canonical,
     load_input,
     matrix_from_json,
@@ -178,6 +180,18 @@ def test_output_is_compact_canonical():
     assert ": " not in text and ", " not in text
     payload = json.loads(text)
     assert list(payload) == sorted(payload)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: to_json(random_triple(5, 2, 3)),
+    lambda: to_json(build_izuchi_model(0.5, 1j, 6, 6).pair),
+    lambda: to_json(scramble(direct_sum([bishift_truncated(4), twisted_shift(1j, 5)]), 3)),
+    lambda: classification_to_json(classify(bishift_truncated(4))),
+], ids=["triple", "coo-pair", "dense-pair", "classification"])
+def test_canonical_text_is_the_stdlib_encoding(make):
+    payload = make()
+    assert dumps_canonical(payload) == \
+        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_integer_values_are_accepted():

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isopair.bcl import BCLTriple, random_triple, wandering_projections
+from isopair.linalg import as_complex, hermitian_eig, numerical_rank, random_unitary
 from isopair.spectral import (
     DiffProjCanonicalForm,
+    InteriorPair,
+    SpectralProfile,
     build_difference_projections,
     check_rank_formula,
     cluster_values,
     eigen_symmetry_check,
+    rank_formula,
     spectral_profile,
 )
 
@@ -59,6 +65,146 @@ class TestSpectralProfile:
             assert spectral_profile(ops.defect).symmetric
 
 
+def reference_cluster_values(values, tol):
+    """``cluster_values`` as one Python step per value, with ``np.mean`` per cluster."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return []
+    order = np.argsort(values)[::-1]
+    clusters = [[int(order[0])]]
+    for idx in order[1:]:
+        idx = int(idx)
+        if abs(values[idx] - values[clusters[-1][-1]]) <= tol:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    return [(float(np.mean(values[c])), c) for c in clusters]
+
+
+def reference_profile(defect, cluster_tol):
+    """``spectral_profile`` from ``hermitian_eig``, per-value labels and an O(P*N) pairing scan."""
+    defect = as_complex(defect)
+    values, _ = hermitian_eig(defect)
+    if values.size and float(np.max(np.abs(values))) > 1.0 + 1e-8:
+        raise ValueError("operator norm exceeds 1 beyond tolerance; not a contraction")
+    plus_mask = values >= 1.0 - cluster_tol
+    minus_mask = values <= -1.0 + cluster_tol
+    kernel_mask = np.abs(values) <= cluster_tol
+    interior_mask = ~(plus_mask | minus_mask | kernel_mask)
+    clusters = ["plus_one" if plus else "minus_one" if minus else "kernel"
+                for plus, minus in zip(plus_mask.tolist(), minus_mask.tolist())]
+    interior_idx = np.flatnonzero(interior_mask)
+    pos_idx = [int(i) for i in interior_idx if values[i] > 0]
+    neg_idx = [int(i) for i in interior_idx if values[i] < 0]
+    pos_clusters = [
+        (mean, [pos_idx[j] for j in local])
+        for mean, local in reference_cluster_values([values[i] for i in pos_idx], cluster_tol)
+    ]
+    neg_clusters = [
+        (mean, [neg_idx[j] for j in local])
+        for mean, local in reference_cluster_values([values[i] for i in neg_idx], cluster_tol)
+    ]
+    pairs = []
+    symmetric = True
+    used = [False] * len(neg_clusters)
+
+    def add_pair(value, members, neg_members):
+        for side, indices in (("pos", members), ("neg", neg_members)):
+            for i in indices:
+                clusters[i] = f"pair{len(pairs)}_{side}"
+        pairs.append(InteriorPair(value, len(members), len(neg_members)))
+
+    for mean, members in pos_clusters:
+        match = None
+        for j, (neg_mean, _) in enumerate(neg_clusters):
+            if not used[j] and abs(mean + neg_mean) <= cluster_tol:
+                match = j
+                break
+        if match is None:
+            symmetric = False
+            add_pair(mean, members, [])
+            continue
+        used[match] = True
+        neg_members = neg_clusters[match][1]
+        if len(neg_members) != len(members):
+            symmetric = False
+        add_pair(mean, members, neg_members)
+    for j, (neg_mean, neg_members) in enumerate(neg_clusters):
+        if not used[j]:
+            symmetric = False
+            add_pair(-neg_mean, [], neg_members)
+    return SpectralProfile(
+        ambient_dim=defect.shape[0], eigenvalues=values, clusters=tuple(clusters),
+        dim_plus1=int(np.count_nonzero(plus_mask)),
+        dim_minus1=int(np.count_nonzero(minus_mask)),
+        interior_pairs=tuple(pairs), dim_kplus=sum(p.mult_pos for p in pairs),
+        kernel_dim=int(np.count_nonzero(kernel_mask)), symmetric=symmetric,
+    )
+
+
+#: Offsets that keep a value in its anchor's cluster at some tolerances
+#: (0, 1e-8, 1e-3) and move it out at others.
+jitters = st.sampled_from([0.0, 1e-15, 3e-9, 2e-8, 4e-4, 3e-3])
+#: Two values at -level - d and -level + d form two clusters, both within
+#: tol of -level when d is 0.6 or 0.9 tol, so the pairing has two
+#: candidates to choose from.
+straddles = st.sampled_from([6e-9, 9e-9, 6e-4, 9e-4])
+signs = st.sampled_from([1.0, -1.0])
+
+
+@st.composite
+def spectra(draw):
+    """Eigenvalues in [-1, 1]: clusters at +1, -1 and 0, and interior +/- pairs.
+
+    Pairs may be unmatched or of unequal multiplicity, and their sides may
+    differ by a jitter or offer two negative clusters to one positive one.
+    Values repeat exactly or within a jitter.
+    """
+    values = []
+    for anchor in (1.0, -1.0, 0.0):
+        for _ in range(draw(st.integers(0, 3))):
+            values.append(anchor - np.sign(anchor) * draw(jitters) if anchor
+                          else draw(signs) * draw(jitters))
+    for _ in range(draw(st.integers(0, 4))):
+        level = draw(st.sampled_from([0.2, 0.5, 0.5 + 2e-9, 0.9]) | st.floats(0.01, 0.99))
+        for sign in (1.0, -1.0):
+            for _ in range(draw(st.integers(0, 3))):
+                values.append(sign * (level + draw(jitters)))
+        if draw(st.booleans()):
+            d = draw(straddles)
+            values += [-level - d, -level + d]
+    return np.clip(values, -1.0, 1.0)
+
+
+class TestProfileAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(spectra(), st.sampled_from([0.0, 1e-8, 1e-3]), st.booleans(), st.integers(0, 2**31))
+    def test_bit_identical(self, values, cluster_tol, rotate, seed):
+        defect = np.diag(values).astype(complex)
+        if rotate and values.size:
+            w = random_unitary(values.size, np.random.default_rng(seed))
+            defect = w @ defect @ w.conj().T
+            defect = (defect + defect.conj().T) / 2
+        got = spectral_profile(defect, cluster_tol)
+        want = reference_profile(defect, cluster_tol)
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.clusters == want.clusters
+        assert got.interior_pairs == want.interior_pairs
+        assert got.symmetric == want.symmetric
+        assert (got.ambient_dim, got.dim_plus1, got.dim_minus1, got.dim_kplus, got.kernel_dim) \
+            == (want.ambient_dim, want.dim_plus1, want.dim_minus1, want.dim_kplus, want.kernel_dim)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0) | jitters, max_size=30),
+           st.sampled_from([0.0, 1e-8, 1e-3]))
+    @example([-0.0], 0.0)
+    @example([-0.0, 0.5, -0.0], 1e-8)
+    def test_cluster_values(self, values, tol):
+        got = cluster_values(values, tol)
+        want = reference_cluster_values(values, tol)
+        assert [(m.hex(), ix) for m, ix in got] == [(m.hex(), ix) for m, ix in want]
+
+
 class TestRankFormula:
     def test_doubly_commuting_trivial(self, rng):
         p = random_projection(4, 2, rng)
@@ -79,6 +225,32 @@ class TestRankFormula:
             dim = 2 + seed % 9
             report = check_rank_formula(random_triple(dim, seed % (dim + 1), seed))
             assert report.both_identities_hold
+
+
+    def test_defect_rank_matches_svd_rank(self):
+        rng = np.random.default_rng(7)
+        for dim in [*range(2, 40, 3), 64, 96, 128, 192, 256]:
+            ops = wandering_projections(random_triple(dim, int(rng.integers(0, dim + 1)),
+                                                      int(rng.integers(0, 2**31))))
+            report, _ = rank_formula(ops.defect, ops.cross)
+            assert report.rank_defect == numerical_rank(ops.defect)
+
+    def test_one_decomposition_per_matrix(self, monkeypatch):
+        calls = {"svd": 0, "eigh": 0}
+
+        def counted(name):
+            original = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return call
+
+        triple = random_triple(64, 20, 3)
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        assert check_rank_formula(triple).both_identities_hold
+        assert calls == {"svd": 1, "eigh": 1}
 
 
 class TestDifferenceProjections:
