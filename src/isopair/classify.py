@@ -53,6 +53,10 @@ from .models import StructuredPair, validate_pair
 #: truncation noise inside the band never flips a block kind.
 BAND_TOL = 1e-6
 
+#: Default tolerance of :func:`decide_equivalence` for matching two inputs'
+#: invariants as multisets.
+MATCH_TOL = 1e-6
+
 ONE_FINITE = "one_finite"
 TWO_FINITE = "two_finite"
 THREE_FINITE = "three_finite"
@@ -240,7 +244,8 @@ def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[s
     # P X P through the thin basis, with no product of two interior-size
     # matrices.  Rows and columns where neither X nor the basis has a
     # nonzero entry add only zeros to the residual, so it is taken on the rest
-    support = _support(cross) | (vectors != 0).any(axis=1)
+    support = (vectors != 0).any(axis=1)
+    support[_support(cross)[0]] = True
     if not support.all():
         rows = np.flatnonzero(support)
         cross, vectors = cross[np.ix_(rows, rows)], vectors[rows]
@@ -546,7 +551,7 @@ class EquivalenceVerdict:
 
 
 def decide_equivalence(a: PairInput, b: PairInput,
-                       tol: float = 1e-6) -> EquivalenceVerdict:
+                       tol: float = MATCH_TOL) -> EquivalenceVerdict:
     """Decide joint unitary equivalence by comparing complete invariants.
 
     Two inputs are equivalent exactly when their eigenvalue-1 dimensions

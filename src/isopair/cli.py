@@ -24,7 +24,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .bcl import random_triple
-from .classify import classify, decide_equivalence, working_space
+from .classify import BAND_TOL, MATCH_TOL, classify, decide_equivalence, working_space
 from .izuchi import build_izuchi_model
 from .linalg import normality_residual
 from .models import (
@@ -40,10 +40,7 @@ from .serialize import (
     load_input,
     to_json,
 )
-from .spectral import rank_formula
-
-DEFAULT_CLUSTER_TOL = 1e-8
-DEFAULT_BAND_TOL = 1e-6
+from .spectral import CLUSTER_TOL, rank_formula
 
 
 class InputError(Exception):
@@ -57,6 +54,8 @@ def _input_errors():
         yield
     except (ValueError, OSError) as exc:
         raise InputError(exc) from exc
+    except RecursionError as exc:
+        raise InputError(f"input is nested too deeply: {exc}") from exc
 
 
 def parse_complex(text: str) -> complex:
@@ -208,8 +207,7 @@ def _analysis_csv(report: dict) -> str:
 
 def cmd_analyze(args) -> int:
     rank_tol = _tolerance(args.rank_tol, "ISOPAIR_RANK_TOL", None)
-    cluster_tol = _tolerance(args.cluster_tol, "ISOPAIR_CLUSTER_TOL",
-                             DEFAULT_CLUSTER_TOL)
+    cluster_tol = _tolerance(args.cluster_tol, "ISOPAIR_CLUSTER_TOL", CLUSTER_TOL)
     if args.trials is not None:
         return _analyze_trials(args, rank_tol, cluster_tol)
     if args.input is None:
@@ -277,7 +275,7 @@ def _classification_text(payload: dict) -> str:
 
 
 def cmd_classify(args) -> int:
-    band_tol = _tolerance(args.band_tol, "ISOPAIR_BAND_TOL", DEFAULT_BAND_TOL)
+    band_tol = _tolerance(args.band_tol, "ISOPAIR_BAND_TOL", BAND_TOL)
     payload = classification_to_json(classify(_load(args.input), band_tol=band_tol))
     if args.format == "json":
         _write_output(dumps_canonical(payload), args.output)
@@ -287,7 +285,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    tol = _tolerance(args.tol, "ISOPAIR_EQUIV_TOL", DEFAULT_BAND_TOL)
+    tol = _tolerance(args.tol, "ISOPAIR_EQUIV_TOL", MATCH_TOL)
     verdict = decide_equivalence(_load(args.first), _load(args.second), tol=tol)
     if verdict.equivalent:
         print(f"equivalent  (matching permutation: {list(verdict.matching)})")

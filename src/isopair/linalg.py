@@ -3,8 +3,8 @@
 Operators here are plain ``numpy.ndarray`` values with complex128 entries.
 Structured pairs may store theirs as ``scipy.sparse`` CSR matrices (see
 ``models``); of the functions here, :func:`as_complex` (which densifies),
-:func:`frobenius_norm`, :func:`normality_residual` and :func:`coupled_eig`
-also take that form.
+:func:`frobenius_norm`, :func:`numerical_rank`, :func:`normality_residual`
+and :func:`coupled_eig` also take that form.
 Every function here is pure: inputs are never mutated, outputs are fresh
 arrays.
 """
@@ -139,14 +139,20 @@ def numerical_rank(a, tol: float | None = None) -> int:
 
     ``tol`` defaults to ``max(a.shape) * 1e-12``, the usual backward-stable
     rank decision.  Singular values at or below an absolute floor of 1e-12
-    never count, so the zero matrix has rank 0.
+    never count, so the zero matrix has rank 0.  ``a`` is dense or
+    ``scipy.sparse``.  A square ``a`` is decomposed on the block of the
+    indices it touches (:func:`_support`): its other rows and columns are
+    zero and add only zero singular values.  The cutoff stays that of the
+    whole shape.
     """
-    a = as_complex(a)
-    if a.size == 0:
+    shape = np.shape(a)
+    if 0 in shape:
         return 0
     if tol is not None and tol <= 0:
         raise ValueError("rank tolerance must be positive")
-    return _rank_from_moduli(np.linalg.svd(a, compute_uv=False), a.shape, tol)
+    square = len(shape) == 2 and shape[0] == shape[1]
+    block = _support(a)[1] if square else as_complex(a)
+    return _rank_from_moduli(np.linalg.svd(block, compute_uv=False), shape, tol)
 
 
 def _rank_from_moduli(moduli: np.ndarray, shape: tuple[int, ...],
@@ -174,25 +180,56 @@ def frobenius_norm(x) -> float:
 def normality_residual(x) -> float:
     """Frobenius norm of ``x x^H - x^H x`` for dense or sparse ``x``; zero when ``x`` is normal.
 
-    Rows and columns outside the exact support of a dense ``x`` add only
-    zeros to both products, so the residual is taken on the rest.  That
-    block is multiplied as CSR: BLAS picks its kernels by size, and on a
-    small dense block it can round a single-term entry unlike the full
+    Rows and columns outside the support of a dense ``x`` (:func:`_support`)
+    add only zeros to both products, so the residual is taken on the rest.
+    That block is multiplied as CSR: BLAS picks its kernels by size, and on
+    a small dense block it can round a single-term entry unlike the full
     product (3e-17 for 0.0).  A sparse ``x`` already touches only its
     stored entries.
     """
     if isinstance(x, np.ndarray):
-        support = _support(x)
-        if not support.all():
-            rows = np.flatnonzero(support)
-            x = sp.csr_matrix(x[np.ix_(rows, rows)])
+        rows, block = _support(x)
+        if rows.size < x.shape[0]:
+            x = sp.csr_matrix(block)
     return frobenius_norm(x @ x.conj().T - x.conj().T @ x)
 
 
-def _support(x: np.ndarray) -> np.ndarray:
-    """Mask of the indices whose row or column of the square ``x`` holds a nonzero entry."""
-    touched = x != 0
-    return touched.any(axis=0) | touched.any(axis=1)
+def _support(x, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The indices a square matrix touches, and its dense block on them.
+
+    An index is touched when its row or its column of ``x`` holds an entry
+    of modulus above ``floor``.  At the default 0 that is any nonzero
+    entry, and every other row and column of ``x`` is zero.  Returns the touched
+    indices in increasing order and the complex128 block of ``x`` on them,
+    taken in one pass over the dense array or the stored entries of a
+    ``scipy.sparse`` ``x``, which is never densified whole unless every
+    index is touched.  A dense ``x`` touched everywhere is its own block.
+    """
+    sparse = not isinstance(x, np.ndarray) and sp.issparse(x)
+    x = x.tocsr() if sparse else as_complex(x)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    n = x.shape[0]
+    if sparse:
+        rows = np.repeat(np.arange(n), np.diff(x.indptr))
+        hit = np.abs(x.data) > floor if floor else x.data != 0
+        touched = np.zeros(n, dtype=bool)
+        touched[rows[hit]] = touched[x.indices[hit]] = True
+        index = touched.nonzero()[0]
+        at = np.full(n, -1)
+        at[index] = np.arange(index.size)
+        inside = (at[rows] >= 0) & (at[x.indices] >= 0)
+        block = np.zeros((index.size, index.size), dtype=np.complex128)
+        # summed like toarray(): repeated entries add up, and 0.0 + -0.0 is 0.0
+        np.add.at(block, (at[rows[inside]], at[x.indices[inside]]), x.data[inside])
+        return index, block
+    hit = np.abs(x) > floor if floor else x
+    touched = hit.any(axis=1)
+    # once every row holds an entry, every index is touched
+    if np.count_nonzero(touched) < n:
+        touched |= hit.any(axis=0)
+    index = touched.nonzero()[0]
+    return index, x if index.size == n else x[np.ix_(index, index)]
 
 
 def lift(dim: int, rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -16,7 +16,17 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .bcl import BCLTriple, wandering_projections
-from .linalg import _checked_hermitian, _rank_from_moduli, as_complex, numerical_rank
+from .linalg import (
+    _checked_hermitian,
+    _rank_from_moduli,
+    _support,
+    as_complex,
+    numerical_rank,
+)
+
+#: Default clustering tolerance of a spectral profile: eigenvalues within it
+#: of +1, -1, 0 or of each other share a cluster.
+CLUSTER_TOL = 1e-8
 
 
 def cluster_values(values, tol: float) -> list[tuple[float, list[int]]]:
@@ -79,7 +89,7 @@ class SpectralProfile:
         return self.dim_plus1 + self.dim_minus1 + interior + self.kernel_dim
 
 
-def spectral_profile(defect, cluster_tol: float = 1e-8) -> SpectralProfile:
+def spectral_profile(defect, cluster_tol: float = CLUSTER_TOL) -> SpectralProfile:
     """Cluster the spectrum of a Hermitian contraction at ``{-1, 0, +1}`` and pairs.
 
     Eigenvalues within ``cluster_tol`` of +1, -1 or 0 land in the
@@ -92,11 +102,20 @@ def spectral_profile(defect, cluster_tol: float = 1e-8) -> SpectralProfile:
     The eigenvalues come from one ``np.linalg.eigh``, after the Hermitian
     check of :func:`~isopair.linalg.hermitian_eig`; no eigenvector is kept.
     ``eigvalsh`` would skip the vectors, but it takes another LAPACK path
-    whose eigenvalues round differently, and the profile's eigenvalues
-    are what ``isopair analyze`` prints.
+    whose eigenvalues round differently.
     """
-    defect = _checked_hermitian(defect)
-    values = np.linalg.eigh(defect)[0]
+    # One eigh of the whole matrix, not of its support as in rank_formula:
+    # on a zero row eigh can return -0.0 where the support path fills in
+    # 0.0, and the eigenvalue bytes of this profile are pinned against a
+    # reference implementation (tests/test_spectral.py)
+    return _profile(np.linalg.eigh(_checked_hermitian(defect))[0], cluster_tol)
+
+
+def _profile(values: np.ndarray, cluster_tol: float) -> SpectralProfile:
+    """The :class:`SpectralProfile` of a Hermitian contraction with eigenvalues ``values``.
+
+    ``values`` holds every eigenvalue; the profile lists them in descending order.
+    """
     values = values[np.argsort(values)[::-1]]
     if values.size and float(np.max(np.abs(values))) > 1.0 + 1e-8:
         raise ValueError("operator norm exceeds 1 beyond tolerance; not a contraction")
@@ -160,7 +179,7 @@ def spectral_profile(defect, cluster_tol: float = 1e-8) -> SpectralProfile:
         add_pair(-neg_mean, no_members, neg_members)
 
     return SpectralProfile(
-        ambient_dim=defect.shape[0],
+        ambient_dim=values.size,
         eigenvalues=values,
         clusters=tuple(labels.tolist()),
         dim_plus1=int(np.count_nonzero(plus_mask)),
@@ -196,7 +215,7 @@ class RankFormulaReport:
 def check_rank_formula(
     triple: BCLTriple,
     rank_tol: float | None = None,
-    cluster_tol: float = 1e-8,
+    cluster_tol: float = CLUSTER_TOL,
 ) -> RankFormulaReport:
     """Evaluate both rank identities for a triple; failures are reported, never hidden."""
     ops = wandering_projections(triple)
@@ -207,20 +226,25 @@ def rank_formula(
     defect,
     cross,
     rank_tol: float | None = None,
-    cluster_tol: float = 1e-8,
+    cluster_tol: float = CLUSTER_TOL,
 ) -> tuple[RankFormulaReport, SpectralProfile]:
     """Both rank identities for a defect and cross-commutator, with the defect's profile.
 
-    Each matrix is decomposed once.  The defect is Hermitian, so its
-    singular values are the moduli of its eigenvalues: its rank is read
-    from the profile's eigenvalues (one ``eigh``), with the cutoff of
-    :func:`~isopair.linalg.numerical_rank`.  The cross-commutator is not
-    Hermitian and keeps its SVD.
+    Each matrix, dense or ``scipy.sparse``, is decomposed once, on the block
+    of the indices it touches (:func:`~isopair.linalg._support`).  The
+    defect's other rows are zero: each adds one eigenvalue 0 to the
+    profile.  The defect is Hermitian, so its singular values are the
+    moduli of its eigenvalues: its rank is read from the profile's
+    eigenvalues (one ``eigh``), with the cutoff of
+    :func:`~isopair.linalg.numerical_rank` for its whole shape.  The
+    cross-commutator is not Hermitian and keeps its SVD.
     """
     rank_cross = numerical_rank(cross, rank_tol)
-    profile = spectral_profile(defect, cluster_tol)
-    rank_defect = _rank_from_moduli(np.abs(profile.eigenvalues),
-                                    (profile.ambient_dim,) * 2, rank_tol)
+    rows, block = _support(defect)
+    values = np.zeros(np.shape(defect)[0])
+    values[:rows.size] = np.linalg.eigh(_checked_hermitian(block))[0]
+    profile = _profile(values, cluster_tol)
+    rank_defect = _rank_from_moduli(np.abs(values), (profile.ambient_dim,) * 2, rank_tol)
     report = RankFormulaReport(
         rank_defect=rank_defect,
         rank_cross=rank_cross,

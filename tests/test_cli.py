@@ -239,16 +239,27 @@ def test_malformed_matrix_data_exits_2(tmp_path, capsys, entry):
         assert err.startswith("error:")
 
 
+def _nested(depth: int) -> list:
+    label = [0]
+    for _ in range(depth - 1):
+        label = [label]
+    return label
+
+
 @pytest.mark.parametrize("spoil", [
     lambda payload: payload["v1"].update(rows=None),
     lambda payload: payload.update(v1=[1, 2]),
     lambda payload: payload.pop("interior"),
-], ids=["null-rows", "matrix-as-list", "missing-field"])
+    # a spoil that returns text replaces the whole file
+    lambda payload: payload["basis_labels"].__setitem__(0, _nested(600)),
+    lambda payload: "[" * 100_000,
+], ids=["null-rows", "matrix-as-list", "missing-field", "label-nested-600-deep",
+        "nested-100000-deep"])
 def test_malformed_object_exits_2(tmp_path, capsys, spoil):
     payload = pair_to_json(twisted_shift(1j, 3))
-    spoil(payload)
+    text = spoil(payload)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(text if isinstance(text, str) else json.dumps(payload))
     for argv in (["classify", str(path)],
                  ["gen", "scramble", str(path), "-o", str(tmp_path / "x.json")]):
         code, _, err = run(capsys, *argv)

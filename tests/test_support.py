@@ -1,0 +1,173 @@
+"""Ranks, spectra and residuals on the indices a matrix touches.
+
+``linalg._support`` picks the indices whose row or column of a square
+matrix holds an entry, and the block on them.  ``numerical_rank``,
+``rank_formula`` and ``normality_residual`` decompose only that block, so a
+truncated model, whose defect and cross-commutator touch a few of its
+interior rows, is analyzed on blocks of that size.  The answers must be
+those of the whole-matrix path: ``spectral_profile`` and an SVD rank.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isopair.classify import working_space
+from isopair.cli import analyze_object
+from isopair.izuchi import build_izuchi_model, canonical_basis_3finite, verify_izuchi_invariants
+from isopair.linalg import _support, normality_residual, numerical_rank
+from isopair.models import bishift_truncated, direct_sum, interior_defect_and_cross, twisted_shift
+from isopair.spectral import rank_formula, spectral_profile
+
+from test_linalg import eigh_sizes
+
+
+def svd_rank(a: np.ndarray) -> int:
+    """Rank of the whole matrix by one SVD, with ``numerical_rank``'s default cutoff."""
+    s = np.linalg.svd(a, compute_uv=False)
+    if s.size == 0:
+        return 0
+    return int(np.count_nonzero(s > max(max(a.shape) * 1e-12 * s.max(), 1e-12)))
+
+
+def touched(a: np.ndarray) -> int:
+    """Number of indices whose row or column of ``a`` holds a nonzero entry."""
+    nonzero = a != 0
+    return int(np.count_nonzero(nonzero.any(axis=0) | nonzero.any(axis=1)))
+
+
+def assert_same_profile(got, want, atol: float = 0.0):
+    assert got.ambient_dim == want.ambient_dim
+    assert got.clusters == want.clusters
+    assert (got.dim_plus1, got.dim_minus1, got.dim_kplus, got.kernel_dim, got.symmetric) \
+        == (want.dim_plus1, want.dim_minus1, want.dim_kplus, want.kernel_dim, want.symmetric)
+    assert [(p.mult_pos, p.mult_neg) for p in got.interior_pairs] \
+        == [(p.mult_pos, p.mult_neg) for p in want.interior_pairs]
+    for p, q in zip(got.interior_pairs, want.interior_pairs):
+        assert abs(p.value - q.value) <= atol
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues), initial=0.0) <= atol
+
+
+class TestSupport:
+    def _matrix(self, rng):
+        # index 2 has only a column entry, index 4 only a tiny one, index 0 none
+        a = np.zeros((6, 6), dtype=np.complex128)
+        a[1, 3], a[3, 3], a[5, 2] = 0.5 + 1j, -0.25, 2.0
+        a[4, 4] = 1e-15
+        a[1, 5] = rng.standard_normal()
+        return a
+
+    @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
+    def test_indices_and_block(self, rng, form):
+        a = self._matrix(rng)
+        index, block = _support(form(a))
+        assert index.tolist() == [1, 2, 3, 4, 5]
+        assert block.dtype == np.complex128
+        assert np.array_equal(block, a[np.ix_(index, index)])
+
+    @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
+    def test_floor_drops_small_entries_only(self, rng, form):
+        a = self._matrix(rng)
+        a[2, 3] = 1e-16   # below the floor, but both its indices are touched
+        index, block = _support(form(a), 1e-13)
+        assert index.tolist() == [1, 2, 3, 5]
+        assert np.array_equal(block, a[np.ix_(index, index)])
+
+    def test_touched_everywhere_is_its_own_block(self, rng):
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        index, block = _support(a)
+        assert index.tolist() == [0, 1, 2, 3] and block is a
+
+    @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
+    def test_zero_matrix(self, form):
+        index, block = _support(form(np.zeros((3, 3))))
+        assert index.size == 0 and block.shape == (0, 0)
+        assert numerical_rank(form(np.zeros((3, 3)))) == 0
+        report, profile = rank_formula(form(np.zeros((3, 3))), form(np.zeros((3, 3))))
+        assert report.rank_defect == report.rank_cross == 0
+        assert profile.kernel_dim == 3 and profile.eigenvalues.tolist() == [0.0] * 3
+
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            _support(np.ones((2, 3)))
+
+    def test_rank_keeps_the_whole_shape_cutoff(self):
+        # singular values 1 and 5e-11: the cutoff of a 100 x 100 matrix is
+        # 1e-10, that of its 2 x 2 support block 2e-12
+        a = np.zeros((100, 100))
+        a[0, 0], a[1, 1] = 1.0, 5e-11
+        assert numerical_rank(a) == numerical_rank(sp.csr_matrix(a)) == svd_rank(a) == 1
+        assert numerical_rank(a[:2, :2]) == 2
+
+    def test_rectangular_rank(self, rng):
+        a = np.zeros((5, 3), dtype=np.complex128)
+        a[1:3, :2] = rng.standard_normal((2, 2))
+        assert numerical_rank(a) == numerical_rank(sp.csr_matrix(a)) == 2
+
+
+@pytest.mark.parametrize("twist", [1j, np.exp(0.7j)], ids=["i", "e^0.7i"])
+def test_analyze_decomposes_its_support_only(monkeypatch, twist):
+    # a fall-back to interior-size decompositions (812 rows) fails here
+    pair = build_izuchi_model(0.5, twist, 30, 30).pair
+    ws = working_space(pair)
+    support = {"eigh": touched(ws.defect), "svd": touched(ws.cross)}
+    sizes = {"eigh": [], "svd": []}
+    for name, recorded in sizes.items():
+        def record(a, *args, _original=getattr(np.linalg, name), _sizes=recorded, **kwargs):
+            _sizes.append(max(np.shape(a)))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, record)
+    report = analyze_object(pair, None, 1e-8)
+    assert report["pass"] and len(report["spectrum"]) == pair.interior_dim == 812
+    assert report["kernel_dim"] == 809
+    for name, recorded in sizes.items():
+        assert recorded and max(recorded) <= support[name] < 812, name
+
+
+def test_izuchi_checks_decompose_the_rows_above_the_floor(monkeypatch):
+    # a non-real twist leaves entries of about 1e-16 on 36 of the defect's
+    # interior rows at cap 20; above the 1e-13 floor it touches 3
+    model = build_izuchi_model(0.5, np.exp(0.7j), 20, 20)
+    sizes = eigh_sizes(monkeypatch)
+    assert verify_izuchi_invariants(model).ok
+    assert canonical_basis_3finite(model).ok
+    assert sizes == [3, 3]
+
+
+@st.composite
+def generator_blocks(draw):
+    """A bishift, twisted shift or model block at caps 4 to 9."""
+    kind = draw(st.sampled_from(["bishift", "twisted", "izuchi"]))
+    cap = draw(st.integers(4, 9))
+    if kind == "bishift":
+        return bishift_truncated(cap)
+    # any angle, so most twists are non-real
+    twist = np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    if kind == "twisted":
+        return twisted_shift(twist, cap)
+    ratio = draw(st.floats(0.1, 0.9) | st.floats(-0.9, -0.1))
+    return build_izuchi_model(ratio, twist, cap, cap).pair
+
+
+@settings(max_examples=30, deadline=None)
+@given(parts=st.lists(generator_blocks(), min_size=1, max_size=3))
+def test_support_path_matches_the_whole_matrix(parts):
+    pair = direct_sum(parts)
+    ws = working_space(pair)
+    defect, cross = ws.defect, ws.cross
+    sparse_defect, sparse_cross = interior_defect_and_cross(pair)
+
+    report, profile = rank_formula(defect, cross)
+    sparse_report, sparse_profile = rank_formula(sparse_defect, sparse_cross)
+    assert numerical_rank(sparse_defect) == numerical_rank(defect)
+    assert numerical_rank(sparse_cross) == numerical_rank(cross)
+    assert sparse_report == report
+    assert_same_profile(sparse_profile, profile)
+
+    assert report.rank_defect == svd_rank(defect)
+    assert report.rank_cross == svd_rank(cross)
+    assert_same_profile(profile, spectral_profile(defect), atol=1e-15)
+    whole = np.linalg.norm(cross @ cross.conj().T - cross.conj().T @ cross)
+    assert abs(normality_residual(cross) - whole) <= 1e-15
