@@ -25,6 +25,7 @@ has the three simple nonzero eigenvalues ``{1, |r|, -|r|}`` and whose
 cross-commutator is rank one with sole eigenvalue ``twist * r``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import _support, hermitian_eig, lift, normality_residual
-from .models import StructuredPair, _csr, interior_defect_and_cross, sparse_operators
+from .models import (
+    StructuredPair,
+    _csr,
+    _monomial_labels,
+    interior_defect_and_cross,
+    sparse_operators,
+)
 from .spectral import rank_formula
 
 LaurentSeries = dict[tuple[int, int], complex]
@@ -70,11 +77,14 @@ def chain_expansion(ratio: float, j: int, series_len: int) -> LaurentSeries:
     return {(j + k, -(k + 1)): norm * ratio ** k for k in range(series_len)}
 
 
+@functools.lru_cache(maxsize=8)
 def _basis_labels(monomial_cap: int, chain_len: int) -> tuple[tuple, ...]:
-    mono = tuple(("mono", m, n)
-                 for m in range(monomial_cap) for n in range(monomial_cap))
-    chain = tuple(("chain", j) for j in range(chain_len))
-    return mono + chain
+    """Basis labels in index order, built once per caps.
+
+    Monomial ``(m, n)`` is index ``m * monomial_cap + n``; chain vector ``j``
+    is ``monomial_cap**2 + j``.
+    """
+    return _monomial_labels(monomial_cap) + tuple(("chain", j) for j in range(chain_len))
 
 
 def _basis_expansions(ratio: float, monomial_cap: int, chain_len: int,
@@ -139,44 +149,33 @@ def _oracle_matrices(ratio: float, twist: complex, monomial_cap: int,
 
 def _closed_form_matrices(ratio: float, twist: complex, monomial_cap: int,
                           chain_len: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    labels = _basis_labels(monomial_cap, chain_len)
-    index = {lab: i for i, lab in enumerate(labels)}
-    dim = len(labels)
-    v1, v2 = {}, {}
+    cap = monomial_cap
+    mono = np.arange(cap * cap)
+    m, n = np.divmod(mono, cap)
+    raise_z, raise_w = mono[m + 1 < cap], mono[n + 1 < cap]
+    # z . g_j = g_(j+1) and w . g_j = z^j + r g_(j+1), cut at both caps
+    step = cap * cap + np.arange(chain_len - 1)
+    lead = np.arange(min(chain_len, cap))
     norm = math.sqrt(1.0 - ratio * ratio)
-    for lab, col in index.items():
-        if lab[0] == "mono":
-            _, m, n = lab
-            if m + 1 < monomial_cap:
-                v1[index[("mono", m + 1, n)], col] = twist
-            if n + 1 < monomial_cap:
-                v2[index[("mono", m, n + 1)], col] = 1.0
-        else:
-            _, j = lab
-            if j + 1 < chain_len:
-                v1[index[("chain", j + 1)], col] = twist
-                v2[index[("chain", j + 1)], col] = ratio
-            if j < monomial_cap:
-                v2[index[("mono", j, 0)], col] = norm
-    return _csr(dim, v1), _csr(dim, v2)
+    dim = cap * cap + chain_len
+    v1 = _csr(dim, np.concatenate([raise_z + cap, step + 1]),
+              np.concatenate([raise_z, step]), twist)
+    v2 = _csr(dim, np.concatenate([raise_w + 1, step + 1, lead * cap]),
+              np.concatenate([raise_w, step, cap * cap + lead]),
+              np.concatenate([np.ones(raise_w.size), np.full(step.size, ratio),
+                              np.full(lead.size, norm)]))
+    return v1, v2
 
 
 def _interior_indices(monomial_cap: int, chain_len: int) -> tuple[int, ...]:
     # Two indices of margin from every truncation edge: the operators and
     # their adjoints each move an index by at most one, and the chain/monomial
     # sectors couple, so the margin is taken from the smaller cap.
-    cap = min(monomial_cap, chain_len)
-    labels = _basis_labels(monomial_cap, chain_len)
-    keep = []
-    for i, lab in enumerate(labels):
-        if lab[0] == "mono":
-            _, m, n = lab
-            if m < cap - 2 and n < cap - 2:
-                keep.append(i)
-        else:
-            if lab[1] < cap - 2:
-                keep.append(i)
-    return tuple(keep)
+    keep = min(monomial_cap, chain_len) - 2
+    m, n = np.divmod(np.arange(monomial_cap * monomial_cap), monomial_cap)
+    mono = np.flatnonzero((m < keep) & (n < keep))
+    chain = monomial_cap * monomial_cap + np.arange(keep)
+    return tuple(np.concatenate([mono, chain]).tolist())
 
 
 @dataclass(frozen=True)
@@ -214,8 +213,9 @@ def build_izuchi_model(ratio: float, twist: complex, monomial_cap: int = 12,
     twist = complex(twist)
     if not 0.0 < abs(ratio) < 1.0:
         raise ValueError(f"ratio must be real with 0 < |ratio| < 1, got {ratio}")
-    if abs(abs(twist) - 1.0) > 1e-12:
-        raise ValueError(f"twist must be unimodular, got |twist| = {abs(twist)}")
+    # written so that a NaN modulus fails it
+    if not abs(abs(twist) - 1.0) <= 1e-12:
+        raise ValueError(f"twist must be finite and unimodular, got |twist| = {abs(twist)}")
     if monomial_cap < 4 or chain_len < 4:
         raise ValueError("monomial_cap and chain_len must be at least 4")
     floor = minimal_series_len(ratio)

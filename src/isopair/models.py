@@ -25,7 +25,7 @@ Basis labels are structured tuples, never strings:
 * ``("scrambled", label)`` -- coordinate of a basis-scrambled pair.
 """
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +120,24 @@ _V1 = _Operator()
 _V2 = _Operator()
 
 
+def _index_tuple(indices, dim: int) -> tuple[int, ...]:
+    """``indices`` as a tuple of distinct ints in ``range(dim)``, else ``ValueError``.
+
+    Integral floats convert; any other value is rejected, not truncated.
+    """
+    raw = np.asarray(indices)
+    # NaN fails the integrality test; an infinity passes it and is out of range
+    if raw.ndim != 1 or raw.dtype.kind not in "biuf" or (
+            raw.dtype.kind == "f" and not np.all(raw == np.trunc(raw))):
+        raise ValueError("interior indices must be integers")
+    ordered = np.sort(raw)
+    if ordered.size and (ordered[0] < 0 or ordered[-1] >= dim):
+        raise ValueError("interior indices out of range")
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("interior indices must be distinct")
+    return tuple(raw.astype(np.int64).tolist())
+
+
 @dataclass(frozen=True)
 class StructuredPair:
     """Truncated matrix model of an isometric pair with an interior window.
@@ -143,12 +161,8 @@ class StructuredPair:
             raise ValueError("operator shapes do not match dim")
         if len(self.basis_labels) != self.dim:
             raise ValueError("one label per basis vector required")
-        if any(not 0 <= i < self.dim for i in self.interior):
-            raise ValueError("interior indices out of range")
-        if len(set(self.interior)) != len(self.interior):
-            raise ValueError("interior indices must be distinct")
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
-        object.__setattr__(self, "interior", tuple(int(i) for i in self.interior))
+        object.__setattr__(self, "interior", _index_tuple(self.interior, self.dim))
 
     def __repr__(self) -> str:
         def operator(field: _Operator) -> str:
@@ -175,17 +189,18 @@ def sparse_operators(pair: StructuredPair) -> tuple[sp.csr_matrix, sp.csr_matrix
     return _V1.csr(pair), _V2.csr(pair)
 
 
-def _csr(dim: int, entries: dict[tuple[int, int], complex]) -> sp.csr_matrix:
-    """``dim x dim`` CSR matrix holding a ``{(row, col): value}`` map of entries."""
+def _csr(dim: int, rows: np.ndarray, cols: np.ndarray, values) -> sp.csr_matrix:
+    """``dim x dim`` CSR matrix with ``values[k]`` at ``(rows[k], cols[k])``.
+
+    The positions must be distinct; ``values`` is one value per position or
+    one for all of them.
+    """
     # sorted by row, then column, the entries are the CSR arrays themselves;
     # this skips scipy's slower conversion from coordinates
-    keys = sorted(entries)
-    flat = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int32,
-                       count=2 * len(keys))
-    values = np.fromiter(map(entries.__getitem__, keys), dtype=np.complex128,
-                         count=len(keys))
-    indptr = np.searchsorted(flat[::2], np.arange(dim + 1)).astype(np.int32)
-    return _read_only(sp.csr_matrix((values, flat[1::2].copy(), indptr),
+    order = np.lexsort((cols, rows))
+    data = np.broadcast_to(np.asarray(values, dtype=np.complex128), order.shape)[order]
+    indptr = np.searchsorted(rows[order], np.arange(dim + 1)).astype(np.int32)
+    return _read_only(sp.csr_matrix((data, cols[order].astype(np.int32), indptr),
                                     shape=(dim, dim)))
 
 
@@ -317,6 +332,17 @@ def cross_on_interior(pair: StructuredPair) -> np.ndarray:
     return defect_and_cross_on_interior(pair)[1]
 
 
+@functools.lru_cache(maxsize=8)
+def _monomial_labels(cap: int) -> tuple[Label, ...]:
+    """Labels ``("mono", m, n)`` of the bidisc monomials, ``0 <= m, n < cap``.
+
+    In index order ``m * cap + n``.  Built once per cap: the tuples are
+    immutable, and a fresh set per model would leave thousands of objects
+    for the garbage collector to scan.
+    """
+    return tuple(("mono", m, n) for m in range(cap) for n in range(cap))
+
+
 def bishift_truncated(cap: int) -> StructuredPair:
     """Multiplication by the two coordinates on bidisc monomials of degree < cap.
 
@@ -326,19 +352,15 @@ def bishift_truncated(cap: int) -> StructuredPair:
     """
     if cap < 3:
         raise ValueError(f"cap must be at least 3, got {cap}")
-    labels = tuple(("mono", m, n) for m in range(cap) for n in range(cap))
-    index = {lab: i for i, lab in enumerate(labels)}
+    # monomial z^m w^n has index m * cap + n
     dim = cap * cap
-    v1, v2 = {}, {}
-    for (_, m, n), col in index.items():
-        if m + 1 < cap:
-            v1[index[("mono", m + 1, n)], col] = 1.0
-        if n + 1 < cap:
-            v2[index[("mono", m, n + 1)], col] = 1.0
-    interior = tuple(index[("mono", m, n)]
-                     for m in range(cap - 1) for n in range(cap - 1))
-    return StructuredPair(dim, _csr(dim, v1), _csr(dim, v2), labels, interior,
-                          "bishift")
+    index = np.arange(dim)
+    m, n = np.divmod(index, cap)
+    raise_z, raise_w = index[m + 1 < cap], index[n + 1 < cap]
+    interior = tuple(index[(m < cap - 1) & (n < cap - 1)].tolist())
+    return StructuredPair(dim, _csr(dim, raise_z + cap, raise_z, 1.0),
+                          _csr(dim, raise_w + 1, raise_w, 1.0), _monomial_labels(cap),
+                          interior, "bishift")
 
 
 def twisted_shift(alpha: complex, cap: int) -> StructuredPair:
@@ -349,11 +371,13 @@ def twisted_shift(alpha: complex, cap: int) -> StructuredPair:
     nonzero eigenvalues exactly ``{1, -1}``.
     """
     alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > 1e-12:
-        raise ValueError(f"alpha must be unimodular, got |alpha| = {abs(alpha)}")
+    # written so that a NaN modulus fails it
+    if not abs(abs(alpha) - 1.0) <= 1e-12:
+        raise ValueError(f"alpha must be finite and unimodular, got |alpha| = {abs(alpha)}")
     if cap < 3:
         raise ValueError(f"cap must be at least 3, got {cap}")
-    shift = _csr(cap, {(k + 1, k): 1.0 for k in range(cap - 1)})
+    below = np.arange(cap - 1)
+    shift = _csr(cap, below + 1, below, 1.0)
     labels = tuple(("mono", k) for k in range(cap))
     interior = tuple(range(cap - 1))
     return StructuredPair(cap, shift, _read_only(alpha * shift), labels, interior,

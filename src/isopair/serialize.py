@@ -23,7 +23,8 @@ byte-stable.  Readers ignore whitespace, so files written in the earlier
 indented form load to the same objects.  Matrix data is checked on load:
 every value must be a finite number, a shape must not be negative, COO
 indices must be ints in range and strictly increasing, and a triple's
-``dim`` must match its matrices.
+``dim`` must match its matrices.  Shapes, a ``dim`` and a pair's interior
+indices must be JSON ints, not floats that would be truncated.
 """
 
 import json
@@ -131,6 +132,14 @@ def _coo_values(obj, size: int) -> np.ndarray:
     return values.reshape(-1)
 
 
+def _json_int(obj, key: str) -> int:
+    """``obj[key]``, which must be a JSON int: ``int()`` would truncate a float."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an int, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Decode a dense or COO matrix into a dense complex128 array.
 
@@ -141,7 +150,7 @@ def matrix_from_json(obj) -> np.ndarray:
     real and imaginary parts.  Each check is one pass of built-in calls over
     a list, not a Python loop per entry.
     """
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _json_int(obj, "rows"), _json_int(obj, "cols")
     if rows < 0 or cols < 0:
         raise ValueError(f"matrix shape {rows}x{cols} is negative")
     values = (_dense_values(obj["data"], rows * cols) if "data" in obj
@@ -159,7 +168,7 @@ def triple_to_json(triple: BCLTriple) -> dict:
 
 
 def triple_from_json(obj) -> BCLTriple:
-    dim = int(obj["dim"])
+    dim = _json_int(obj, "dim")
     unitary = matrix_from_json(obj["unitary"])
     projection = matrix_from_json(obj["projection"])
     if unitary.shape != (dim, dim) or projection.shape != (dim, dim):
@@ -191,13 +200,16 @@ def pair_to_json(pair: StructuredPair) -> dict:
 
 
 def pair_from_json(obj) -> StructuredPair:
+    dim, interior = _json_int(obj, "dim"), obj["interior"]
+    if not (isinstance(interior, list) and set(map(type, interior)) <= {int}):
+        raise ValueError("pair interior must be a list of ints")
     # the decoded arrays are fresh; frozen, the pair keeps them without a copy
     return StructuredPair(
-        dim=int(obj["dim"]),
+        dim=dim,
         v1=_read_only(matrix_from_json(obj["v1"])),
         v2=_read_only(matrix_from_json(obj["v2"])),
         basis_labels=tuple(_label_from_json(lab) for lab in obj["basis_labels"]),
-        interior=tuple(int(i) for i in obj["interior"]),
+        interior=interior,
         provenance=str(obj["provenance"]),
     )
 

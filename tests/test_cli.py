@@ -372,7 +372,9 @@ def test_bad_parameter_exits_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("spoil", [
     lambda payload: payload.update(dim=3),
     lambda payload: payload["unitary"].update(rows=-2, cols=-2),
-], ids=["dim-disagrees", "negative-shape"])
+    lambda payload: payload.update(dim=2.5),
+    lambda payload: payload["unitary"].update(rows=2.5, cols=2.5),
+], ids=["dim-disagrees", "negative-shape", "fractional-dim", "fractional-shape"])
 def test_inconsistent_triple_shape_exits_2(tmp_path, capsys, spoil):
     payload = triple_to_json(two_finite_triple(1j))
     spoil(payload)
