@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 # the working-space builder calls through these modules, so a test can
 # count how often each input's defect and cross-commutator are computed
@@ -42,6 +43,7 @@ from .linalg import (
     _normalize_phases,
     _support,
     coupled_eig,
+    frobenius_norm,
     hermitian_eig,
     lift,
     normality_residual,
@@ -86,15 +88,16 @@ class WorkingSpace:
     For a triple the working space is the wandering space itself; for a
     structured pair it is the interior window, whose indices ``interior``
     holds (None for a triple).  ``build_model`` makes the
-    :attr:`wandering_model`.  Both eigen-data, :attr:`defect_eig` and the
-    model's basis, diagonalize only the coupled block of their matrix, so
-    a sparse pair forms no eigenvector array of interior size.  Nothing
-    outlives the call that built the object.
+    :attr:`wandering_model`.  ``defect`` and ``cross`` are CSR for a sparse
+    pair, dense otherwise (:func:`~isopair.models.product_operators`).  Both
+    eigen-data, :attr:`defect_eig` and the model's basis, diagonalize only
+    the coupled block of their matrix, so a sparse pair forms no eigenvector
+    array of interior size.  Nothing outlives the call that built the object.
     """
 
     obj: PairInput
-    defect: np.ndarray
-    cross: np.ndarray
+    defect: np.ndarray | sp.csr_matrix
+    cross: np.ndarray | sp.csr_matrix
     interior: np.ndarray | None
     build_model: Callable[[], WanderingModel]
 
@@ -152,7 +155,7 @@ def working_space(obj: PairInput) -> WorkingSpace:
         model = WanderingModel(np.eye(obj.dim), obj.unitary, ops.proj_w1, ops.proj_w2)
         return WorkingSpace(obj, ops.defect, ops.cross, None, lambda: model)
     if isinstance(obj, StructuredPair):
-        defect, cross = models.defect_and_cross_on_interior(obj)
+        defect, cross = models.interior_defect_and_cross(obj)
         interior = np.asarray(obj.interior, dtype=int)
         return WorkingSpace(obj, defect, cross, interior,
                             partial(_pair_wandering_model, obj, interior))
@@ -183,7 +186,7 @@ def check_compact_normal(obj: PairInput, tol: float = 1e-8) -> NormalityReport:
 
 def _compact_normal(ws: WorkingSpace, tol: float) -> NormalityReport:
     cross = ws.cross
-    xnorm = float(np.linalg.norm(cross))
+    xnorm = frobenius_norm(cross)
     residual = normality_residual(cross)
     bound = tol * xnorm * xnorm
     # a cross-commutator at round-off scale is the zero operator, which is
@@ -248,7 +251,9 @@ def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[s
     support[_support(cross)[0]] = True
     if not support.all():
         rows = np.flatnonzero(support)
-        cross, vectors = cross[np.ix_(rows, rows)], vectors[rows]
+        cross = cross[rows][:, rows].toarray() if sp.issparse(cross) \
+            else cross[np.ix_(rows, rows)]
+        vectors = vectors[rows]
     contract = float(np.linalg.norm(cross - vectors @ compressed @ vectors.conj().T))
     residuals["cross_confined"] = contract
     if contract > floor:

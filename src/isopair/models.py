@@ -3,9 +3,10 @@
 Infinite-dimensional building blocks are represented by finite matrix
 truncations together with an *interior window*: the set of basis indices on
 which the two operators and their adjoints act exactly as in the infinite
-model.  Every derived quantity (defect, cross-commutator, spectra) is
-computed on the whole truncated space and then compressed to the interior,
-so truncation artifacts, which live on boundary indices only, never enter a
+model.  Every derived quantity (defect, cross-commutator, spectra) is the
+compression to the interior of its formula on the whole truncated space,
+formed from thin products of the operators' interior rows and columns, so
+truncation artifacts, which live on boundary indices only, never enter a
 spectrum.
 
 A pair keeps each operator in the form it was given: the generators, which
@@ -14,7 +15,9 @@ a basis scramble and the JSON reader pass dense arrays.  Products run on the
 form :func:`product_operators` picks: dense for filled pairs, CSR for sparse
 ones (see :func:`dense_products`).  Each product -- the isometry and
 commutation residuals, the defect and the cross-commutator -- is one
-formula on the interior rows and columns that runs on either form.
+formula on the interior rows and columns that runs on either form, and
+the defect and cross-commutator keep the form they ran in
+(:func:`interior_defect_and_cross`).
 
 Basis labels are structured tuples, never strings:
 
@@ -26,6 +29,7 @@ Basis labels are structured tuples, never strings:
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,8 +184,9 @@ class StructuredPair:
 
     @property
     def boundary(self) -> tuple[int, ...]:
-        inside = set(self.interior)
-        return tuple(i for i in range(self.dim) if i not in inside)
+        outside = np.ones(self.dim, dtype=bool)
+        outside[np.asarray(self.interior, dtype=int)] = False
+        return tuple(np.flatnonzero(outside).tolist())
 
 
 def sparse_operators(pair: StructuredPair) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -302,25 +307,20 @@ def validate_pair(pair: StructuredPair, tol: float = 1e-12) -> PairValidation:
                           residuals=residuals)
 
 
-def interior_defect_and_cross(pair: StructuredPair) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Defect and cross-commutator compressed to the interior window, as CSR.
+def interior_defect_and_cross(pair: StructuredPair):
+    """Defect and cross-commutator compressed to the interior window.
 
-    The generators fill their matrices with at most a couple of entries per
-    column, so this stays cheap even for a few thousand basis vectors.
-    """
-    defect, cross = _defect_and_cross(*sparse_operators(pair),
-                                      np.asarray(pair.interior, dtype=int))
-    return defect.tocsr(), cross.tocsr()
-
-
-def defect_and_cross_on_interior(pair: StructuredPair) -> tuple[np.ndarray, np.ndarray]:
-    """Defect operator and cross-commutator compressed to the interior window.
-
-    The products run on the form :func:`product_operators` picks; the
-    results are dense.
+    The products run on the form :func:`product_operators` picks, and the
+    results keep it: CSR for a sparse pair, dense arrays for a filled one.
     """
     defect, cross = _defect_and_cross(*product_operators(pair),
                                       np.asarray(pair.interior, dtype=int))
+    return defect, cross.tocsr() if sp.issparse(cross) else cross
+
+
+def defect_and_cross_on_interior(pair: StructuredPair) -> tuple[np.ndarray, np.ndarray]:
+    """Defect operator and cross-commutator compressed to the interior window, dense."""
+    defect, cross = interior_defect_and_cross(pair)
     return as_complex(defect), as_complex(cross)
 
 
@@ -392,14 +392,12 @@ def direct_sum(parts: list[StructuredPair]) -> StructuredPair:
         return parts[0]
     v1 = _block_diag([_V1.csr(part) for part in parts])
     v2 = _block_diag([_V2.csr(part) for part in parts])
-    labels: list[Label] = []
-    interior: list[int] = []
-    offset = 0
-    for i, part in enumerate(parts):
-        labels.extend((i, lab) for lab in part.basis_labels)
-        interior.extend(offset + j for j in part.interior)
-        offset += part.dim
-    return StructuredPair(offset, v1, v2, tuple(labels), tuple(interior), "direct_sum")
+    offsets = np.cumsum([0] + [part.dim for part in parts])
+    labels = tuple(itertools.chain.from_iterable(
+        zip(itertools.repeat(i), part.basis_labels) for i, part in enumerate(parts)))
+    interior = np.concatenate([np.asarray(part.interior, dtype=int) + offset
+                               for part, offset in zip(parts, offsets)])
+    return StructuredPair(int(offsets[-1]), v1, v2, labels, interior, "direct_sum")
 
 
 def conjugate_split(pair: StructuredPair, w_interior, w_boundary) -> StructuredPair:

@@ -24,7 +24,10 @@ indented form load to the same objects.  Matrix data is checked on load:
 every value must be a finite number, a shape must not be negative, COO
 indices must be ints in range and strictly increasing, and a triple's
 ``dim`` must match its matrices.  Shapes, a ``dim`` and a pair's interior
-indices must be JSON ints, not floats that would be truncated.
+indices must be JSON ints, not floats that would be truncated.  A pair's
+``basis_labels`` must be a list of labels, each a list, as the encoder
+writes them, with no JSON object or null at any depth, and its
+``provenance`` a string.
 """
 
 import json
@@ -181,10 +184,17 @@ def _label_to_json(label):
     return list(label)
 
 
-def _label_from_json(obj):
-    if isinstance(obj, list):
-        return tuple(_label_from_json(item) for item in obj)
-    return obj
+def _label_from_json(obj: list) -> tuple:
+    """A label's nested JSON lists as nested tuples.
+
+    ``ValueError`` if it holds a JSON object or null at any depth.
+    """
+    kinds = set(map(type, obj))
+    if dict in kinds or type(None) in kinds:
+        raise ValueError("basis labels must not hold JSON objects or nulls")
+    if list not in kinds:
+        return tuple(obj)
+    return tuple(_label_from_json(item) if type(item) is list else item for item in obj)
 
 
 def pair_to_json(pair: StructuredPair) -> dict:
@@ -203,14 +213,19 @@ def pair_from_json(obj) -> StructuredPair:
     dim, interior = _json_int(obj, "dim"), obj["interior"]
     if not (isinstance(interior, list) and set(map(type, interior)) <= {int}):
         raise ValueError("pair interior must be a list of ints")
+    labels, provenance = obj["basis_labels"], obj["provenance"]
+    if not (isinstance(labels, list) and set(map(type, labels)) <= {list}):
+        raise ValueError("pair basis_labels must be a list of label lists")
+    if not isinstance(provenance, str):
+        raise ValueError(f"pair provenance must be a string, got {provenance!r}")
     # the decoded arrays are fresh; frozen, the pair keeps them without a copy
     return StructuredPair(
         dim=dim,
         v1=_read_only(matrix_from_json(obj["v1"])),
         v2=_read_only(matrix_from_json(obj["v2"])),
-        basis_labels=tuple(_label_from_json(lab) for lab in obj["basis_labels"]),
+        basis_labels=tuple(map(_label_from_json, labels)),
         interior=interior,
-        provenance=str(obj["provenance"]),
+        provenance=provenance,
     )
 
 

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from isopair.bcl import BCLTriple
 from isopair.classify import (
@@ -79,7 +80,7 @@ class TestCompactNormal:
 ], ids=["mixed-sum", "model", "bishift", "padded-non-normal", "non-normal"])
 def test_normality_residual_on_the_support_matches_the_full_one(make, partial):
     obj = make()
-    x = np.array(working_space(obj).cross)
+    x = as_complex(working_space(obj).cross)
     touched = x != 0
     assert (touched.any(axis=0) | touched.any(axis=1)).all() != partial
     full = np.linalg.norm(x @ x.conj().T - x.conj().T @ x)
@@ -187,15 +188,17 @@ class TestE1Check:
         whole = float(np.linalg.norm(ws.cross - b @ compressed @ b.conj().T))
         assert abs(residuals["cross_confined"] - whole) <= 1e-15
 
-    def test_cross_entry_off_the_basis_rows_fails(self):
+    @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
+    def test_cross_entry_off_the_basis_rows_fails(self, form):
+        # both forms of the support block must carry the stray entry
         ws = working_space(build_izuchi_model(0.5, 1j, 8, 8).pair)
         basis, _, _ = _e1_core(ws, 1e-8)
         row = np.flatnonzero(~(basis.basis != 0).any(axis=1))[-1]
-        assert not ws.cross[row].any()
-        bumped = ws.cross.copy()
+        bumped = as_complex(ws.cross).copy()
+        assert not bumped[row].any()
         bumped[row, row] = 1e-3
         with pytest.raises(ValueError, match="not confined"):
-            _e1_core(replace(ws, cross=bumped), 1e-8)
+            _e1_core(replace(ws, cross=form(bumped)), 1e-8)
 
 
 class TestFundamentalSequence:

@@ -14,6 +14,7 @@ from isopair.serialize import (
 )
 
 from conftest import find_non_normal_triple, two_finite_triple
+from test_serialize import MALFORMED_PAIR_FIELDS
 
 
 def run(capsys, *args):
@@ -253,8 +254,10 @@ def _nested(depth: int) -> list:
     # a spoil that returns text replaces the whole file
     lambda payload: payload["basis_labels"].__setitem__(0, _nested(600)),
     lambda payload: "[" * 100_000,
+    *(lambda payload, spoil=spoil: payload.update(spoil)
+      for spoil in MALFORMED_PAIR_FIELDS.values()),
 ], ids=["null-rows", "matrix-as-list", "missing-field", "label-nested-600-deep",
-        "nested-100000-deep"])
+        "nested-100000-deep", *MALFORMED_PAIR_FIELDS])
 def test_malformed_object_exits_2(tmp_path, capsys, spoil):
     payload = pair_to_json(twisted_shift(1j, 3))
     text = spoil(payload)

@@ -22,6 +22,8 @@ from isopair.models import (
     StructuredPair,
     _read_only,
     bishift_truncated,
+    direct_sum,
+    scramble,
     sparse_operators,
     twisted_shift,
 )
@@ -160,6 +162,43 @@ def test_twisted_matches_reference(cap, alpha):
         assert_same_csr(g, w)
     assert pair.basis_labels == tuple(("mono", k) for k in range(cap))
     assert pair.interior == tuple(range(cap - 1))
+
+
+def reference_sum_fields(parts) -> tuple[tuple, tuple, tuple]:
+    """Labels, interior and boundary of a direct sum, as the per-entry loops built them."""
+    labels, interior, offset = [], [], 0
+    for i, part in enumerate(parts):
+        labels.extend((i, lab) for lab in part.basis_labels)
+        interior.extend(offset + j for j in part.interior)
+        offset += part.dim
+    inside = set(interior)
+    return tuple(labels), tuple(interior), tuple(i for i in range(offset) if i not in inside)
+
+
+SUMMANDS = {
+    "generated": lambda: [bishift_truncated(4), twisted_shift(1j, 5),
+                          build_izuchi_model(0.3, -1.0, 6, 6).pair],
+    "model50-bishift-twisted": lambda: [build_izuchi_model(0.5, 1j, 50, 50).pair,
+                                        bishift_truncated(20), twisted_shift(1j, 20)],
+    "nested-and-scrambled": lambda: [direct_sum([bishift_truncated(3), twisted_shift(-1, 4)]),
+                                     scramble(bishift_truncated(4), 1)],
+    "no-interior-part": lambda: [twisted_shift(1j, 3),
+                                 StructuredPair(2, np.zeros((2, 2)), np.zeros((2, 2)),
+                                                (("a",), ("b",)), (), "empty")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUMMANDS))
+def test_direct_sum_matches_reference(name):
+    parts = SUMMANDS[name]()
+    pair = direct_sum(parts)
+    labels, interior, boundary = reference_sum_fields(parts)
+    assert pair.dim == sum(part.dim for part in parts) == len(labels)
+    assert pair.basis_labels == labels
+    assert pair.interior == interior
+    assert pair.boundary == boundary
+    for part in parts:
+        assert part.boundary == reference_sum_fields([part])[2]
 
 
 def test_builds_at_same_caps_share_labels():

@@ -21,6 +21,7 @@ from isopair.models import (
 from isopair.serialize import (
     classification_to_json,
     dumps_canonical,
+    from_json,
     load_input,
     matrix_from_json,
     matrix_to_json,
@@ -335,3 +336,41 @@ def test_coo_matrix_decodes_to_dense():
                           "im": [0, -2]})
     assert m.dtype == np.complex128 and m.flags.c_contiguous
     assert m.tolist() == [[0j, 1 + 0j], [0.5 - 2j, 0j]]
+
+
+#: Label and provenance fields no encoder writes, on a three-vector pair.
+MALFORMED_PAIR_FIELDS = {
+    "labels-string": {"basis_labels": "abc"},
+    "labels-object": {"basis_labels": {"a": 1, "b": 2, "c": 3}},
+    "label-string": {"basis_labels": ["ab", ["mono", 1], ["mono", 2]]},
+    "label-int": {"basis_labels": [0, ["mono", 1], ["mono", 2]]},
+    "label-object": {"basis_labels": [{"x": 1}, ["mono", 1], ["mono", 2]]},
+    "label-null": {"basis_labels": [None, ["mono", 1], ["mono", 2]]},
+    "null-in-label": {"basis_labels": [["mono", None], ["mono", 1], ["mono", 2]]},
+    "object-deep-in-label": {"basis_labels": [[0, ["mono", {"x": 1}]], ["mono", 1],
+                                              ["mono", 2]]},
+    "provenance-list": {"provenance": ["x"]},
+    "provenance-null": {"provenance": None},
+    "provenance-number": {"provenance": 1},
+}
+
+
+@pytest.mark.parametrize("spoil", MALFORMED_PAIR_FIELDS.values(), ids=MALFORMED_PAIR_FIELDS)
+def test_malformed_labels_and_provenance_raise_value_error(spoil):
+    payload = to_json(twisted_shift(1j, 3))
+    payload.update(spoil)
+    with pytest.raises(ValueError, match="basis_labels|basis labels|provenance"):
+        from_json(payload)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_izuchi_model(0.5, 1j, 6, 6).pair,
+    lambda: bishift_truncated(4),
+    lambda: twisted_shift(1j, 5),
+    lambda: direct_sum([bishift_truncated(4), build_izuchi_model(0.3, -1.0, 6, 6).pair]),
+    lambda: scramble(direct_sum([bishift_truncated(4), twisted_shift(1j, 5)]), 3),
+], ids=["izuchi", "bishift", "twisted", "direct-sum", "scrambled-sum"])
+def test_generated_labels_and_provenance_load_unchanged(make, tmp_path):
+    # the labels nest up to three deep: ("scrambled", (i, ("mono", m, n)))
+    pair = make()
+    assert_identical(load_text(tmp_path, dumps_canonical(to_json(pair))), pair)

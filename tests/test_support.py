@@ -17,8 +17,14 @@ from hypothesis import strategies as st
 from isopair.classify import working_space
 from isopair.cli import analyze_object
 from isopair.izuchi import build_izuchi_model, canonical_basis_3finite, verify_izuchi_invariants
-from isopair.linalg import _support, normality_residual, numerical_rank
-from isopair.models import bishift_truncated, direct_sum, interior_defect_and_cross, twisted_shift
+from isopair.linalg import _support, as_complex, normality_residual, numerical_rank
+from isopair.models import (
+    bishift_truncated,
+    defect_and_cross_on_interior,
+    direct_sum,
+    interior_defect_and_cross,
+    twisted_shift,
+)
 from isopair.spectral import rank_formula, spectral_profile
 
 from test_linalg import eigh_sizes
@@ -112,7 +118,7 @@ def test_analyze_decomposes_its_support_only(monkeypatch, twist):
     # a fall-back to interior-size decompositions (812 rows) fails here
     pair = build_izuchi_model(0.5, twist, 30, 30).pair
     ws = working_space(pair)
-    support = {"eigh": touched(ws.defect), "svd": touched(ws.cross)}
+    support = {"eigh": touched(as_complex(ws.defect)), "svd": touched(as_complex(ws.cross))}
     sizes = {"eigh": [], "svd": []}
     for name, recorded in sizes.items():
         def record(a, *args, _original=getattr(np.linalg, name), _sizes=recorded, **kwargs):
@@ -155,8 +161,7 @@ def generator_blocks(draw):
 @given(parts=st.lists(generator_blocks(), min_size=1, max_size=3))
 def test_support_path_matches_the_whole_matrix(parts):
     pair = direct_sum(parts)
-    ws = working_space(pair)
-    defect, cross = ws.defect, ws.cross
+    defect, cross = defect_and_cross_on_interior(pair)
     sparse_defect, sparse_cross = interior_defect_and_cross(pair)
 
     report, profile = rank_formula(defect, cross)

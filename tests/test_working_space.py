@@ -17,6 +17,7 @@ from isopair.classify import (
     fundamental_sequence,
     working_space,
 )
+from isopair.cli import analyze_object
 from isopair.izuchi import build_izuchi_model
 from isopair.linalg import as_complex, hermitian_eig, random_unitary
 from isopair.models import (
@@ -54,7 +55,8 @@ def _count_calls(monkeypatch, module, name) -> list:
 @pytest.fixture
 def counters(monkeypatch):
     return {
-        "pair": _count_calls(monkeypatch, models, "defect_and_cross_on_interior"),
+        "pair": _count_calls(monkeypatch, models, "interior_defect_and_cross"),
+        "dense": _count_calls(monkeypatch, models, "defect_and_cross_on_interior"),
         "triple": _count_calls(monkeypatch, bcl, "wandering_projections"),
         "validate_pair": _count_calls(monkeypatch, classify_module, "validate_pair"),
     }
@@ -66,7 +68,7 @@ class TestComputedOnce:
         classify(pair)
         assert len(counters["pair"]) == 1
         assert len(counters["validate_pair"]) == 1
-        assert counters["triple"] == []
+        assert counters["triple"] == counters["dense"] == []
 
     def test_classify_triple(self, counters):
         classify(two_finite_triple(1j))
@@ -79,6 +81,7 @@ class TestComputedOnce:
         assert decide_equivalence(a, b).equivalent
         assert [p is a for p in counters["pair"]] == [True, False]
         assert [p is a for p in counters["validate_pair"]] == [True, False]
+        assert counters["dense"] == []
 
     def test_decide_equivalence_triples(self, counters):
         a, b = two_finite_triple(1j), two_finite_triple(1j)
@@ -89,6 +92,7 @@ class TestComputedOnce:
         decide_equivalence(two_finite_triple(1j), twisted_shift(1j, 6))
         assert len(counters["triple"]) == 1
         assert len(counters["pair"]) == 1
+        assert counters["dense"] == []
 
 
 def test_wandering_projections_validates_once(monkeypatch):
@@ -228,7 +232,7 @@ def test_coupled_blocks_match_full_decompositions(name):
 def test_no_pair_defect_gives_no_eigenpairs():
     # the unitary second operator leaves the interior defect zero
     ws = working_space(shift_unitary_pair(np.array([0.4, 2.0]), cap=12))
-    assert not np.any(ws.defect)
+    assert not as_complex(ws.defect).any()
     values, vectors = ws.defect_eig
     assert values.shape == (0,) and vectors.shape == (len(ws.interior), 0)
     assert classify(ws.obj).k == 0
@@ -258,20 +262,30 @@ def test_classify_diagonalizes_coupled_blocks_only(monkeypatch):
 
 
 def test_large_inputs_classify_on_their_coupled_blocks():
+    # at cap 100 (interior 9702) a dense interior defect or cross-commutator
+    # alone would take 1.5 GB
     tracemalloc.start()
     try:
         model40 = build_izuchi_model(0.5, 1j, 40, 40).pair
-        result = classify(model40)
-        bishift = classify(bishift_truncated(30))
-        verdict = decide_equivalence(build_izuchi_model(0.5, 1j, 30, 30).pair, model40)
+        model100 = build_izuchi_model(0.5, 1j, 100, 100).pair
+        results = [classify(model40), classify(model100)]
+        report = analyze_object(model100, None, 1e-8)
+        bishifts = [classify(bishift_truncated(cap)) for cap in (30, 100)]
+        verdicts = [decide_equivalence(build_izuchi_model(0.5, 1j, 30, 30).pair, model)
+                    for model in (model40, model100)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.k == 1
-    assert [b.kind for b in result.blocks] == [THREE_FINITE]
-    assert abs(result.fundamental_sequence[0] - 0.5j) <= 1e-8
-    assert bishift.k == 1
-    assert [b.kind for b in bishift.blocks] == [ONE_FINITE]
-    assert bishift.fundamental_sequence == (0j,)
-    assert verdict.equivalent
+    assert not dense_products(model100) and sp.issparse(working_space(model100).cross)
+    for result in results:
+        assert result.k == 1
+        assert [b.kind for b in result.blocks] == [THREE_FINITE]
+        assert abs(result.fundamental_sequence[0] - 0.5j) <= 1e-8
+    assert report["pass"] and report["kernel_dim"] == model100.interior_dim - 3 == 9699
+    assert (report["rank_defect"], report["rank_cross"]) == (3, 1)
+    for bishift in bishifts:
+        assert bishift.k == 1
+        assert [b.kind for b in bishift.blocks] == [ONE_FINITE]
+        assert bishift.fundamental_sequence == (0j,)
+    assert all(verdict.equivalent for verdict in verdicts)
     assert peak <= 400e6
