@@ -9,6 +9,7 @@ Every function here is pure: inputs are never mutated, outputs are fresh
 arrays.
 """
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -59,16 +60,20 @@ def hermitian_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
 def _checked_hermitian(a, tol: float = 1e-10) -> np.ndarray:
     """``a`` as complex128, after the Hermitian check of :func:`hermitian_eig`.
 
-    Raises ``ValueError`` unless ``a`` is square with
+    Raises ``ValueError`` unless ``a`` is square and finite with
     ``norm(a - a^H) <= tol * max(norm(a), 1)``.
     """
     a = as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    # a NaN or inf entry makes the norm NaN or inf; tested before the
+    # difference, which would turn inf - inf into NaN with a warning
+    scale = float(np.linalg.norm(a))
+    if not math.isfinite(scale):
+        raise ValueError("matrix has a non-finite entry")
     # relative check with an absolute floor so near-zero matrices with
-    # round-off-sized skew parts still pass
-    scale = max(float(np.linalg.norm(a)), 1.0)
-    if np.linalg.norm(a - a.conj().T) > tol * scale:
+    # round-off-sized skew parts still pass; written so that NaN fails it
+    if not np.linalg.norm(a - a.conj().T) <= tol * max(scale, 1.0):
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
 
@@ -225,9 +230,11 @@ def _support(x, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         return index, block
     hit = np.abs(x) > floor if floor else x
     touched = hit.any(axis=1)
+    index = touched.nonzero()[0]
     # once every row holds an entry, every index is touched
-    if np.count_nonzero(touched) < n:
-        touched |= hit.any(axis=0)
+    if index.size == n:
+        return index, x
+    touched |= hit.any(axis=0)
     index = touched.nonzero()[0]
     return index, x if index.size == n else x[np.ix_(index, index)]
 

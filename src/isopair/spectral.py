@@ -11,6 +11,7 @@ the canonical difference-of-two-projections model from its parameters.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import neg
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -36,20 +37,29 @@ def cluster_values(values, tol: float) -> list[tuple[float, list[int]]]:
     Indices refer to positions in the input sequence.
     """
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return []
     order = np.argsort(values)[::-1]
     ordered = values[order]
-    # a cluster ends where the next value is not within tol of the last one
-    ends = (~(np.abs(ordered[1:] - ordered[:-1]) <= tol)).nonzero()[0] + 1
-    bounds = [0, *ends.tolist(), values.size]
-    return [
-        # np.mean of one value is exactly 0.0 + value: its sum starts at
-        # +0.0, which turns -0.0 into 0.0 and leaves every other value as is
-        (float(ordered[lo]) + 0.0 if hi - lo == 1 else float(np.mean(ordered[lo:hi])),
-         order[lo:hi].tolist())
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
+    return [(mean, order[run.start:run.stop].tolist())
+            for mean, run in _runs(ordered.tolist(), 0, values.size, tol)]
+
+
+def _runs(values: list[float], lo: int, hi: int, tol: float) -> list[tuple[float, range]]:
+    """Clusters of the descending ``values[lo:hi]``, as runs of positions.
+
+    A cluster ends where the next value is not within ``tol`` of the last
+    one.  Returns ``(mean, positions)`` per cluster, by descending mean.
+    """
+    runs = []
+    start = lo
+    for i in range(lo + 1, hi + 1):
+        if i == hi or not abs(values[i] - values[i - 1]) <= tol:
+            # np.mean of one value is exactly 0.0 + value: its sum starts at
+            # +0.0, which turns -0.0 into 0.0 and leaves every other value as is
+            mean = (values[start] + 0.0 if i - start == 1
+                    else float(np.mean(values[start:i])))
+            runs.append((mean, range(start, i)))
+            start = i
+    return runs
 
 
 @dataclass(frozen=True)
@@ -103,6 +113,9 @@ def spectral_profile(defect, cluster_tol: float = CLUSTER_TOL) -> SpectralProfil
     check of :func:`~isopair.linalg.hermitian_eig`; no eigenvector is kept.
     ``eigvalsh`` would skip the vectors, but it takes another LAPACK path
     whose eigenvalues round differently.
+
+    Raises ``ValueError`` for a matrix that is not finite, not Hermitian or
+    not a contraction, and for a negative ``cluster_tol``.
     """
     # One eigh of the whole matrix, not of its support as in rank_formula:
     # on a zero row eigh can return -0.0 where the support path fills in
@@ -116,35 +129,43 @@ def _profile(values: np.ndarray, cluster_tol: float) -> SpectralProfile:
 
     ``values`` holds every eigenvalue; the profile lists them in descending order.
     """
+    if not cluster_tol >= 0:
+        raise ValueError(f"cluster tolerance must be nonnegative, got {cluster_tol}")
     values = values[np.argsort(values)[::-1]]
-    if values.size and float(np.max(np.abs(values))) > 1.0 + 1e-8:
+    vals = values.tolist()
+    n = len(vals)
+    if n and max(vals[0], -vals[-1]) > 1.0 + 1e-8:
         raise ValueError("operator norm exceeds 1 beyond tolerance; not a contraction")
 
-    plus_mask = values >= 1.0 - cluster_tol
-    minus_mask = values <= -1.0 + cluster_tol
-    kernel_mask = np.abs(values) <= cluster_tol
-    interior_mask = ~(plus_mask | minus_mask | kernel_mask)
+    # The values descend, so each region is a run of positions, found by
+    # bisection: at_least(x) counts the values >= x and above(x) those > x.
+    # Each region counts its own values; where a large tolerance overlaps
+    # two regions, a value counts in both.
+    def at_least(x):
+        return bisect_right(vals, -x, key=neg)
+
+    def above(x):
+        return bisect_left(vals, -x, key=neg)
+
+    plus_end = at_least(1.0 - cluster_tol)
+    minus_start = above(-1.0 + cluster_tol)
+    kernel_start, kernel_end = above(cluster_tol), at_least(-cluster_tol)
+    # the interior values are the ones outside all three regions
+    pos_clusters = _runs(vals, plus_end, min(kernel_start, minus_start), cluster_tol)
+    neg_clusters = _runs(vals, max(kernel_end, plus_end), minus_start, cluster_tol)
 
     # +1 wins over -1 and -1 over the kernel when a large tolerance overlaps
     # them; interior values are labelled by their pair below
-    labels = np.full(values.size, "kernel", dtype=object)
-    labels[minus_mask] = "minus_one"
-    labels[plus_mask] = "plus_one"
-
-    def side_clusters(mask):
-        idx = mask.nonzero()[0]
-        return [(mean, idx[local]) for mean, local in cluster_values(values[idx], cluster_tol)]
-
-    pos_clusters = side_clusters(interior_mask & (values > 0))
-    neg_clusters = side_clusters(interior_mask & (values < 0))
+    labels = ["kernel"] * n
+    labels[minus_start:] = ["minus_one"] * (n - minus_start)
+    labels[:plus_end] = ["plus_one"] * plus_end
 
     pairs: list[InteriorPair] = []
     symmetric = True
-    no_members = np.zeros(0, dtype=np.intp)
 
     def add_pair(value, members, neg_members):
-        labels[members] = f"pair{len(pairs)}_pos"
-        labels[neg_members] = f"pair{len(pairs)}_neg"
+        for side, run in (("pos", members), ("neg", neg_members)):
+            labels[run.start:run.stop] = [f"pair{len(pairs)}_{side}"] * len(run)
         pairs.append(InteriorPair(value, len(members), len(neg_members)))
 
     # Each positive cluster, largest first, takes the first unused negative
@@ -165,7 +186,7 @@ def _profile(values: np.ndarray, cluster_tol: float) -> SpectralProfile:
                 break
         if match is None:
             symmetric = False
-            add_pair(mean, members, no_members)
+            add_pair(mean, members, range(0))
             continue
         used[match] = True
         neg_members = neg_clusters[match][1]
@@ -176,17 +197,17 @@ def _profile(values: np.ndarray, cluster_tol: float) -> SpectralProfile:
         if used[j]:
             continue
         symmetric = False
-        add_pair(-neg_mean, no_members, neg_members)
+        add_pair(-neg_mean, range(0), neg_members)
 
     return SpectralProfile(
-        ambient_dim=values.size,
+        ambient_dim=n,
         eigenvalues=values,
-        clusters=tuple(labels.tolist()),
-        dim_plus1=int(np.count_nonzero(plus_mask)),
-        dim_minus1=int(np.count_nonzero(minus_mask)),
+        clusters=tuple(labels),
+        dim_plus1=plus_end,
+        dim_minus1=n - minus_start,
         interior_pairs=tuple(pairs),
         dim_kplus=sum(p.mult_pos for p in pairs),
-        kernel_dim=int(np.count_nonzero(kernel_mask)),
+        kernel_dim=kernel_end - kernel_start,
         symmetric=symmetric,
     )
 

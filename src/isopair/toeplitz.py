@@ -86,19 +86,32 @@ def oracle_cross_and_defect(pair: TruncatedToeplitzPair) -> tuple[np.ndarray, np
     removes.  Within the returned window both operators are then supported on
     the degree-0 block to machine precision, and that block is the oracle
     value for the wandering-space closed forms.
+
+    The oracle reads the pair's matrices ``v1`` and ``v2``, not its triple:
+    the buffer degree repeats their constant block ``v[:n, :n]`` on the
+    diagonal and their raising block ``v[n:2n, :n]`` below it.  Only the
+    rows and columns of the returned window of each product are formed,
+    each over the whole buffered inner dimension.
     """
     if pair.degree_cap < 3:
         raise ValueError(
             f"degree cap must be at least 3 for the oracle, got {pair.degree_cap}"
         )
     n, cap = pair.wandering_dim, pair.degree_cap
-    v1, v2 = _block_matrices(pair.triple, cap + 1)
-    eye = np.eye(n * (cap + 1))
-    prod = v1 @ v2
-    c_full = eye - v1 @ v1.conj().T - v2 @ v2.conj().T + prod @ prod.conj().T
-    x_full = v2.conj().T @ v1 - v1 @ v2.conj().T
     keep = n * cap
-    return (
-        np.ascontiguousarray(c_full[:keep, :keep]),
-        np.ascontiguousarray(x_full[:keep, :keep]),
-    )
+    v1, v2 = (_buffered(v, n, keep) for v in (pair.v1, pair.v2))
+    top1, top2 = v1[:keep], v2[:keep]
+    prod = top1 @ v2
+    c_full = (np.eye(keep) - top1 @ top1.conj().T - top2 @ top2.conj().T
+              + prod @ prod.conj().T)
+    x_full = v2[:, :keep].conj().T @ v1[:, :keep] - top1 @ top2.conj().T
+    return c_full, x_full
+
+
+def _buffered(v: np.ndarray, n: int, keep: int) -> np.ndarray:
+    """``v`` on one more degree: its constant and raising blocks extend the bidiagonal."""
+    out = np.zeros((keep + n, keep + n), dtype=np.complex128)
+    out[:keep, :keep] = v
+    out[keep:, keep:] = v[:n, :n]
+    out[keep:, keep - n:keep] = v[n:2 * n, :n]
+    return out

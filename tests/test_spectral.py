@@ -57,12 +57,44 @@ class TestSpectralProfile:
         with pytest.raises(ValueError, match="contraction"):
             spectral_profile(np.diag([2.0, 0.0]))
 
+    @pytest.mark.parametrize("tol", [-1e-8, np.nan])
+    def test_rejects_a_negative_tolerance(self, tol):
+        with pytest.raises(ValueError, match="nonnegative"):
+            spectral_profile(np.diag([0.5, -0.5]), tol)
+        with pytest.raises(ValueError, match="nonnegative"):
+            rank_formula(np.diag([0.5, -0.5]), np.zeros((2, 2)), None, tol)
+
     def test_random_defects_never_asymmetric(self):
         # eigenvalue symmetry of differences of projections, at scale
         for seed in range(300):
             dim = 2 + seed % 11
             ops = wandering_projections(random_triple(dim, (seed % dim) + 0, seed))
             assert spectral_profile(ops.defect).symmetric
+
+
+def non_finite_defects():
+    """Contractions but for one NaN or inf entry: on the diagonal, or a Hermitian pair off it."""
+    for name, bad in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf),
+                      ("nan-imag", complex(0.0, np.nan))):
+        diagonal = np.diag([0.5, -0.5, 0.0]).astype(complex)
+        diagonal[2, 2] = bad
+        off = np.diag([0.5, -0.5, 0.0]).astype(complex)
+        off[0, 2], off[2, 0] = bad, np.conj(bad)
+        yield pytest.param(diagonal, id=f"{name}-diagonal")
+        yield pytest.param(off, id=f"{name}-off-diagonal")
+
+
+@pytest.mark.parametrize("defect", list(non_finite_defects()))
+@pytest.mark.parametrize("decompose", [
+    hermitian_eig,
+    spectral_profile,
+    lambda defect: rank_formula(defect, np.zeros_like(defect)),
+], ids=["hermitian_eig", "spectral_profile", "rank_formula"])
+def test_non_finite_entries_raise(decompose, defect):
+    # a NaN once passed the Hermitian check, and the profile of
+    # diag(0.5, -0.5, nan) counted 2 of its 3 dimensions
+    with pytest.raises(ValueError, match="non-finite"):
+        decompose(defect)
 
 
 def reference_cluster_values(values, tol):
@@ -193,6 +225,20 @@ class TestProfileAgainstReference:
         assert got.symmetric == want.symmetric
         assert (got.ambient_dim, got.dim_plus1, got.dim_minus1, got.dim_kplus, got.kernel_dim) \
             == (want.ambient_dim, want.dim_plus1, want.dim_minus1, want.dim_kplus, want.kernel_dim)
+
+    @pytest.mark.parametrize("tol, labels, counts", [
+        (0.6, ["plus_one"] * 2 + ["kernel"] * 3 + ["minus_one"] * 2, (2, 2, 5)),
+        (1.5, ["plus_one"] * 6 + ["minus_one"], (6, 6, 7)),
+    ])
+    def test_overlapping_regions_keep_their_precedence(self, tol, labels, counts):
+        # each region counts its own values; a label goes to +1, then -1, then the kernel
+        defect = np.diag([1.0, 0.45, 0.2, 0.0, -0.2, -0.45, -1.0])
+        got = spectral_profile(defect, tol)
+        want = reference_profile(defect, tol)
+        assert got.clusters == want.clusters == tuple(labels)
+        assert (got.dim_plus1, got.dim_minus1, got.kernel_dim) == counts
+        assert (want.dim_plus1, want.dim_minus1, want.kernel_dim) == counts
+        assert got.interior_pairs == want.interior_pairs == ()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-1.0, 1.0) | jitters, max_size=30),

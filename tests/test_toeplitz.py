@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import isopair.bcl
+import isopair.toeplitz
 from isopair.bcl import BCLTriple, random_triple, wandering_projections
 from isopair.toeplitz import (
+    _block_matrices,
     build_truncated_pair,
     degree_zero_block,
     oracle_cross_and_defect,
@@ -84,3 +87,48 @@ class TestOracle:
         pair = build_truncated_pair(random_triple(2, 1, 0), 2)
         with pytest.raises(ValueError):
             oracle_cross_and_defect(pair)
+
+
+def reference_oracle(pair):
+    """The oracle from the triple: symbols rebuilt at ``cap + 1``, whole products, cropped."""
+    n, cap = pair.wandering_dim, pair.degree_cap
+    v1, v2 = _block_matrices(pair.triple, cap + 1)
+    eye = np.eye(n * (cap + 1))
+    prod = v1 @ v2
+    c_full = eye - v1 @ v1.conj().T - v2 @ v2.conj().T + prod @ prod.conj().T
+    x_full = v2.conj().T @ v1 - v1 @ v2.conj().T
+    keep = n * cap
+    return c_full[:keep, :keep], x_full[:keep, :keep]
+
+
+class TestOracleAgainstReference:
+    @pytest.mark.parametrize("cap", [3, 4, 5, 6])
+    def test_matches_the_whole_products(self, cap):
+        rng = np.random.default_rng(1700 + cap)
+        for dim in range(1, 25):
+            triple = random_triple(dim, int(rng.integers(0, dim + 1)), int(rng.integers(2**31)))
+            pair = build_truncated_pair(triple, cap)
+            for got, want in zip(oracle_cross_and_defect(pair), reference_oracle(pair)):
+                assert got.shape == want.shape == (dim * cap, dim * cap)
+                scale = max(1.0, float(np.linalg.norm(want)))
+                assert np.linalg.norm(got - want) <= 1e-13 * scale, (dim, cap)
+
+    def test_reads_the_pair_not_the_triple(self, monkeypatch):
+        pair = build_truncated_pair(random_triple(6, 3, 11), 4)
+        calls = {"toeplitz_symbols": 0, "validate_triple": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        counted(isopair.toeplitz, "toeplitz_symbols")
+        counted(isopair.bcl, "validate_triple")
+        oracle_cross_and_defect(pair)
+        assert calls == {"toeplitz_symbols": 0, "validate_triple": 0}
+        # the counters see the calls that rebuild the pair from its triple
+        build_truncated_pair(pair.triple, 4)
+        assert calls == {"toeplitz_symbols": 1, "validate_triple": 1}
