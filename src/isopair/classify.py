@@ -10,12 +10,13 @@ comparing the resulting invariants as multisets.
 
 Both input kinds carry one wandering model: the wandering space of the
 product ``V1 V2``, the model unitary and the kernels of the two adjoints on
-it.  A triple is that model, with the identity as basis; a structured pair
-builds it once, with no limit on the interior size.  The eigenvalue-1 check
-and the shift-unitary part both read it, with one code path for both kinds:
-the defect's eigenvalue-1 space must lie in the wandering space and in both
-kernels (``e1_membership``), and have the dimension of the kernels' meet
-(``e1_consistency``).
+it.  A triple is that model, with the identity as basis.  A structured pair
+builds it once, of any interior size, from the interior slices and products
+(``models._InteriorProducts``) that give its defect and cross-commutator.
+The eigenvalue-1 check and the shift-unitary part both read it, with one
+code path for both kinds: the defect's eigenvalue-1 space must lie in the
+wandering space and in both kernels (``e1_membership``), and have the
+dimension of the kernels' meet (``e1_consistency``).
 
 A structured pair's eigen-data comes from its exactly coupled rows.  Its
 building blocks have defects of finite rank, so on a truncation almost every
@@ -35,7 +36,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 # the working-space builder calls through these modules, so a test can
-# count how often each input's defect and cross-commutator are computed
+# count how often each input's working data are computed
 from . import bcl, models
 from .bcl import BCLTriple
 from .linalg import (
@@ -49,7 +50,7 @@ from .linalg import (
     normality_residual,
     orthonormal_columns,
 )
-from .models import StructuredPair, validate_pair
+from .models import StructuredPair
 
 #: Band around 0 and 1 used to sort fundamental-sequence entries into kinds;
 #: truncation noise inside the band never flips a block kind.
@@ -85,20 +86,20 @@ class WanderingModel(NamedTuple):
 class WorkingSpace:
     """Working data of one input, computed once and shared by every stage.
 
-    For a triple the working space is the wandering space itself; for a
-    structured pair it is the interior window, whose indices ``interior``
-    holds (None for a triple).  ``build_model`` makes the
-    :attr:`wandering_model`.  ``defect`` and ``cross`` are CSR for a sparse
-    pair, dense otherwise (:func:`~isopair.models.product_operators`).  Both
-    eigen-data, :attr:`defect_eig` and the model's basis, diagonalize only
-    the coupled block of their matrix, so a sparse pair forms no eigenvector
-    array of interior size.  Nothing outlives the call that built the object.
+    For a triple the working space is the wandering space itself.  For a
+    structured pair it is the interior window, and ``structure_residuals``
+    (isometry and commutation; ``{}`` for a triple) and ``build_model`` (the
+    :attr:`wandering_model`) read the slices that gave ``defect`` and
+    ``cross``: CSR for a sparse pair, dense otherwise.  Both eigen-data,
+    :attr:`defect_eig` and the model's basis, diagonalize only the coupled
+    block of their matrix, so a sparse pair forms no eigenvector array of
+    interior size.  Nothing outlives the call that built the object.
     """
 
     obj: PairInput
     defect: np.ndarray | sp.csr_matrix
     cross: np.ndarray | sp.csr_matrix
-    interior: np.ndarray | None
+    structure_residuals: Callable[[], dict[str, float]]
     build_model: Callable[[], WanderingModel]
 
     @cached_property
@@ -118,28 +119,28 @@ class WorkingSpace:
         return self.build_model()
 
 
-def _pair_wandering_model(pair: StructuredPair, interior: np.ndarray) -> WanderingModel:
+def _pair_wandering_model(products: models._InteriorProducts) -> WanderingModel:
     """Wandering space ``W = ker V^H`` of a pair's product ``V = V1 V2``.
 
-    ``basis`` spans W in interior coordinates: the majority range of the
-    interior compression of ``I - V V^H``, kept in the products' form.  Its
-    decoupled rows (``coupled_eig``) with diagonal above 1/2 give unit
-    vectors of W; only the coupled block is diagonalized.  In that basis,
-    ``unitary`` is ``V2 (I - V1 V1^H) + V1^H V1 V1^H`` and ``kernel1``,
-    ``kernel2`` compress ``I - V1 V1^H`` and ``I - V2 V2^H``; on a
-    truncation they are quasi-projections.  All three come from thin
-    products with the lifted basis.
+    ``basis`` spans W in interior coordinates: the majority range of
+    ``I - products.range_v``, in the products' form.  Its decoupled rows
+    (``coupled_eig``) with diagonal above 1/2 give unit vectors of W; only
+    the coupled block is diagonalized.  In that basis, ``unitary`` is
+    ``V2 (I - V1 V1^H) + V1^H V1 V1^H`` and ``kernel1``, ``kernel2``
+    compress ``I - V1 V1^H`` and ``I - V2 V2^H``; on a truncation they are
+    quasi-projections.  All three are thin products of the basis with the
+    operators' interior rows and columns.
     """
-    v1, v2 = models.product_operators(pair)
-    rows = v1[interior, :] @ v2
-    _, basis = coupled_eig(models._identity(rows, len(interior)) - rows @ rows.conj().T,
+    _, basis = coupled_eig(products.identity - products.range_v,
                            lambda values: values > 0.5, np.linalg.eigh)
-    lifted = lift(pair.dim, interior, basis)
-    adj1 = v1.conj().T @ lifted
-    adj2 = v2.conj().T @ lifted
-    range1 = v1 @ adj1
-    unitary = (lifted.conj().T @ (v2 @ (lifted - range1))
-               + (v1 @ lifted).conj().T @ range1)
+    rows1, rows2 = products.rows
+    # a CSR product copies a dense operand that is not C-ordered, as ``basis`` is
+    thin = np.ascontiguousarray(basis)
+    adj1, adj2 = rows1.conj().T @ thin, rows2.conj().T @ thin
+    range1 = products.v1 @ adj1
+    lifted = lift(products.v1.shape[0], products.interior, basis)
+    unitary = (basis.conj().T @ (rows2 @ (lifted - range1))
+               + (products.cols[0] @ thin).conj().T @ range1)
     eye = np.eye(basis.shape[1])
     return WanderingModel(basis, unitary,
                           eye - adj1.conj().T @ adj1, eye - adj2.conj().T @ adj2)
@@ -153,12 +154,11 @@ def working_space(obj: PairInput) -> WorkingSpace:
     if isinstance(obj, BCLTriple):
         ops = bcl.wandering_projections(obj)
         model = WanderingModel(np.eye(obj.dim), obj.unitary, ops.proj_w1, ops.proj_w2)
-        return WorkingSpace(obj, ops.defect, ops.cross, None, lambda: model)
+        return WorkingSpace(obj, ops.defect, ops.cross, lambda: {}, lambda: model)
     if isinstance(obj, StructuredPair):
-        defect, cross = models.interior_defect_and_cross(obj)
-        interior = np.asarray(obj.interior, dtype=int)
-        return WorkingSpace(obj, defect, cross, interior,
-                            partial(_pair_wandering_model, obj, interior))
+        products = models._InteriorProducts(*models.product_operators(obj), obj.interior)
+        return WorkingSpace(obj, *products.defect_and_cross, lambda: products.residuals,
+                            partial(_pair_wandering_model, products))
     raise TypeError(f"unsupported input type {type(obj).__name__}")
 
 
@@ -189,14 +189,10 @@ def _compact_normal(ws: WorkingSpace, tol: float) -> NormalityReport:
     xnorm = frobenius_norm(cross)
     residual = normality_residual(cross)
     bound = tol * xnorm * xnorm
+    structure = ws.structure_residuals()
     # a cross-commutator at round-off scale is the zero operator, which is
     # normal; the relative bound would otherwise reject its own noise
-    ok = True if xnorm <= 1e-12 else residual <= bound
-
-    structure: dict[str, float] = {}
-    if ws.interior is not None:
-        structure = validate_pair(ws.obj, tol).residuals
-        ok = ok and all(r <= tol for r in structure.values())
+    ok = (xnorm <= 1e-12 or residual <= bound) and all(r <= tol for r in structure.values())
     return NormalityReport(ok, xnorm, residual, bound, structure)
 
 
@@ -566,7 +562,11 @@ def decide_equivalence(a: PairInput, b: PairInput,
 
     ``tol`` (the CLI's ``--tol``, ``ISOPAIR_EQUIV_TOL``) is the matching
     tolerance only: each input is checked and classified at a fixed 1e-8.
+    It must be finite and nonnegative, else ``ValueError``.
     """
+    # written so that NaN fails it
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"matching tolerance must be finite and nonnegative, got {tol}")
     checked = []
     for name, obj in (("first", a), ("second", b)):
         ws = working_space(obj)

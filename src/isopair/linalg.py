@@ -152,9 +152,7 @@ def numerical_rank(a, tol: float | None = None) -> int:
     """
     shape = np.shape(a)
     if 0 in shape:
-        return 0
-    if tol is not None and tol <= 0:
-        raise ValueError("rank tolerance must be positive")
+        return _rank_from_moduli(np.zeros(0), shape, tol)
     square = len(shape) == 2 and shape[0] == shape[1]
     block = _support(a)[1] if square else as_complex(a)
     return _rank_from_moduli(np.linalg.svd(block, compute_uv=False), shape, tol)
@@ -167,8 +165,10 @@ def _rank_from_moduli(moduli: np.ndarray, shape: tuple[int, ...],
     ``moduli`` are the singular values of a matrix of ``shape``, or, for a
     Hermitian matrix, the moduli of its eigenvalues, which are the same
     numbers.  Counts those above ``max(tol * max(moduli), 1e-12)``, where
-    ``tol`` defaults to ``max(shape) * 1e-12``.
+    ``tol``, finite and positive when set, defaults to ``max(shape) * 1e-12``.
     """
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValueError("rank tolerance must be finite and positive")
     if moduli.size == 0:
         return 0
     if tol is None:

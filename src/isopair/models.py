@@ -13,11 +13,11 @@ A pair keeps each operator in the form it was given: the generators, which
 know their nonzeros, pass ``scipy.sparse`` matrices and the pair stores CSR;
 a basis scramble and the JSON reader pass dense arrays.  Products run on the
 form :func:`product_operators` picks: dense for filled pairs, CSR for sparse
-ones (see :func:`dense_products`).  Each product -- the isometry and
-commutation residuals, the defect and the cross-commutator -- is one
-formula on the interior rows and columns that runs on either form, and
-the defect and cross-commutator keep the form they ran in
-(:func:`interior_defect_and_cross`).
+ones (see :func:`dense_products`).  Each pair's interior rows and columns
+are sliced once per call, and every product -- the isometry and
+commutation residuals, the defect, the cross-commutator and the interior
+compression of ``V V^H`` -- is formed from those slices and keeps their
+form (:class:`_InteriorProducts`).
 
 Basis labels are structured tuples, never strings:
 
@@ -131,7 +131,7 @@ def _index_tuple(indices, dim: int) -> tuple[int, ...]:
     """
     raw = np.asarray(indices)
     # NaN fails the integrality test; an infinity passes it and is out of range
-    if raw.ndim != 1 or raw.dtype.kind not in "biuf" or (
+    if raw.ndim != 1 or raw.dtype.kind not in "iuf" or (
             raw.dtype.kind == "f" and not np.all(raw == np.trunc(raw))):
         raise ValueError("interior indices must be integers")
     ordered = np.sort(raw)
@@ -265,57 +265,57 @@ def product_operators(pair: StructuredPair):
     return (pair.v1, pair.v2) if dense_products(pair) else sparse_operators(pair)
 
 
-def _identity(like, n: int):
-    """The ``n x n`` identity in the form of ``like``: CSR or dense."""
-    return sp.identity(n, np.complex128, "csr") if sp.issparse(like) else np.eye(n)
+class _InteriorProducts:
+    """Thin products of ``v1`` and ``v2`` on the indices ``interior``, each formed once.
 
-
-def _pair_residuals(v1, v2, idx: np.ndarray) -> dict[str, float]:
-    """Isometry and commutation residuals on interior columns ``idx``, in either form."""
-    cols1, cols2 = v1[:, idx], v2[:, idx]
-    eye = _identity(v1, len(idx))
-    return {
-        "isometry_v1": frobenius_norm(cols1.conj().T @ cols1 - eye),
-        "isometry_v2": frobenius_norm(cols2.conj().T @ cols2 - eye),
-        "commutation": frobenius_norm(v1 @ cols2 - v2 @ cols1),
-    }
-
-
-def _defect_and_cross(v1, v2, idx: np.ndarray):
-    """Defect and cross-commutator on interior rows and columns ``idx``.
-
-    Only thin products are formed; dense operators give dense results, CSR
-    ones sparse.
+    The operators share one form, dense or CSR (:func:`product_operators`),
+    and every product keeps it.  Their interior rows and columns are sliced
+    here, and each product is formed from those slices on first read.
     """
-    rows1, rows2 = v1[idx, :], v2[idx, :]
-    prod = rows1 @ v2
-    defect = (_identity(v1, len(idx)) - rows1 @ rows1.conj().T
-              - rows2 @ rows2.conj().T + prod @ prod.conj().T)
-    cross = v2[:, idx].conj().T @ v1[:, idx] - rows1 @ rows2.conj().T
-    return defect, cross
+
+    def __init__(self, v1, v2, interior):
+        self.v1, self.v2, self.interior = v1, v2, np.asarray(interior, dtype=int)
+        self.rows = v1[self.interior, :], v2[self.interior, :]
+        self.cols = v1[:, self.interior], v2[:, self.interior]
+        n = len(interior)
+        self.identity = sp.identity(n, np.complex128, "csr") if sp.issparse(v1) else np.eye(n)
+
+    @functools.cached_property
+    def range_v(self):
+        """Interior compression of ``V V^H``, ``V = V1 V2``."""
+        rows = self.rows[0] @ self.v2
+        return rows @ rows.conj().T
+
+    @functools.cached_property
+    def residuals(self) -> dict[str, float]:
+        """Isometry and commutation residuals on the interior columns."""
+        cols1, cols2 = self.cols
+        return {
+            "isometry_v1": frobenius_norm(cols1.conj().T @ cols1 - self.identity),
+            "isometry_v2": frobenius_norm(cols2.conj().T @ cols2 - self.identity),
+            "commutation": frobenius_norm(self.v1 @ cols2 - self.v2 @ cols1),
+        }
+
+    @functools.cached_property
+    def defect_and_cross(self):
+        (rows1, rows2), (cols1, cols2) = self.rows, self.cols
+        defect = self.identity - rows1 @ rows1.conj().T - rows2 @ rows2.conj().T + self.range_v
+        cross = cols2.conj().T @ cols1 - rows1 @ rows2.conj().T
+        return defect, cross.tocsr() if sp.issparse(cross) else cross
 
 
 def validate_pair(pair: StructuredPair, tol: float = 1e-12) -> PairValidation:
-    """Isometry and commutation residuals on the interior window.
-
-    Like the defect and cross-commutator, the products run on the form
-    :func:`product_operators` picks.
-    """
-    residuals = _pair_residuals(*product_operators(pair),
-                                np.asarray(pair.interior, dtype=int))
-    return PairValidation(ok=all(r <= tol for r in residuals.values()),
-                          residuals=residuals)
+    """Isometry and commutation residuals on the interior window (:class:`_InteriorProducts`)."""
+    residuals = _InteriorProducts(*product_operators(pair), pair.interior).residuals
+    return PairValidation(all(r <= tol for r in residuals.values()), residuals)
 
 
 def interior_defect_and_cross(pair: StructuredPair):
     """Defect and cross-commutator compressed to the interior window.
 
-    The products run on the form :func:`product_operators` picks, and the
-    results keep it: CSR for a sparse pair, dense arrays for a filled one.
+    CSR for a sparse pair, dense arrays for a filled one (:func:`product_operators`).
     """
-    defect, cross = _defect_and_cross(*product_operators(pair),
-                                      np.asarray(pair.interior, dtype=int))
-    return defect, cross.tocsr() if sp.issparse(cross) else cross
+    return _InteriorProducts(*product_operators(pair), pair.interior).defect_and_cross
 
 
 def defect_and_cross_on_interior(pair: StructuredPair) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 from itertools import permutations
 
@@ -32,6 +33,9 @@ from isopair.models import (
 )
 
 from conftest import find_non_normal_triple, random_projection, two_finite_triple
+
+# the package exports the function ``classify`` under the submodule's name
+classify_module = importlib.import_module("isopair.classify")
 
 
 def shift_unitary_pair(angles, cap: int):
@@ -355,6 +359,21 @@ class TestDecideEquivalence:
         other = decide_equivalence(two_finite_triple(alpha),
                                    twisted_shift(np.exp(1.0j), 6))
         assert not other.equivalent
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
+    def test_rejects_matching_tolerance_before_classifying(self, tol, monkeypatch):
+        # a NaN tolerance matched nothing and called identical inputs inequivalent
+        def no_work(obj):
+            raise AssertionError("classification work began")
+
+        monkeypatch.setattr(classify_module, "working_space", no_work)
+        pair = twisted_shift(1j, 6)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            decide_equivalence(pair, pair, tol=tol)
+
+    def test_zero_matching_tolerance_is_exact(self):
+        pair = twisted_shift(1j, 6)
+        assert decide_equivalence(pair, pair, tol=0.0).equivalent
 
     def test_shift_unitary_pairs_compare_by_spectrum(self):
         same_a = shift_unitary_pair(np.array([0.3, 1.2]), cap=5)

@@ -265,8 +265,9 @@ def _pair_kwargs(interior):
     ((0, 4), "out of range"),
     ((1.0, 1), "distinct"),
     ((2, 2), "distinct"),
+    ((False, True), "integers"),
 ], ids=["1.5", "0.5", "nan", "inf", "string", "complex", "nested", "negative",
-        "past-end", "float-duplicate", "duplicate"])
+        "past-end", "float-duplicate", "duplicate", "boolean"])
 def test_interior_is_checked_after_conversion(interior, message):
     with pytest.raises(ValueError, match=message):
         StructuredPair(**_pair_kwargs(interior))

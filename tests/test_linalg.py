@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from isopair.bcl import wandering_projections
+from isopair.bcl import random_triple, wandering_projections
 from isopair.linalg import (
     Subspace,
     _normalize_phases,
@@ -14,6 +14,7 @@ from isopair.linalg import (
     random_unitary,
     subspace_intersection,
 )
+from isopair.spectral import check_rank_formula
 
 from conftest import two_finite_triple
 
@@ -201,6 +202,20 @@ class TestNumericalRank:
         a = np.diag([1.0, 1e-6])
         assert numerical_rank(a) == 2
         assert numerical_rank(a, tol=1e-3) == 1
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-3])
+    @pytest.mark.parametrize("a", [np.diag([1.0, 2.0, 3.0]), np.zeros((4, 4)),
+                                   np.zeros((0, 0)), sp.csr_matrix(np.eye(3))],
+                             ids=["diagonal", "zero", "empty", "sparse"])
+    def test_rejects_tolerance_that_is_not_finite_and_positive(self, a, tol):
+        # a NaN cutoff compares false with every value and gave rank 0
+        with pytest.raises(ValueError, match="finite and positive"):
+            numerical_rank(a, tol)
+
+    def test_rank_formula_rejects_nan_tolerance(self):
+        # both ranks of the identities go through the one cutoff rule
+        with pytest.raises(ValueError, match="finite and positive"):
+            check_rank_formula(random_triple(6, 3, 0), rank_tol=float("nan"))
 
 
 class TestSubspace:

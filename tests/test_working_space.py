@@ -1,7 +1,7 @@
 """Each input's working data is computed once, both product paths agree, and
 a structured pair's eigen-data come from its coupled blocks only."""
 
-import importlib
+import functools
 import tracemalloc
 
 import numpy as np
@@ -12,6 +12,7 @@ from isopair import bcl, models
 from isopair.classify import (
     ONE_FINITE,
     THREE_FINITE,
+    check_compact_normal,
     classify,
     decide_equivalence,
     fundamental_sequence,
@@ -19,7 +20,7 @@ from isopair.classify import (
 )
 from isopair.cli import analyze_object
 from isopair.izuchi import build_izuchi_model
-from isopair.linalg import as_complex, hermitian_eig, random_unitary
+from isopair.linalg import as_complex, coupled_eig, hermitian_eig, lift, random_unitary
 from isopair.models import (
     bishift_truncated,
     conjugate_split,
@@ -29,15 +30,13 @@ from isopair.models import (
     scramble,
     sparse_operators,
     twisted_shift,
+    validate_pair,
 )
 
 from conftest import two_finite_triple
 from test_classify import shift_unitary_pair
 from test_linalg import eigh_sizes
 from test_sparse_pair import GENERATED
-
-# the package exports the function ``classify`` under the submodule's name
-classify_module = importlib.import_module("isopair.classify")
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -52,35 +51,98 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+#: The products of :class:`~isopair.models._InteriorProducts`, each formed on first read.
+PRODUCTS = ("defect_and_cross", "range_v", "residuals")
+
+
 @pytest.fixture
 def counters(monkeypatch):
     return {
-        "pair": _count_calls(monkeypatch, models, "interior_defect_and_cross"),
         "dense": _count_calls(monkeypatch, models, "defect_and_cross_on_interior"),
         "triple": _count_calls(monkeypatch, bcl, "wandering_projections"),
-        "validate_pair": _count_calls(monkeypatch, classify_module, "validate_pair"),
     }
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """Every interior-products object made, each listing the products it formed,
+    and the slices and products of its CSR operators taken while it was latest."""
+    made = []
+    cls = models._InteriorProducts
+    init = cls.__init__
+
+    def counted_init(self, v1, v2, interior):
+        self.formed, self.slices, self.products = [], [], []
+        made.append(self)
+        init(self, v1, v2, interior)
+
+    monkeypatch.setattr(cls, "__init__", counted_init)
+    for name in PRODUCTS:
+        def counted(self, form=cls.__dict__[name].func, name=name):
+            self.formed.append(name)
+            return form(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+
+    getitem = sp.csr_matrix.__getitem__
+
+    def counted_getitem(matrix, key):
+        # a slice of the latest object's own operators, wherever it is taken
+        if made and any(matrix is op for op in (made[-1].v1, made[-1].v2)):
+            made[-1].slices.append((made[-1].v1 is matrix, isinstance(key[0], slice)))
+        return getitem(matrix, key)
+
+    monkeypatch.setattr(sp.csr_matrix, "__getitem__", counted_getitem)
+    matmul = sp.csr_matrix.__matmul__
+
+    def counted_matmul(left, right):
+        # a product of two of the latest object's operators and slices
+        if made and hasattr(made[-1], "cols"):
+            p = made[-1]
+            named = {id(m): name for name, m in zip(
+                ("v1", "v2", "rows1", "rows2", "cols1", "cols2"),
+                (p.v1, p.v2, *p.rows, *p.cols))}
+            if id(left) in named and id(right) in named:
+                p.products.append((named[id(left)], named[id(right)]))
+        return matmul(left, right)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted_matmul)
+    return made
+
+
+def _formed_once(made) -> bool:
+    """Whether each object formed each product once and, on CSR operators
+    (whose slices and products are counted), sliced each operator's rows and
+    columns once and multiplied no two of them twice."""
+    slices = sorted([(True, False), (False, False), (True, True), (False, True)])
+    # V1 cols2 and V2 cols1 for the commutation residual, rows1 V2 for range_v
+    thin = sorted([("v1", "cols2"), ("v2", "cols1"), ("rows1", "v2")])
+    return all(sorted(p.formed) == list(PRODUCTS) and (not sp.issparse(p.v1) or (
+        sorted(p.slices) == slices and sorted(p.products) == thin)) for p in made)
+
+
 class TestComputedOnce:
-    def test_classify_pair(self, counters):
+    def test_classify_pair(self, counters, products):
         pair = build_izuchi_model(0.5, 1j, 8, 8).pair
         classify(pair)
-        assert len(counters["pair"]) == 1
-        assert len(counters["validate_pair"]) == 1
+        assert [p.v1 is sparse_operators(pair)[0] for p in products] == [True]
+        assert _formed_once(products)
         assert counters["triple"] == counters["dense"] == []
 
-    def test_classify_triple(self, counters):
+    def test_classify_triple(self, counters, products):
         classify(two_finite_triple(1j))
         assert len(counters["triple"]) == 1
-        assert counters["pair"] == []
+        assert products == []
 
-    def test_decide_equivalence_pairs(self, counters):
+    def test_decide_equivalence_pairs(self, counters, products):
         a = build_izuchi_model(0.5, 1j, 8, 8).pair
         b = build_izuchi_model(0.5, 1j, 10, 10).pair
         assert decide_equivalence(a, b).equivalent
-        assert [p is a for p in counters["pair"]] == [True, False]
-        assert [p is a for p in counters["validate_pair"]] == [True, False]
+        assert [p.v1 is sparse_operators(a)[0] for p in products] == [True, False]
+        assert products[1].v1 is sparse_operators(b)[0]
+        assert _formed_once(products)
         assert counters["dense"] == []
 
     def test_decide_equivalence_triples(self, counters):
@@ -88,10 +150,10 @@ class TestComputedOnce:
         assert decide_equivalence(a, b).equivalent
         assert [t is a for t in counters["triple"]] == [True, False]
 
-    def test_decide_equivalence_triple_against_pair(self, counters):
+    def test_decide_equivalence_triple_against_pair(self, counters, products):
         decide_equivalence(two_finite_triple(1j), twisted_shift(1j, 6))
         assert len(counters["triple"]) == 1
-        assert len(counters["pair"]) == 1
+        assert len(products) == 1 and _formed_once(products)
         assert counters["dense"] == []
 
 
@@ -128,17 +190,16 @@ BOTH_FORMS = dict(GENERATED, scrambled=lambda: scramble(GENERATED["direct_sum"](
 
 @pytest.mark.parametrize("name", sorted(BOTH_FORMS))
 def test_product_forms_agree_on_one_pair(name):
-    # each product is one formula; its dense and CSR runs agree on the same pair
+    # one object forms every product; its dense and CSR runs agree on the same pair
     pair = BOTH_FORMS[name]()
     idx = np.asarray(pair.interior, dtype=int)
-    dense, csr = (pair.v1, pair.v2), sparse_operators(pair)
-    residuals = models._pair_residuals(*dense, idx)
-    csr_residuals = models._pair_residuals(*csr, idx)
-    assert residuals.keys() == csr_residuals.keys()
-    for key, value in residuals.items():
-        assert abs(value - csr_residuals[key]) <= 1e-13
-    for got, csr_got in zip(models._defect_and_cross(*dense, idx),
-                            models._defect_and_cross(*csr, idx)):
+    dense = models._InteriorProducts(pair.v1, pair.v2, idx)
+    csr = models._InteriorProducts(*sparse_operators(pair), idx)
+    assert dense.residuals.keys() == csr.residuals.keys()
+    for key, value in dense.residuals.items():
+        assert abs(value - csr.residuals[key]) <= 1e-13
+    for got, csr_got in zip((*dense.defect_and_cross, dense.range_v, *dense.rows, *dense.cols),
+                            (*csr.defect_and_cross, csr.range_v, *csr.rows, *csr.cols)):
         assert isinstance(got, np.ndarray) and sp.issparse(csr_got)
         assert np.linalg.norm(got - csr_got.toarray()) <= 1e-13
 
@@ -221,7 +282,7 @@ def test_coupled_blocks_match_full_decompositions(name):
     assert np.linalg.norm(_projector(e1) - _projector(full_e1)) <= 1e-12
 
     rows = _gram_rows(ws.obj)
-    w_values, w_vectors = np.linalg.eigh(np.eye(len(ws.interior))
+    w_values, w_vectors = np.linalg.eigh(np.eye(ws.obj.interior_dim)
                                          - as_complex(rows @ rows.conj().T))
     full_w = w_vectors[:, w_values > 0.5]
     basis = ws.wandering_model.basis
@@ -229,12 +290,54 @@ def test_coupled_blocks_match_full_decompositions(name):
     assert np.linalg.norm(_projector(basis) - _projector(full_w)) <= 1e-12
 
 
+def reference_wandering_model(pair):
+    """The wandering model as formed before the products were shared.
+
+    The basis is lifted into a dense ``dim``-row array, which the whole
+    operators multiply.
+    """
+    v1, v2 = product_operators(pair)
+    interior = np.asarray(pair.interior, dtype=int)
+    rows = v1[interior, :] @ v2
+    eye = sp.identity(len(interior), np.complex128, "csr") if sp.issparse(rows) \
+        else np.eye(len(interior))
+    _, basis = coupled_eig(eye - rows @ rows.conj().T,
+                           lambda values: values > 0.5, np.linalg.eigh)
+    lifted = lift(pair.dim, interior, basis)
+    adj1 = v1.conj().T @ lifted
+    adj2 = v2.conj().T @ lifted
+    range1 = v1 @ adj1
+    unitary = (lifted.conj().T @ (v2 @ (lifted - range1))
+               + (v1 @ lifted).conj().T @ range1)
+    eye = np.eye(basis.shape[1])
+    return basis, unitary, eye - adj1.conj().T @ adj1, eye - adj2.conj().T @ adj2
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_INPUTS))
+def test_wandering_model_matches_the_lifted_formulas(name):
+    pair = SPLIT_INPUTS[name]()
+    model = working_space(pair).wandering_model
+    for got, want in zip(model, reference_wandering_model(pair)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_INPUTS))
+def test_structure_residuals_are_the_validation_residuals(name):
+    pair = SPLIT_INPUTS[name]()
+    assert check_compact_normal(pair).structure_residuals == validate_pair(pair).residuals
+
+
+def test_triple_has_no_structure_residuals():
+    assert check_compact_normal(two_finite_triple(1j)).structure_residuals == {}
+
+
 def test_no_pair_defect_gives_no_eigenpairs():
     # the unitary second operator leaves the interior defect zero
     ws = working_space(shift_unitary_pair(np.array([0.4, 2.0]), cap=12))
     assert not as_complex(ws.defect).any()
     values, vectors = ws.defect_eig
-    assert values.shape == (0,) and vectors.shape == (len(ws.interior), 0)
+    assert values.shape == (0,) and vectors.shape == (ws.obj.interior_dim, 0)
     assert classify(ws.obj).k == 0
 
 
