@@ -41,6 +41,7 @@ from . import bcl, models
 from .bcl import BCLTriple
 from .linalg import (
     Subspace,
+    _check_tolerance,
     _normalize_phases,
     _support,
     coupled_eig,
@@ -179,8 +180,9 @@ def check_compact_normal(obj: PairInput, tol: float = 1e-8) -> NormalityReport:
     Normality is checked as ``norm(X X^H - X^H X) <= tol * norm(X)^2``
     (compactness is automatic at finite dimension).  Structured pairs are
     additionally required to be isometric and commuting on their interior
-    window at the same tolerance.
+    window at the same tolerance, which must be finite and nonnegative.
     """
+    _check_tolerance("tol", tol)
     return _compact_normal(working_space(obj), tol)
 
 
@@ -267,8 +269,9 @@ def e1_data(obj: PairInput, tol: float = 1e-8) -> tuple[Subspace, np.ndarray]:
     against the intersection of the two wandering subspaces: each of its
     vectors must lie in both, and its dimension must be theirs.  A mismatch
     beyond ``tol`` raises, since it signals an input outside the modeled
-    class.
+    class.  ``tol`` must be finite and nonnegative.
     """
+    _check_tolerance("tol", tol)
     basis, compressed, _ = _e1_core(working_space(obj), tol)
     return basis, compressed
 
@@ -335,8 +338,11 @@ def fundamental_sequence(obj: PairInput, tol: float = 1e-8,
     the modulus band.  Blocks are ordered deterministically by descending
     modulus, then ascending argument, then lexicographically by the
     phase-normalized eigenvector.  The shift-unitary part is left unfilled;
-    see :func:`classify` for the complete invariant.
+    see :func:`classify` for the complete invariant.  Both tolerances must
+    be finite and nonnegative.
     """
+    _check_tolerance("tol", tol)
+    _check_tolerance("band_tol", band_tol)
     return _fundamental_sequence(working_space(obj), tol, band_tol)
 
 
@@ -434,8 +440,10 @@ def shift_unitary_invariant(obj: PairInput, tol: float = 1e-8) -> ShiftUnitaryIn
     of the smallest invariant subspace containing the defect's nonzero
     eigenvectors under the model unitary and its adjoint.  There the
     projection commutes with the unitary, and its range/kernel split the
-    unitary's spectrum into the two returned multisets.
+    unitary's spectrum into the two returned multisets.  ``tol`` must be
+    finite and nonnegative.
     """
+    _check_tolerance("tol", tol)
     return _shift_unitary(working_space(obj), tol)
 
 
@@ -480,8 +488,11 @@ def classify(obj: PairInput, tol: float = 1e-8,
     """Full invariant: fundamental sequence plus shift-unitary data.
 
     Raises ``ValueError`` when the input fails the compact-normal check; the
-    classification theorems only cover that class.
+    classification theorems only cover that class.  Both tolerances must be
+    finite and nonnegative, else ``ValueError``.
     """
+    _check_tolerance("tol", tol)
+    _check_tolerance("band_tol", band_tol)
     ws = working_space(obj)
     report = _compact_normal(ws, tol)
     if not report.ok:
@@ -490,17 +501,10 @@ def classify(obj: PairInput, tol: float = 1e-8,
             f"residual {report.normality_residual:.3e} exceeds "
             f"{report.normality_bound:.3e}"
         )
-    return _classify(ws, report, tol, band_tol)
-
-
-def _classify(ws: WorkingSpace, report: NormalityReport, tol: float,
-              band_tol: float) -> ClassificationResult:
-    """Classification of a working space that passed the compact-normal check."""
     result = _fundamental_sequence(ws, tol, band_tol)
     shift = _shift_unitary(ws, tol)
-    residuals = dict(result.residuals)
-    residuals["cross_normality"] = report.normality_residual
-    return replace(result, shift_unitary=shift, residuals=residuals)
+    return replace(result, shift_unitary=shift, residuals={
+        **result.residuals, "cross_normality": report.normality_residual})
 
 
 def _match_within(left: tuple[complex, ...], right: tuple[complex, ...],
@@ -555,42 +559,41 @@ def decide_equivalence(a: PairInput, b: PairInput,
                        tol: float = MATCH_TOL) -> EquivalenceVerdict:
     """Decide joint unitary equivalence by comparing complete invariants.
 
-    Two inputs are equivalent exactly when their eigenvalue-1 dimensions
-    agree, their fundamental sequences match as multisets within ``tol``
-    (the witnessing permutation is returned), and their shift-unitary
-    eigenvalue multisets match within ``tol``.
+    Each input is classified by :func:`classify` at its defaults (a fixed
+    1e-8 and ``BAND_TOL``); a ``ValueError`` from it is raised again with the
+    input named (``first input`` or ``second input``).  Two inputs are
+    equivalent exactly when their eigenvalue-1 dimensions agree and their
+    fundamental sequences and both shift-unitary eigenvalue multisets match
+    as multisets within ``tol``; the fundamental sequences' matching is the
+    returned witness.
 
     ``tol`` (the CLI's ``--tol``, ``ISOPAIR_EQUIV_TOL``) is the matching
-    tolerance only: each input is checked and classified at a fixed 1e-8.
-    It must be finite and nonnegative, else ``ValueError``.
+    tolerance only.  It must be finite and nonnegative, else ``ValueError``.
     """
-    # written so that NaN fails it
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"matching tolerance must be finite and nonnegative, got {tol}")
-    checked = []
+    _check_tolerance("matching tolerance", tol)
+    results = []
     for name, obj in (("first", a), ("second", b)):
-        ws = working_space(obj)
-        report = _compact_normal(ws, 1e-8)
-        if not report.ok:
-            raise ValueError(f"{name} input is not compact normal")
-        checked.append((ws, report))
-    ca, cb = (_classify(ws, report, 1e-8, BAND_TOL) for ws, report in checked)
+        try:
+            results.append(classify(obj))
+        except ValueError as exc:
+            raise ValueError(f"{name} input: {exc}") from exc
+    ca, cb = results
     report: dict[str, object] = {"k": (ca.k, cb.k)}
     if ca.k != cb.k:
         report["reason"] = "eigenvalue-1 dimensions differ"
         return EquivalenceVerdict(False, None, report)
 
-    matching = _match_within(ca.fundamental_sequence, cb.fundamental_sequence, tol)
-    if matching is None:
-        report["reason"] = "fundamental sequences differ as multisets"
-        return EquivalenceVerdict(False, None, report)
-
     sa, sb = ca.shift_unitary, cb.shift_unitary
-    for label, xs, ys in (("shift_unitary_on_p", sa.eigs_on_p, sb.eigs_on_p),
-                          ("shift_unitary_off_p", sa.eigs_on_pperp, sb.eigs_on_pperp)):
-        if _match_within(xs, ys, tol) is None:
-            report["reason"] = f"{label} spectra differ as multisets"
+    matchings = []
+    for label, xs, ys in (
+            ("fundamental sequences", ca.fundamental_sequence, cb.fundamental_sequence),
+            ("shift_unitary_on_p spectra", sa.eigs_on_p, sb.eigs_on_p),
+            ("shift_unitary_off_p spectra", sa.eigs_on_pperp, sb.eigs_on_pperp)):
+        matching = _match_within(xs, ys, tol)
+        if matching is None:
+            report["reason"] = f"{label} differ as multisets"
             return EquivalenceVerdict(False, None, report)
+        matchings.append(matching)
 
     report["reason"] = "all invariants match"
-    return EquivalenceVerdict(True, tuple(matching), report)
+    return EquivalenceVerdict(True, tuple(matchings[0]), report)

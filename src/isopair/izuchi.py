@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import _support, hermitian_eig, lift, normality_residual
+from .linalg import _check_tolerance, _support, hermitian_eig, lift, normality_residual
 from .models import (
     StructuredPair,
     _csr,
@@ -282,8 +282,10 @@ def verify_izuchi_invariants(model: IzuchiModel, tol: float = 1e-8) -> IzuchiRep
     ``twist * ratio``; (ii) it is normal; (iii) the defect's nonzero
     eigenvalues are ``{1, |ratio|, -|ratio|}``, each simple; (iv) the
     eigenvalue-1 space is one-dimensional and the eigenvalue-(-1) space is
-    empty; (v) the rank identity ``3 == 2*1 + 1 - 0`` holds.
+    empty; (v) the rank identity ``3 == 2*1 + 1 - 0`` holds.  ``tol`` must
+    be finite and nonnegative.
     """
+    _check_tolerance("tol", tol)
     defect, cross = interior_defect_and_cross(model.pair)
 
     _, c_block = _support(defect, SUPPORT_FLOOR)
@@ -375,7 +377,10 @@ def canonical_basis_3finite(model: IzuchiModel, tol: float = 1e-8) -> CanonicalB
     * ``u_f_along_f2``    : U f  is a multiple of f2,
     * ``u_f1_in_tail``    : U f1 lands in the wandering tail inside W1,
     * ``u_adj_f4_in_tail``: U* f4 lands in the tail's complement.
+
+    ``tol`` must be finite and nonnegative.
     """
+    _check_tolerance("tol", tol)
     pair = model.pair
     defect, cross = interior_defect_and_cross(pair)
     sup, block = _support(defect, SUPPORT_FLOOR)

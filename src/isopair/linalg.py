@@ -177,6 +177,13 @@ def _rank_from_moduli(moduli: np.ndarray, shape: tuple[int, ...],
     return int(np.count_nonzero(moduli > cutoff))
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless the tolerance ``value`` is finite and nonnegative."""
+    # written so that NaN fails it
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
 def frobenius_norm(x) -> float:
     """Frobenius norm of a dense array or a ``scipy.sparse`` matrix."""
     return float(np.linalg.norm(x) if isinstance(x, np.ndarray) else sp.linalg.norm(x))

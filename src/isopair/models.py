@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import as_complex, frobenius_norm, random_unitary
+from .linalg import _check_tolerance, as_complex, frobenius_norm, random_unitary
 
 Label = tuple
 
@@ -305,7 +305,11 @@ class _InteriorProducts:
 
 
 def validate_pair(pair: StructuredPair, tol: float = 1e-12) -> PairValidation:
-    """Isometry and commutation residuals on the interior window (:class:`_InteriorProducts`)."""
+    """Isometry and commutation residuals on the interior window (:class:`_InteriorProducts`).
+
+    ``tol`` must be finite and nonnegative.
+    """
+    _check_tolerance("tol", tol)
     residuals = _InteriorProducts(*product_operators(pair), pair.interior).residuals
     return PairValidation(all(r <= tol for r in residuals.values()), residuals)
 

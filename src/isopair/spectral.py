@@ -30,19 +30,6 @@ from .linalg import (
 CLUSTER_TOL = 1e-8
 
 
-def cluster_values(values, tol: float) -> list[tuple[float, list[int]]]:
-    """Group real values into clusters whose sorted neighbours differ <= tol.
-
-    Returns ``(mean, indices)`` per cluster, ordered by descending mean.
-    Indices refer to positions in the input sequence.
-    """
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values)[::-1]
-    ordered = values[order]
-    return [(mean, order[run.start:run.stop].tolist())
-            for mean, run in _runs(ordered.tolist(), 0, values.size, tol)]
-
-
 def _runs(values: list[float], lo: int, hi: int, tol: float) -> list[tuple[float, range]]:
     """Clusters of the descending ``values[lo:hi]``, as runs of positions.
 

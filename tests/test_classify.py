@@ -22,7 +22,7 @@ from isopair.classify import (
     working_space,
 )
 from isopair.cli import analyze_object
-from isopair.izuchi import build_izuchi_model, verify_izuchi_invariants
+from isopair.izuchi import build_izuchi_model, canonical_basis_3finite, verify_izuchi_invariants
 from isopair.linalg import as_complex, random_unitary
 from isopair.models import (
     StructuredPair,
@@ -30,6 +30,7 @@ from isopair.models import (
     direct_sum,
     scramble,
     twisted_shift,
+    validate_pair,
 )
 
 from conftest import find_non_normal_triple, random_projection, two_finite_triple
@@ -344,10 +345,26 @@ class TestDecideEquivalence:
         assert decide_equivalence(a, b).equivalent == \
             decide_equivalence(b, a).equivalent is False
 
-    def test_non_normal_input_raises(self):
+    def test_non_normal_input_raises(self, monkeypatch):
         triple = find_non_normal_triple()
-        with pytest.raises(ValueError, match="not compact normal"):
+        with pytest.raises(ValueError, match="^first input: .*not compact normal"):
             decide_equivalence(triple, triple)
+        pair = twisted_shift(1j, 6)
+        with pytest.raises(ValueError, match="^second input: .*not compact normal"):
+            decide_equivalence(pair, triple)
+        # a failure after the compact-normal gate names its input too
+        stage = classify_module._fundamental_sequence
+        calls = []
+
+        def fail_second_call(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ValueError("stage failed")
+            return stage(*args)
+
+        monkeypatch.setattr(classify_module, "_fundamental_sequence", fail_second_call)
+        with pytest.raises(ValueError, match="^second input: stage failed$"):
+            decide_equivalence(pair, pair)
 
     def test_triple_against_pair(self):
         # the 2x2 triple is the wandering data of the twisted shift with the
@@ -481,3 +498,28 @@ class TestClassify:
             w @ triple.projection @ w.conj().T,
         )
         assert decide_equivalence(triple, conjugated).equivalent
+
+
+# each entry gets ``None`` for its input, so work begun before the tolerance
+# check would raise a different error
+TOLERANCE_ENTRIES = {
+    "check_compact_normal": lambda tol: check_compact_normal(None, tol),
+    "e1_data": lambda tol: e1_data(None, tol),
+    "fundamental_sequence-tol": lambda tol: fundamental_sequence(None, tol),
+    "fundamental_sequence-band_tol": lambda tol: fundamental_sequence(None, band_tol=tol),
+    "shift_unitary_invariant": lambda tol: shift_unitary_invariant(None, tol),
+    "classify-tol": lambda tol: classify(None, tol),
+    "classify-band_tol": lambda tol: classify(None, band_tol=tol),
+    "validate_pair": lambda tol: validate_pair(None, tol),
+    "verify_izuchi_invariants": lambda tol: verify_izuchi_invariants(None, tol),
+    "canonical_basis_3finite": lambda tol: canonical_basis_3finite(None, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1e-6])
+@pytest.mark.parametrize("entry", TOLERANCE_ENTRIES.values(), ids=TOLERANCE_ENTRIES.keys())
+def test_tolerances_are_checked_before_any_work(entry, tol):
+    # a NaN band once sorted a two-finite block as three-finite, and a
+    # negative one divided by zero
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        entry(tol)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isopair.bcl import BCLTriple, random_triple, wandering_projections
@@ -11,19 +11,12 @@ from isopair.spectral import (
     SpectralProfile,
     build_difference_projections,
     check_rank_formula,
-    cluster_values,
     eigen_symmetry_check,
     rank_formula,
     spectral_profile,
 )
 
 from conftest import random_canonical_form, random_projection, two_finite_triple
-
-
-def test_cluster_values_chains_adjacent():
-    clusters = cluster_values([1.0, 1.0 + 5e-9, 0.5, -0.2], tol=1e-8)
-    assert [len(ix) for _, ix in clusters] == [2, 1, 1]
-    assert clusters[0][0] == pytest.approx(1.0, abs=1e-8)
 
 
 class TestSpectralProfile:
@@ -98,7 +91,7 @@ def test_non_finite_entries_raise(decompose, defect):
 
 
 def reference_cluster_values(values, tol):
-    """``cluster_values`` as one Python step per value, with ``np.mean`` per cluster."""
+    """The clusters of ``spectral._runs``, as one Python step per value, with ``np.mean`` each."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return []
@@ -239,16 +232,6 @@ class TestProfileAgainstReference:
         assert (got.dim_plus1, got.dim_minus1, got.kernel_dim) == counts
         assert (want.dim_plus1, want.dim_minus1, want.kernel_dim) == counts
         assert got.interior_pairs == want.interior_pairs == ()
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(-1.0, 1.0) | jitters, max_size=30),
-           st.sampled_from([0.0, 1e-8, 1e-3]))
-    @example([-0.0], 0.0)
-    @example([-0.0, 0.5, -0.0], 1e-8)
-    def test_cluster_values(self, values, tol):
-        got = cluster_values(values, tol)
-        want = reference_cluster_values(values, tol)
-        assert [(m.hex(), ix) for m, ix in got] == [(m.hex(), ix) for m, ix in want]
 
 
 class TestRankFormula:
