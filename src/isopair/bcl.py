@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_complex, random_unitary
+from .linalg import _check_tolerance, as_complex, random_unitary
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,10 @@ def validate_triple(triple: BCLTriple, tol: float = 1e-10) -> TripleValidation:
 
     Reports the largest residual of each check (unitarity of ``U``,
     idempotency and Hermitian symmetry of ``P``).  Raises ``ValueError`` only
-    for shape mismatches, which make the numeric checks meaningless.
+    for shape mismatches, which make the numeric checks meaningless, and for a
+    negative or non-finite ``tol``.
     """
+    _check_tolerance("tol", tol)
     u, p = triple.unitary, triple.projection
     n = triple.dim
     if u.shape != (n, n) or p.shape != (n, n):

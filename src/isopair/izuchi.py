@@ -32,14 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .classify import working_space
 from .linalg import _check_tolerance, _support, hermitian_eig, lift, normality_residual
-from .models import (
-    StructuredPair,
-    _csr,
-    _monomial_labels,
-    interior_defect_and_cross,
-    sparse_operators,
-)
+from .models import StructuredPair, _csr, _monomial_labels, sparse_operators
 from .spectral import rank_formula
 
 LaurentSeries = dict[tuple[int, int], complex]
@@ -49,14 +44,6 @@ BUILD_RESIDUAL_CAP = 1e-10
 
 #: Target tail mass for the truncated geometric series.
 SERIES_TAIL = 1e-14
-
-#: Entries at or below this modulus do not put their row and column in the
-#: support of the interior defect or cross-commutator.  With a non-real
-#: twist, ``|twist|^2`` rounds away from 1 and leaves entries of about 1e-16
-#: on rows the exact model leaves zero: 50 or 96 of the 2352 interior rows of
-#: the defect at cap 50, against 3 above the floor.  The floor keeps those
-#: rows out of the decompositions.
-SUPPORT_FLOOR = 1e-13
 
 
 def minimal_series_len(ratio: float) -> int:
@@ -286,10 +273,10 @@ def verify_izuchi_invariants(model: IzuchiModel, tol: float = 1e-8) -> IzuchiRep
     be finite and nonnegative.
     """
     _check_tolerance("tol", tol)
-    defect, cross = interior_defect_and_cross(model.pair)
+    ws = working_space(model.pair)
 
-    _, c_block = _support(defect, SUPPORT_FLOOR)
-    _, x_block = _support(cross, SUPPORT_FLOOR)
+    _, c_block = _support(ws.defect)
+    _, x_block = _support(ws.cross)
     ranks, profile = rank_formula(c_block, x_block, None, tol)
     nonzero = [float(v) for v, cluster in zip(profile.eigenvalues, profile.clusters)
                if cluster != "kernel"]
@@ -298,7 +285,7 @@ def verify_izuchi_invariants(model: IzuchiModel, tol: float = 1e-8) -> IzuchiRep
     x_nonzero = x_eigs[np.abs(x_eigs) > tol]
     cross_eig = complex(x_nonzero[0]) if x_nonzero.size == 1 else complex(0.0)
 
-    normality = normality_residual(cross)
+    normality = normality_residual(ws.cross)
 
     lam = abs(model.ratio)
     expected = np.array([1.0, lam, -lam])
@@ -382,8 +369,8 @@ def canonical_basis_3finite(model: IzuchiModel, tol: float = 1e-8) -> CanonicalB
     """
     _check_tolerance("tol", tol)
     pair = model.pair
-    defect, cross = interior_defect_and_cross(pair)
-    sup, block = _support(defect, SUPPORT_FLOOR)
+    ws = working_space(pair)
+    sup, block = _support(ws.defect)
     values, vectors = hermitian_eig(block)
     interior = np.asarray(pair.interior, dtype=int)
     rows = interior[sup]
@@ -452,7 +439,7 @@ def canonical_basis_3finite(model: IzuchiModel, tol: float = 1e-8) -> CanonicalB
     }
     # f lies in the interior window, so f^H X f is read from X's compression there
     f_interior = f[interior]
-    beta = complex(np.vdot(f_interior, cross @ f_interior))
+    beta = complex(np.vdot(f_interior, ws.cross @ f_interior))
     return CanonicalBasis3(
         ok=all(r <= tol for r in checks.values()),
         interior_eigenvalue=lam,

@@ -4,7 +4,9 @@ Operators here are plain ``numpy.ndarray`` values with complex128 entries.
 Structured pairs may store theirs as ``scipy.sparse`` CSR matrices (see
 ``models``); of the functions here, :func:`as_complex` (which densifies),
 :func:`frobenius_norm`, :func:`numerical_rank`, :func:`normality_residual`
-and :func:`coupled_eig` also take that form.
+and :func:`coupled_eig` also take that form.  The last three restrict a
+matrix to the indices it touches through :func:`_support`, which takes no
+floor: a pair's products drop their round-off as they form (``models``).
 Every function here is pure: inputs are never mutated, outputs are fresh
 arrays.
 """
@@ -39,7 +41,7 @@ def hermitian_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     a : array_like
         Square matrix with ``norm(a - a^H) <= tol * norm(a)``.
     tol : float
-        Relative tolerance for the Hermitian check.
+        Relative tolerance for the Hermitian check, finite and nonnegative.
 
     Returns
     -------
@@ -49,6 +51,7 @@ def hermitian_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
         largest modulus is real and nonnegative, making repeated runs and
         cross-run comparisons deterministic.
     """
+    _check_tolerance("tol", tol)
     values, vectors = np.linalg.eigh(_checked_hermitian(a, tol))
     order = np.argsort(values)[::-1]
     values = np.ascontiguousarray(values[order])
@@ -95,46 +98,39 @@ def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray],
                 eig: Callable) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a Hermitian matrix, taken from its coupled rows only.
 
-    A row whose only nonzero entry, if any, is on the diagonal (and whose
-    column is alike) is an exact 1x1 block, with eigenpair ``(entry, e_i)``.
-    The other rows, the coupled ones, form one block, which goes to one
-    call of ``eig``: ``np.linalg.eigh``, or :func:`hermitian_eig` to check
-    the block and fix each vector's phase.  A filled matrix has no 1x1
-    blocks and takes that one call on the whole matrix.
+    Zero rows give no eigenpair, so ``keep(0)`` must be false.  On the block
+    of the other indices (:func:`_support`), a row whose only nonzero entry
+    is on the diagonal (and whose column is alike) is an exact 1x1 block,
+    with eigenpair ``(entry, e_i)``.  The other rows, the coupled ones, form
+    one block, which goes to one call of ``eig``: ``np.linalg.eigh``, or
+    :func:`hermitian_eig` to check the block and fix each vector's phase.
+    A filled matrix takes that one call on the whole matrix.
 
     ``keep`` maps eigenvalues to a mask of the pairs to return; only their
     vectors are formed, as columns on all rows.  Values come in descending
     order.  ``a`` is dense or ``scipy.sparse``.
     """
-    n = a.shape[0]
-    if sp.issparse(a):
-        entries = a.tocoo()
-        off = (entries.row != entries.col) & (entries.data != 0)
-        coupled = np.zeros(n, dtype=bool)
-        coupled[entries.row[off]] = coupled[entries.col[off]] = True
-        diagonal = a.diagonal()
-    else:
-        off = a != 0
-        np.fill_diagonal(off, False)
-        coupled = off.any(axis=0) | off.any(axis=1)
-        diagonal = np.diagonal(a)
-    if coupled.all():
-        values, vectors = eig(as_complex(a))
+    index, block = _support(a)
+    off = block != 0
+    np.fill_diagonal(off, False)
+    coupled = off.any(axis=0) | off.any(axis=1)
+    if index.size == a.shape[0] and coupled.all():
+        # a filled matrix, such as a triple's defect: placing its vectors
+        # would add a third to the call at dimension 10
+        values, vectors = eig(block)
         kept = keep(values)
         values, vectors = values[kept], vectors[:, kept]
     else:
-        rows = np.flatnonzero(coupled)
-        values, block = np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
-        if rows.size:
-            values, block = eig(as_complex(a[rows][:, rows] if sp.issparse(a)
-                                           else a[np.ix_(rows, rows)]))
+        values, block_vectors = np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
+        if coupled.any():
+            values, block_vectors = eig(block[np.ix_(coupled, coupled)])
         kept = keep(values)
-        singles = np.flatnonzero(~coupled)
-        units = singles[keep(diagonal[singles].real)]
-        values = np.concatenate([values[kept], diagonal[units].real])
-        vectors = np.zeros((n, values.size), dtype=np.complex128)
-        vectors[rows, :np.count_nonzero(kept)] = block[:, kept]
-        vectors[units, np.arange(values.size - units.size, values.size)] = 1.0
+        diagonal = np.diagonal(block).real
+        units = np.flatnonzero(~coupled & keep(diagonal))
+        values = np.concatenate([values[kept], diagonal[units]])
+        vectors = np.zeros((a.shape[0], values.size), dtype=np.complex128)
+        vectors[index[coupled], :np.count_nonzero(kept)] = block_vectors[:, kept]
+        vectors[index[units], np.arange(values.size - units.size, values.size)] = 1.0
     order = np.argsort(-values, kind="stable")
     return values[order], vectors[:, order]
 
@@ -206,12 +202,11 @@ def normality_residual(x) -> float:
     return frobenius_norm(x @ x.conj().T - x.conj().T @ x)
 
 
-def _support(x, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def _support(x) -> tuple[np.ndarray, np.ndarray]:
     """The indices a square matrix touches, and its dense block on them.
 
-    An index is touched when its row or its column of ``x`` holds an entry
-    of modulus above ``floor``.  At the default 0 that is any nonzero
-    entry, and every other row and column of ``x`` is zero.  Returns the touched
+    An index is touched when its row or its column of ``x`` holds a nonzero
+    entry; every other row and column of ``x`` is zero.  Returns the touched
     indices in increasing order and the complex128 block of ``x`` on them,
     taken in one pass over the dense array or the stored entries of a
     ``scipy.sparse`` ``x``, which is never densified whole unless every
@@ -224,7 +219,7 @@ def _support(x, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[0]
     if sparse:
         rows = np.repeat(np.arange(n), np.diff(x.indptr))
-        hit = np.abs(x.data) > floor if floor else x.data != 0
+        hit = x.data != 0
         touched = np.zeros(n, dtype=bool)
         touched[rows[hit]] = touched[x.indices[hit]] = True
         index = touched.nonzero()[0]
@@ -235,13 +230,12 @@ def _support(x, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         # summed like toarray(): repeated entries add up, and 0.0 + -0.0 is 0.0
         np.add.at(block, (at[rows[inside]], at[x.indices[inside]]), x.data[inside])
         return index, block
-    hit = np.abs(x) > floor if floor else x
-    touched = hit.any(axis=1)
+    touched = x.any(axis=1)
     index = touched.nonzero()[0]
     # once every row holds an entry, every index is touched
     if index.size == n:
         return index, x
-    touched |= hit.any(axis=0)
+    touched |= x.any(axis=0)
     index = touched.nonzero()[0]
     return index, x if index.size == n else x[np.ix_(index, index)]
 
@@ -319,7 +313,9 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: float = 1e-8) -> Subs
     orthogonal projections fixes it, i.e. when it is an eigenvector of
     ``P1 + P2`` at eigenvalue 2.  Eigenvalues within ``tol`` of 2 are
     clustered together, which keeps the result stable under round-off.
+    ``tol`` must be finite and nonnegative.
     """
+    _check_tolerance("tol", tol)
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError(
             f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}"

@@ -17,7 +17,8 @@ ones (see :func:`dense_products`).  Each pair's interior rows and columns
 are sliced once per call, and every product -- the isometry and
 commutation residuals, the defect, the cross-commutator and the interior
 compression of ``V V^H`` -- is formed from those slices and keeps their
-form (:class:`_InteriorProducts`).
+form (:class:`_InteriorProducts`); the defect and cross-commutator drop
+their round-off, entries of modulus up to ``_ROUNDOFF``, as they form.
 
 Basis labels are structured tuples, never strings:
 
@@ -265,6 +266,14 @@ def product_operators(pair: StructuredPair):
     return (pair.v1, pair.v2) if dense_products(pair) else sparse_operators(pair)
 
 
+#: Modulus up to which an entry of a pair's defect or cross-commutator is
+#: round-off, set to zero where the products form.  With a non-real twist,
+#: ``|twist|^2`` rounds away from 1 and leaves entries of about 1e-16 on rows
+#: the exact model leaves zero: 50 or 96 of the 2352 interior rows of the
+#: invariant-subspace model's defect at cap 50, against 3 that hold its spectrum.
+_ROUNDOFF = 1e-13
+
+
 class _InteriorProducts:
     """Thin products of ``v1`` and ``v2`` on the indices ``interior``, each formed once.
 
@@ -301,7 +310,13 @@ class _InteriorProducts:
         (rows1, rows2), (cols1, cols2) = self.rows, self.cols
         defect = self.identity - rows1 @ rows1.conj().T - rows2 @ rows2.conj().T + self.range_v
         cross = cols2.conj().T @ cols1 - rows1 @ rows2.conj().T
-        return defect, cross.tocsr() if sp.issparse(cross) else cross
+        products = defect, cross.tocsr() if sp.issparse(cross) else cross
+        for product in products:
+            entries = product.data if sp.issparse(product) else product
+            entries[np.abs(entries) <= _ROUNDOFF] = 0
+            if sp.issparse(product):
+                product.eliminate_zeros()
+        return products
 
 
 def validate_pair(pair: StructuredPair, tol: float = 1e-12) -> PairValidation:
@@ -314,17 +329,9 @@ def validate_pair(pair: StructuredPair, tol: float = 1e-12) -> PairValidation:
     return PairValidation(all(r <= tol for r in residuals.values()), residuals)
 
 
-def interior_defect_and_cross(pair: StructuredPair):
-    """Defect and cross-commutator compressed to the interior window.
-
-    CSR for a sparse pair, dense arrays for a filled one (:func:`product_operators`).
-    """
-    return _InteriorProducts(*product_operators(pair), pair.interior).defect_and_cross
-
-
 def defect_and_cross_on_interior(pair: StructuredPair) -> tuple[np.ndarray, np.ndarray]:
     """Defect operator and cross-commutator compressed to the interior window, dense."""
-    defect, cross = interior_defect_and_cross(pair)
+    defect, cross = _InteriorProducts(*product_operators(pair), pair.interior).defect_and_cross
     return as_complex(defect), as_complex(cross)
 
 

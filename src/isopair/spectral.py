@@ -18,6 +18,7 @@ from scipy.linalg import block_diag
 
 from .bcl import BCLTriple, wandering_projections
 from .linalg import (
+    _check_tolerance,
     _checked_hermitian,
     _rank_from_moduli,
     _support,
@@ -102,8 +103,9 @@ def spectral_profile(defect, cluster_tol: float = CLUSTER_TOL) -> SpectralProfil
     whose eigenvalues round differently.
 
     Raises ``ValueError`` for a matrix that is not finite, not Hermitian or
-    not a contraction, and for a negative ``cluster_tol``.
+    not a contraction, and for a negative or non-finite ``cluster_tol``.
     """
+    _check_tolerance("cluster_tol", cluster_tol)
     # One eigh of the whole matrix, not of its support as in rank_formula:
     # on a zero row eigh can return -0.0 where the support path fills in
     # 0.0, and the eigenvalue bytes of this profile are pinned against a
@@ -116,8 +118,6 @@ def _profile(values: np.ndarray, cluster_tol: float) -> SpectralProfile:
 
     ``values`` holds every eigenvalue; the profile lists them in descending order.
     """
-    if not cluster_tol >= 0:
-        raise ValueError(f"cluster tolerance must be nonnegative, got {cluster_tol}")
     values = values[np.argsort(values)[::-1]]
     vals = values.tolist()
     n = len(vals)
@@ -226,6 +226,7 @@ def check_rank_formula(
     cluster_tol: float = CLUSTER_TOL,
 ) -> RankFormulaReport:
     """Evaluate both rank identities for a triple; failures are reported, never hidden."""
+    _check_tolerance("cluster_tol", cluster_tol)
     ops = wandering_projections(triple)
     return rank_formula(ops.defect, ops.cross, rank_tol, cluster_tol)[0]
 
@@ -245,8 +246,10 @@ def rank_formula(
     moduli of its eigenvalues: its rank is read from the profile's
     eigenvalues (one ``eigh``), with the cutoff of
     :func:`~isopair.linalg.numerical_rank` for its whole shape.  The
-    cross-commutator is not Hermitian and keeps its SVD.
+    cross-commutator is not Hermitian and keeps its SVD.  ``cluster_tol``
+    must be finite and nonnegative.
     """
+    _check_tolerance("cluster_tol", cluster_tol)
     rank_cross = numerical_rank(cross, rank_tol)
     rows, block = _support(defect)
     values = np.zeros(np.shape(defect)[0])
@@ -380,9 +383,11 @@ def eigen_symmetry_check(a, p, q, tol: float = 1e-8) -> SymmetryReport:
 
     Raises ``ValueError`` when the inputs fail the difference-of-projections
     precondition (``p``/``q`` not projections, ``a != p - q``, or ``a`` not a
-    Hermitian contraction); the symmetry outcome itself is returned, not
-    raised, since it is the quantity under test.
+    Hermitian contraction) and for a ``tol`` that is not finite and
+    nonnegative; the symmetry outcome itself is returned, not raised, since
+    it is the quantity under test.
     """
+    _check_tolerance("tol", tol)
     a, p, q = as_complex(a), as_complex(p), as_complex(q)
     for name, m in (("p", p), ("q", q)):
         if np.linalg.norm(m @ m - m) > tol or np.linalg.norm(m - m.conj().T) > tol:

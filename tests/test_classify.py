@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from isopair.bcl import BCLTriple
+from isopair.bcl import (
+    BCLTriple,
+    cross_commutator_on_wandering,
+    toeplitz_symbols,
+    validate_triple,
+    wandering_projections,
+)
 from isopair.classify import (
     ONE_FINITE,
     THREE_FINITE,
@@ -23,7 +29,7 @@ from isopair.classify import (
 )
 from isopair.cli import analyze_object
 from isopair.izuchi import build_izuchi_model, canonical_basis_3finite, verify_izuchi_invariants
-from isopair.linalg import as_complex, random_unitary
+from isopair.linalg import as_complex, hermitian_eig, random_unitary, subspace_intersection
 from isopair.models import (
     StructuredPair,
     bishift_truncated,
@@ -31,6 +37,12 @@ from isopair.models import (
     scramble,
     twisted_shift,
     validate_pair,
+)
+from isopair.spectral import (
+    check_rank_formula,
+    eigen_symmetry_check,
+    rank_formula,
+    spectral_profile,
 )
 
 from conftest import find_non_normal_triple, random_projection, two_finite_triple
@@ -513,6 +525,16 @@ TOLERANCE_ENTRIES = {
     "validate_pair": lambda tol: validate_pair(None, tol),
     "verify_izuchi_invariants": lambda tol: verify_izuchi_invariants(None, tol),
     "canonical_basis_3finite": lambda tol: canonical_basis_3finite(None, tol),
+    "hermitian_eig": lambda tol: hermitian_eig(None, tol),
+    "subspace_intersection": lambda tol: subspace_intersection(None, None, tol),
+    "validate_triple": lambda tol: validate_triple(None, tol),
+    "wandering_projections": lambda tol: wandering_projections(None, tol),
+    "cross_commutator_on_wandering": lambda tol: cross_commutator_on_wandering(None, tol),
+    "toeplitz_symbols": lambda tol: toeplitz_symbols(None, tol),
+    "eigen_symmetry_check": lambda tol: eigen_symmetry_check(None, None, None, tol),
+    "spectral_profile": lambda tol: spectral_profile(None, tol),
+    "rank_formula": lambda tol: rank_formula(None, None, None, tol),
+    "check_rank_formula": lambda tol: check_rank_formula(None, None, tol),
 }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isopair.classify import classify
+from isopair.classify import classify, working_space
 from isopair.izuchi import (
     LaurentSeries,
     _basis_labels,
@@ -10,7 +10,6 @@ from isopair.izuchi import (
     build_izuchi_model,
     canonical_basis_3finite,
     chain_expansion,
-    interior_defect_and_cross,
     laurent_inner,
     minimal_series_len,
     verify_izuchi_invariants,
@@ -136,7 +135,7 @@ class TestSeriesConvergence:
         errors = []
         for series in (4, 8, 16, 32, 64):
             pair = oracle_built_pair(r, twist, 8, 8, series)
-            _, cross = interior_defect_and_cross(pair)
+            cross = working_space(pair).cross
             eigs = np.linalg.eigvals(cross.toarray())
             top = eigs[np.argmax(np.abs(eigs))]
             errors.append(abs(top - twist * r))

@@ -14,6 +14,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isopair import models
 from isopair.classify import working_space
 from isopair.cli import analyze_object
 from isopair.izuchi import build_izuchi_model, canonical_basis_3finite, verify_izuchi_invariants
@@ -22,7 +23,7 @@ from isopair.models import (
     bishift_truncated,
     defect_and_cross_on_interior,
     direct_sum,
-    interior_defect_and_cross,
+    sparse_operators,
     twisted_shift,
 )
 from isopair.spectral import rank_formula, spectral_profile
@@ -71,14 +72,6 @@ class TestSupport:
         index, block = _support(form(a))
         assert index.tolist() == [1, 2, 3, 4, 5]
         assert block.dtype == np.complex128
-        assert np.array_equal(block, a[np.ix_(index, index)])
-
-    @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
-    def test_floor_drops_small_entries_only(self, rng, form):
-        a = self._matrix(rng)
-        a[2, 3] = 1e-16   # below the floor, but both its indices are touched
-        index, block = _support(form(a), 1e-13)
-        assert index.tolist() == [1, 2, 3, 5]
         assert np.array_equal(block, a[np.ix_(index, index)])
 
     def test_touched_everywhere_is_its_own_block(self, rng):
@@ -154,11 +147,42 @@ def test_analyze_decomposes_its_support_only(monkeypatch, twist):
         assert recorded and max(recorded) <= support[name] < 812, name
 
 
-def test_izuchi_checks_decompose_the_rows_above_the_floor(monkeypatch):
-    # a non-real twist leaves entries of about 1e-16 on 36 of the defect's
-    # interior rows at cap 20; above the 1e-13 floor it touches 3
+@pytest.mark.parametrize("form", ["dense", "csr"])
+def test_products_drop_roundoff_and_nothing_else(form):
+    # with a non-real twist the unpruned defect holds entries of about 1e-16
+    # on rows the exact model leaves zero (49 of 54 stored ones at cap 20)
+    pair = build_izuchi_model(0.5, np.exp(0.7j), 20, 20).pair
+    idx = np.asarray(pair.interior, dtype=int)
+    operators = (pair.v1, pair.v2) if form == "dense" else sparse_operators(pair)
+    products = models._InteriorProducts(*operators, idx)
+    (rows1, rows2), (cols1, cols2) = products.rows, products.cols
+    unpruned = (products.identity - rows1 @ rows1.conj().T - rows2 @ rows2.conj().T
+                + products.range_v,
+                cols2.conj().T @ cols1 - rows1 @ rows2.conj().T)
+    floor = 1e-13
+    for got, want in zip(products.defect_and_cross, unpruned):
+        assert sp.issparse(got) == (form == "csr")
+        if sp.issparse(got):
+            assert np.all(np.abs(got.data) > floor)
+        got, want = as_complex(got), as_complex(want)
+        above = np.abs(want) > floor
+        assert np.array_equal(got[above], want[above])
+        assert not np.any(got[~above])
+    defect = as_complex(unpruned[0])
+    assert np.any((defect != 0) & (np.abs(defect) <= floor))
+
+
+def test_every_route_decomposes_the_same_few_rows(monkeypatch):
+    # a non-real twist leaves entries of about 1e-16 on 36 of the unpruned
+    # defect's interior rows at cap 20; its spectrum lives on 3
     model = build_izuchi_model(0.5, np.exp(0.7j), 20, 20)
     sizes = eigh_sizes(monkeypatch)
+    assert analyze_object(model.pair, None, 1e-8)["pass"]
+    assert sizes == [3]
+    sizes.clear()
+    values, _ = working_space(model.pair).defect_eig
+    assert values.size == 3 and sizes == [2]
+    sizes.clear()
     assert verify_izuchi_invariants(model).ok
     assert canonical_basis_3finite(model).ok
     assert sizes == [3, 3]
@@ -187,7 +211,8 @@ def generator_blocks(draw):
 def test_support_path_matches_the_whole_matrix(parts):
     pair = direct_sum(parts)
     defect, cross = defect_and_cross_on_interior(pair)
-    sparse_defect, sparse_cross = interior_defect_and_cross(pair)
+    ws = working_space(pair)
+    sparse_defect, sparse_cross = ws.defect, ws.cross
 
     report, profile = rank_formula(defect, cross)
     sparse_report, sparse_profile = rank_formula(sparse_defect, sparse_cross)
