@@ -41,6 +41,7 @@ from . import bcl, models
 from .bcl import BCLTriple
 from .linalg import (
     Subspace,
+    _block,
     _check_tolerance,
     _normalize_phases,
     _support,
@@ -132,7 +133,7 @@ def _pair_wandering_model(products: models._InteriorProducts) -> WanderingModel:
     quasi-projections.  All three are thin products of the basis with the
     operators' interior rows and columns.
     """
-    _, basis = coupled_eig(products.identity - products.range_v,
+    _, basis = coupled_eig(products.range_complement(),
                            lambda values: values > 0.5, np.linalg.eigh)
     rows1, rows2 = products.rows
     # a CSR product copies a dense operand that is not C-ordered, as ``basis`` is
@@ -174,6 +175,7 @@ class NormalityReport:
     structure_residuals: dict[str, float]
 
 
+
 def check_compact_normal(obj: PairInput, tol: float = 1e-8) -> NormalityReport:
     """Test whether the input lies in the compact-normal class.
 
@@ -183,10 +185,15 @@ def check_compact_normal(obj: PairInput, tol: float = 1e-8) -> NormalityReport:
     window at the same tolerance, which must be finite and nonnegative.
     """
     _check_tolerance("tol", tol)
-    return _compact_normal(working_space(obj), tol)
+    return _compact_normal(working_space(obj), tol)[0]
 
 
-def _compact_normal(ws: WorkingSpace, tol: float) -> NormalityReport:
+def _compact_normal(ws: WorkingSpace, tol: float) -> tuple[NormalityReport, str | None]:
+    """The membership report, and its first failing entry with its bound (None when it passes).
+
+    The cross-commutator's normality is read first, then the structure
+    residuals in order, each against ``tol``.
+    """
     cross = ws.cross
     xnorm = frobenius_norm(cross)
     residual = normality_residual(cross)
@@ -194,8 +201,12 @@ def _compact_normal(ws: WorkingSpace, tol: float) -> NormalityReport:
     structure = ws.structure_residuals()
     # a cross-commutator at round-off scale is the zero operator, which is
     # normal; the relative bound would otherwise reject its own noise
-    ok = (xnorm <= 1e-12 or residual <= bound) and all(r <= tol for r in structure.values())
-    return NormalityReport(ok, xnorm, residual, bound, structure)
+    failures = [] if xnorm <= 1e-12 or residual <= bound else [
+        f"cross-commutator normality residual {residual:.3e} exceeds {bound:.3e}"]
+    failures += [f"{name} residual {value:.3e} exceeds {tol:.3e}"
+                 for name, value in structure.items() if not value <= tol]
+    report = NormalityReport(not failures, xnorm, residual, bound, structure)
+    return report, next(iter(failures), None)
 
 
 def _majority_split(quasi_projection: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,8 +260,7 @@ def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[s
     support[_support(cross)[0]] = True
     if not support.all():
         rows = np.flatnonzero(support)
-        cross = cross[rows][:, rows].toarray() if sp.issparse(cross) \
-            else cross[np.ix_(rows, rows)]
+        cross = _block(cross, rows) if sp.issparse(cross) else cross[np.ix_(rows, rows)]
         vectors = vectors[rows]
     contract = float(np.linalg.norm(cross - vectors @ compressed @ vectors.conj().T))
     residuals["cross_confined"] = contract
@@ -494,13 +504,9 @@ def classify(obj: PairInput, tol: float = 1e-8,
     _check_tolerance("tol", tol)
     _check_tolerance("band_tol", band_tol)
     ws = working_space(obj)
-    report = _compact_normal(ws, tol)
+    report, failure = _compact_normal(ws, tol)
     if not report.ok:
-        raise ValueError(
-            f"input is not compact normal: cross-commutator normality "
-            f"residual {report.normality_residual:.3e} exceeds "
-            f"{report.normality_bound:.3e}"
-        )
+        raise ValueError(f"input is not compact normal: {failure}")
     result = _fundamental_sequence(ws, tol, band_tol)
     shift = _shift_unitary(ws, tol)
     return replace(result, shift_unitary=shift, residuals={

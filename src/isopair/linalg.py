@@ -9,11 +9,27 @@ matrix to the indices it touches through :func:`_support`, which takes no
 floor: a pair's products drop their round-off as they form (``models``).
 Every function here is pure: inputs are never mutated, outputs are fresh
 arrays.
+
+Sparse products are formed by one kernel on stored entries, with no scipy
+matrix in between: :func:`_pairs` and :func:`_adjoint_pairs` name the
+products ``A B^H`` and ``A^H B`` of two matrices' entries, and
+:func:`_signed_sum` lists their unsummed terms and adds them.  It gives
+scipy's bits, because it adds in scipy's order: a CSR product sums the
+terms at one position from zero, A's entries in storage order and for each
+the matching entries of B in B's order; a chain of sums and differences
+then adds the products left to right; each ``a * conj(b)`` is four real
+products; and the Frobenius norm reads a sum's entries sorted by row, then
+column.  A product scipy forms in CSC is summed as the transpose it is
+(:func:`_by_column`).  The terms are listed a range of rows at a time, so
+memory stays near the size of the sum even where a factor holds a filled
+block; each term still takes numpy passes, so such a block costs several
+times what scipy's compiled product takes.
 """
 
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -193,13 +209,212 @@ def normality_residual(x) -> float:
     That block is multiplied as CSR: BLAS picks its kernels by size, and on
     a small dense block it can round a single-term entry unlike the full
     product (3e-17 for 0.0).  A sparse ``x`` already touches only its
-    stored entries.
+    stored entries; its products are summed from them by the sparse kernel,
+    with the bits of ``x @ x.conj().T - x.conj().T @ x`` (:func:`_signed_sum`).
     """
     if isinstance(x, np.ndarray):
         rows, block = _support(x)
         if rows.size < x.shape[0]:
             x = sp.csr_matrix(block)
-    return frobenius_norm(x @ x.conj().T - x.conj().T @ x)
+        return frobenius_norm(x @ x.conj().T - x.conj().T @ x)
+    entries = _entries(x.tocsr())
+    parts = [_pairs(entries, entries), _adjoint_pairs(entries, entries)]
+    return frobenius_norm(_signed_sum("+-", parts, x.shape)[2])
+
+
+def _entries(x: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A CSR matrix's stored entries as ``(rows, cols, values)``, in storage order."""
+    indptr = x.indptr
+    stored = int(indptr[-1])
+    return (np.repeat(np.arange(x.shape[0]), indptr[1:] - indptr[:-1]), x.indices[:stored],
+            x.data[:stored])
+
+
+def _swap(entries):
+    """Entries or terms with rows and columns exchanged, in the same order."""
+    rows, cols, values = entries
+    return cols, rows, values
+
+
+def _by_column(entries):
+    """The transpose's entries, in the order scipy's CSR-to-CSC conversion stores them.
+
+    Column by column, each in the order of ``entries``: so a CSC product
+    walks a column's entries by increasing row.
+    """
+    order = np.argsort(entries[1], kind="stable")
+    return tuple(array[order] for array in _swap(entries))
+
+
+class _Product(NamedTuple):
+    """A product ``A B^H`` as a part of :func:`_signed_sum`, its terms not yet listed.
+
+    ``a`` and ``b`` hold A's and B's entries as ``(row, shared index,
+    value)`` arrays; with ``swapped``, the part is the product's transpose.
+    """
+
+    a: tuple
+    b: tuple
+    swapped: bool = False
+
+
+def _pairs(a, b) -> _Product:
+    """``A B^H`` for A's and B's entries ``a`` and ``b``, each in CSR storage order (:func:`_entries`)."""
+    return _Product(a, b)
+
+
+def _adjoint_pairs(a, b, transposed: bool = False) -> _Product:
+    """``A^H B`` for A's and B's entries, each in CSR storage order, as scipy forms it.
+
+    scipy forms it in CSC, as the transpose of ``B^T conj(A)`` with B read
+    by columns (:func:`_by_column`).  With ``transposed``, the part is that
+    ``B^T conj(A)``: the rows of its sum are the columns in which the sparse
+    norm reads the CSC product.
+    """
+    return _Product(_by_column(b), _swap(a), not transposed)
+
+
+def _terms(a, b):
+    """The unsummed terms of ``A B^H`` (:class:`_Product`), as ``(rows, cols, values)``.
+
+    They come in the order scipy's CSR product adds them: A's entries in
+    turn, and for each, B's entries with the same shared index, in B's
+    order.  Each ``a * conj(b)`` is built from four real products, as scipy
+    builds it; numpy's complex multiply may fuse them and round otherwise (a
+    2e-17 imaginary part in ``|x|^2``).
+    """
+    a_rows, a_shared, a_values = a
+    b_rows, b_shared, b_values = b
+    # B's entries grouped by shared index, each group in B's order
+    by_shared = np.argsort(b_shared, kind="stable")
+    counts = np.bincount(b_shared, minlength=int(a_shared.max(initial=-1)) + 1)
+    starts = np.cumsum(counts) - counts
+    count = counts[a_shared]
+    left = np.repeat(np.arange(a_shared.size), count)
+    right = by_shared[np.arange(left.size)
+                      + np.repeat(starts[a_shared] + count - np.cumsum(count), count)]
+    a_left, b_right = a_values[left], b_values[right]
+    ar, ai, br, bi = a_left.real, a_left.imag, b_right.real, b_right.imag
+    values = np.empty(right.size, dtype=np.complex128)
+    np.multiply(ar, br, out=values.real)
+    values.real += ai * bi
+    np.multiply(ai, br, out=values.imag)
+    values.imag -= ar * bi
+    return a_rows[left], b_rows[right], values
+
+
+#: Terms :func:`_signed_sum` lists at a time, about.  A factor with a dense
+#: s x s block gives s^3 terms for s^2 entries of the sum, so the terms are
+#: listed and added a range of rows at a time, and memory stays near the
+#: size of the sum.
+_CHUNK_TERMS = 1 << 16
+
+
+def _most_terms(part) -> int:
+    """A bound on the number of terms of a part of :func:`_signed_sum`, cheaper than the count."""
+    if not isinstance(part, _Product):
+        return part[0].size
+    return part.a[1].size * int(np.bincount(part.b[1]).max(initial=0))
+
+
+def _row_terms(part, n_rows: int) -> np.ndarray:
+    """How many terms a part of :func:`_signed_sum` has on each row of the sum."""
+    if not isinstance(part, _Product):
+        return np.bincount(part[0], minlength=n_rows)
+    # the factor that gives the sum's rows, and the other
+    lead, other = (part.b, part.a) if part.swapped else (part.a, part.b)
+    matches = np.bincount(other[1], minlength=int(lead[1].max(initial=-1)) + 1)[lead[1]]
+    return np.bincount(lead[0], matches, n_rows)
+
+
+def _listed(part, rows):
+    """The terms of a part of :func:`_signed_sum` on the sum's rows ``rows``, in order.
+
+    ``rows`` is a range ``(lo, hi)``, or None for every row.
+    """
+    def within(entries):
+        if rows is None:
+            return entries
+        inside = (entries[0] >= rows[0]) & (entries[0] < rows[1])
+        return tuple(array[inside] for array in entries)
+
+    if not isinstance(part, _Product):
+        return within(part)
+    if part.swapped:
+        return _swap(_terms(part.a, within(part.b)))
+    return _terms(within(part.a), part.b)
+
+
+def _signed_sum(signs: str, parts, shape: tuple[int, int], drop: float = 0.0):
+    """``P1 ± P2 ± ...`` as scipy sums it; ``signs`` holds each part's sign, ``+`` or ``-``.
+
+    A part is a product (:func:`_pairs`, :func:`_adjoint_pairs`) or a
+    matrix's entries ``(rows, cols, values)``.  A part's terms at one
+    position are summed from zero in their order, as a CSR product sums
+    them (``np.bincount`` adds in index order, like ``np.add.at``;
+    ``np.add.reduceat`` would give ``1 + (-1 - 0.09)`` where scipy gives
+    ``(1 - 1) - 0.09``).  The parts' sums are then added or subtracted left
+    to right, as a chain of CSR sums and differences does.  Entries of
+    modulus at most ``drop`` are dropped (by default the exact zeros, which
+    scipy drops too).  Each position's terms lie on one row, so listing the
+    terms a range of rows at a time (``_CHUNK_TERMS``) changes no bit.
+
+    Returns the sum's entries as ``(rows, cols, values)``, sorted by row,
+    then column: the order in which scipy's sparse norm reads a sum, so
+    :func:`frobenius_norm` of ``values`` is the sum's norm, bit for bit.
+    """
+    if sum(_most_terms(part) for part in parts) <= _CHUNK_TERMS:
+        return _sum_terms(signs, [_listed(part, None) for part in parts], shape, drop)
+    per_row = np.cumsum(sum(_row_terms(part, shape[0]) for part in parts))
+    ends = np.searchsorted(per_row, np.arange(_CHUNK_TERMS, per_row[-1], _CHUNK_TERMS), "right")
+    bounds = np.concatenate(([0], ends, [shape[0]]))
+    sums = [_sum_terms(signs, [_listed(part, rows) for part in parts], shape, drop)
+            for rows in zip(bounds[:-1], bounds[1:])]
+    return tuple(np.concatenate(arrays) for arrays in zip(*sums))
+
+
+def _sum_terms(signs: str, parts, shape: tuple[int, int], drop: float):
+    """:func:`_signed_sum` of parts given as term lists ``(rows, cols, values)``."""
+    n_cols = shape[1]
+    keys = np.concatenate([np.asarray(rows, dtype=np.int64) * n_cols + cols
+                           for rows, cols, _ in parts])
+    # a stable sort: the terms come mostly in runs of increasing position
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    runs = np.empty(first.size, dtype=np.intp)
+    runs[:-1] = first[1:] - first[:-1]
+    runs[-1:] = keys.size - first[-1:]
+    at = np.empty(keys.size, dtype=np.intp)
+    # (a cumulative sum of ``new`` gives the same, several times slower)
+    at[order] = np.repeat(np.arange(first.size), runs)
+    # a part's terms at one position, summed from zero in order: bincount
+    # adds its weights in index order, like np.add.at, and a complex sum is
+    # the sums of its real and imaginary parts
+    real = imag = 0.0
+    start = 0
+    for sign, (_, _, values) in zip(signs, parts, strict=True):
+        stop = start + values.size
+        add = np.add if sign == "+" else np.subtract
+        real = add(real, np.bincount(at[start:stop], values.real, first.size))
+        imag = add(imag, np.bincount(at[start:stop], values.imag, first.size))
+        start = stop
+    total = np.empty(first.size, dtype=np.complex128)
+    total.real, total.imag = real, imag
+    # written so that a NaN entry is kept, as scipy keeps it
+    kept = ~(np.abs(total) <= drop)
+    rows, cols = np.divmod(ordered[first[kept]], n_cols)
+    return rows, cols, total[kept]
+
+
+def _sum_csr(shape: tuple[int, int], entries) -> sp.csr_matrix:
+    """The CSR matrix of entries sorted by row, then column (:func:`_signed_sum`)."""
+    rows, cols, values = entries
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(np.int32)
+    return sp.csr_matrix((values, cols.astype(np.int32), indptr), shape=shape)
 
 
 def _support(x) -> tuple[np.ndarray, np.ndarray]:
@@ -218,18 +433,12 @@ def _support(x) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
     n = x.shape[0]
     if sparse:
-        rows = np.repeat(np.arange(n), np.diff(x.indptr))
-        hit = x.data != 0
+        rows, cols, values = _entries(x)
+        hit = values != 0
         touched = np.zeros(n, dtype=bool)
-        touched[rows[hit]] = touched[x.indices[hit]] = True
+        touched[rows[hit]] = touched[cols[hit]] = True
         index = touched.nonzero()[0]
-        at = np.full(n, -1)
-        at[index] = np.arange(index.size)
-        inside = (at[rows] >= 0) & (at[x.indices] >= 0)
-        block = np.zeros((index.size, index.size), dtype=np.complex128)
-        # summed like toarray(): repeated entries add up, and 0.0 + -0.0 is 0.0
-        np.add.at(block, (at[rows[inside]], at[x.indices[inside]]), x.data[inside])
-        return index, block
+        return index, _block(x, index)
     touched = x.any(axis=1)
     index = touched.nonzero()[0]
     # once every row holds an entry, every index is touched
@@ -238,6 +447,21 @@ def _support(x) -> tuple[np.ndarray, np.ndarray]:
     touched |= x.any(axis=0)
     index = touched.nonzero()[0]
     return index, x if index.size == n else x[np.ix_(index, index)]
+
+
+def _block(x: sp.csr_matrix, index: np.ndarray) -> np.ndarray:
+    """The dense block of a square CSR matrix on the increasing indices ``index``.
+
+    Read from the stored entries, summed like ``toarray()``: repeated
+    entries add up, and 0.0 + -0.0 is 0.0.
+    """
+    rows, cols, values = _entries(x)
+    at = np.full(x.shape[0], -1)
+    at[index] = np.arange(index.size)
+    inside = (at[rows] >= 0) & (at[cols] >= 0)
+    block = np.zeros((index.size, index.size), dtype=np.complex128)
+    np.add.at(block, (at[rows[inside]], at[cols[inside]]), values[inside])
+    return block
 
 
 def lift(dim: int, rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:

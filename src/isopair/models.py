@@ -19,6 +19,11 @@ commutation residuals, the defect, the cross-commutator and the interior
 compression of ``V V^H`` -- is formed from those slices and keeps their
 form (:class:`_InteriorProducts`); the defect and cross-commutator drop
 their round-off, entries of modulus up to ``_ROUNDOFF``, as they form.
+On CSR slices, scipy forms only the three thin products with a whole
+operator; every other product is summed from the stored entries of the
+slices and of those three by the ``linalg`` kernel (``_pairs``,
+``_adjoint_pairs`` and ``_signed_sum``), which adds in scipy's order and so
+gives its bits, and each returned product is one CSR matrix.
 
 Basis labels are structured tuples, never strings:
 
@@ -36,7 +41,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import _check_tolerance, as_complex, frobenius_norm, random_unitary
+from .linalg import (
+    _adjoint_pairs,
+    _check_tolerance,
+    _entries,
+    _pairs,
+    _signed_sum,
+    _sum_csr,
+    as_complex,
+    frobenius_norm,
+    random_unitary,
+)
 
 Label = tuple
 
@@ -279,44 +294,93 @@ class _InteriorProducts:
 
     The operators share one form, dense or CSR (:func:`product_operators`),
     and every product keeps it.  Their interior rows and columns are sliced
-    here, and each product is formed from those slices on first read.
+    here, and each product is formed from those slices on first read.  On
+    CSR operators, scipy forms only the three thin products ``V1 cols2``,
+    ``V2 cols1`` and ``rows1 V2``; everything else is summed from the stored
+    entries of the slices and of those products by the ``linalg`` kernel,
+    with scipy's bits, and each returned product is one CSR matrix.
     """
 
     def __init__(self, v1, v2, interior):
         self.v1, self.v2, self.interior = v1, v2, np.asarray(interior, dtype=int)
         self.rows = v1[self.interior, :], v2[self.interior, :]
         self.cols = v1[:, self.interior], v2[:, self.interior]
-        n = len(interior)
-        self.identity = sp.identity(n, np.complex128, "csr") if sp.issparse(v1) else np.eye(n)
+        self.sparse = sp.issparse(v1)
+        self.shape = (self.interior.size,) * 2
+
+    @functools.cached_property
+    def identity(self):
+        n = self.interior.size
+        return sp.identity(n, np.complex128, "csr") if self.sparse else np.eye(n)
+
+    @functools.cached_property
+    def _slices(self):
+        """The stored entries of ``rows1``, ``rows2``, ``cols1`` and ``cols2``."""
+        return tuple(_entries(part) for part in (*self.rows, *self.cols))
 
     @functools.cached_property
     def range_v(self):
         """Interior compression of ``V V^H``, ``V = V1 V2``."""
         rows = self.rows[0] @ self.v2
-        return rows @ rows.conj().T
+        if not self.sparse:
+            return rows @ rows.conj().T
+        rows = _entries(rows)
+        return _sum_csr(self.shape, _signed_sum("+", [_pairs(rows, rows)], self.shape))
+
+    def range_complement(self):
+        """``I - range_v``, in the products' form."""
+        if not self.sparse:
+            return self.identity - self.range_v
+        parts = [_identity(self.shape[0]), _entries(self.range_v)]
+        return _sum_csr(self.shape, _signed_sum("+-", parts, self.shape))
 
     @functools.cached_property
     def residuals(self) -> dict[str, float]:
         """Isometry and commutation residuals on the interior columns."""
         cols1, cols2 = self.cols
+        if not self.sparse:
+            return {
+                "isometry_v1": frobenius_norm(cols1.conj().T @ cols1 - self.identity),
+                "isometry_v2": frobenius_norm(cols2.conj().T @ cols2 - self.identity),
+                "commutation": frobenius_norm(self.v1 @ cols2 - self.v2 @ cols1),
+            }
+        identity = _identity(self.shape[0])
+
+        def isometry(cols):
+            # scipy forms cols^H cols - I in CSC, whose norm reads it by columns
+            gram = _adjoint_pairs(cols, cols, transposed=True)
+            return frobenius_norm(_signed_sum("+-", [gram, identity], self.shape)[2])
+
+        shape = (self.v1.shape[0], self.interior.size)
+        commutation = _signed_sum("+-", [_entries(self.v1 @ cols2), _entries(self.v2 @ cols1)],
+                                  shape)
         return {
-            "isometry_v1": frobenius_norm(cols1.conj().T @ cols1 - self.identity),
-            "isometry_v2": frobenius_norm(cols2.conj().T @ cols2 - self.identity),
-            "commutation": frobenius_norm(self.v1 @ cols2 - self.v2 @ cols1),
+            "isometry_v1": isometry(self._slices[2]),
+            "isometry_v2": isometry(self._slices[3]),
+            "commutation": frobenius_norm(commutation[2]),
         }
 
     @functools.cached_property
     def defect_and_cross(self):
+        if self.sparse:
+            rows1, rows2, cols1, cols2 = self._slices
+            defect = _signed_sum("+--+", [_identity(self.shape[0]), _pairs(rows1, rows1),
+                                          _pairs(rows2, rows2), _entries(self.range_v)],
+                                 self.shape, _ROUNDOFF)
+            cross = _signed_sum("+-", [_adjoint_pairs(cols2, cols1), _pairs(rows1, rows2)],
+                                self.shape, _ROUNDOFF)
+            return _sum_csr(self.shape, defect), _sum_csr(self.shape, cross)
         (rows1, rows2), (cols1, cols2) = self.rows, self.cols
         defect = self.identity - rows1 @ rows1.conj().T - rows2 @ rows2.conj().T + self.range_v
         cross = cols2.conj().T @ cols1 - rows1 @ rows2.conj().T
-        products = defect, cross.tocsr() if sp.issparse(cross) else cross
-        for product in products:
-            entries = product.data if sp.issparse(product) else product
-            entries[np.abs(entries) <= _ROUNDOFF] = 0
-            if sp.issparse(product):
-                product.eliminate_zeros()
-        return products
+        for product in (defect, cross):
+            product[np.abs(product) <= _ROUNDOFF] = 0
+        return defect, cross
+
+
+def _identity(n: int):
+    """The entries of the ``n x n`` identity."""
+    return np.arange(n), np.arange(n), np.ones(n, dtype=np.complex128)
 
 
 def validate_pair(pair: StructuredPair, tol: float = 1e-12) -> PairValidation:

@@ -275,8 +275,9 @@ def from_json(obj):
     as malformed matrix data does.
     """
     kind = obj.get("kind")
+    # a list or object kind would not hash as a key of the table below
     decode = {"bcl_triple": triple_from_json,
-              "structured_pair": pair_from_json}.get(kind)
+              "structured_pair": pair_from_json}.get(kind) if isinstance(kind, str) else None
     if decode is None:
         raise ValueError(f"unknown object kind {kind!r}")
     try:

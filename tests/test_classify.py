@@ -502,6 +502,31 @@ class TestClassify:
         with pytest.raises(ValueError, match="not compact normal"):
             classify(find_non_normal_triple())
 
+    @pytest.mark.parametrize("scale,name", [(1.5, "isometry_v2"), (1.0, None)])
+    def test_gate_names_the_first_failing_residual(self, scale, name):
+        # a non-isometric V2 once read "normality residual 0.000e+00 exceeds 0.000e+00"
+        pair = bishift_truncated(3)
+        scaled = StructuredPair(pair.dim, pair.v1, scale * pair.v2, pair.basis_labels,
+                                pair.interior, pair.provenance)
+        report = check_compact_normal(scaled)
+        if name is None:
+            assert report.ok and classify(scaled).k == 1
+            return
+        assert not report.ok
+        assert report.structure_residuals[name] == 2.5
+        message = f"^input is not compact normal: {name} residual 2.500e\\+00 exceeds 1.000e-08$"
+        with pytest.raises(ValueError, match=message):
+            classify(scaled)
+
+    def test_gate_names_the_normality_residual_first(self):
+        report = check_compact_normal(find_non_normal_triple())
+        assert not report.ok and report.structure_residuals == {}
+        message = (f"input is not compact normal: cross-commutator normality residual "
+                   f"{report.normality_residual:.3e} exceeds {report.normality_bound:.3e}")
+        with pytest.raises(ValueError) as raised:
+            classify(find_non_normal_triple())
+        assert str(raised.value) == message
+
     def test_unitary_conjugation_of_triple_preserves_invariants(self, rng):
         triple = two_finite_triple(np.exp(1.7j))
         w = random_unitary(2, rng)

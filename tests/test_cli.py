@@ -389,3 +389,18 @@ def test_inconsistent_triple_shape_exits_2(tmp_path, capsys, spoil):
         assert code == 2, argv
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", [[[]], {"a": 1}], ids=["nested-list", "object"])
+def test_unhashable_kind_exits_2(tmp_path, capsys, kind):
+    # a list kind once escaped as TypeError ("unhashable type") with a traceback
+    payload = pair_to_json(twisted_shift(1j, 3))
+    payload["kind"] = kind
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["classify", str(path)], ["analyze", str(path)],
+                 ["equiv", str(path), str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: unknown object kind")

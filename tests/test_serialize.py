@@ -374,3 +374,18 @@ def test_generated_labels_and_provenance_load_unchanged(make, tmp_path):
     # the labels nest up to three deep: ("scrambled", (i, ("mono", m, n)))
     pair = make()
     assert_identical(load_text(tmp_path, dumps_canonical(to_json(pair))), pair)
+
+
+#: ``kind`` values no encoder writes; the list and object ones do not hash.
+NON_STRING_KINDS = {"nested-list": [[]], "list": ["bcl_triple"], "object": {"a": 1},
+                    "number": 1, "null": None}
+
+
+@pytest.mark.parametrize("kind", NON_STRING_KINDS.values(), ids=NON_STRING_KINDS)
+@pytest.mark.parametrize("make", [lambda: twisted_shift(1j, 3), lambda: random_triple(4, 2, 0)],
+                         ids=["pair", "triple"])
+def test_non_string_kind_raises_value_error(make, kind):
+    payload = to_json(make())
+    payload["kind"] = kind
+    with pytest.raises(ValueError, match="unknown object kind"):
+        from_json(payload)

@@ -8,13 +8,15 @@ interior rows, is analyzed on blocks of that size.  The answers must be
 those of the whole-matrix path: ``spectral_profile`` and an SVD rank.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isopair import models
+from isopair import linalg, models
 from isopair.classify import working_space
 from isopair.cli import analyze_object
 from isopair.izuchi import build_izuchi_model, canonical_basis_3finite, verify_izuchi_invariants
@@ -231,3 +233,79 @@ def test_support_path_matches_the_whole_matrix(parts):
     assert_same_profile(profile, whole_profile, atol=bound)
     whole = np.linalg.norm(cross @ cross.conj().T - cross.conj().T @ cross)
     assert abs(normality_residual(cross) - whole) <= 1e-15
+
+
+#: Entry components: signed zeros, round-off-sized and ordinary values.
+COMPONENTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 0.09, 1e-16]) | st.floats(-4.0, 4.0)
+
+
+@st.composite
+def csr_factors(draw, n_rows: int, n_cols: int) -> sp.csr_matrix:
+    """A CSR matrix with several entries per row, stored in a random column
+    order (as a scipy product leaves them), explicit zeros and signed zeros."""
+    indices, data, indptr = [], [], [0]
+    for _ in range(n_rows):
+        cols = draw(st.permutations(range(n_cols)))[:draw(st.integers(0, n_cols))]
+        indices += cols
+        data += [complex(draw(COMPONENTS), draw(COMPONENTS)) for _ in cols]
+        indptr.append(len(indices))
+    return sp.csr_matrix((np.array(data, dtype=np.complex128), np.array(indices, dtype=np.int32),
+                          np.array(indptr, dtype=np.int32)), shape=(n_rows, n_cols))
+
+
+def assert_same_entries(got, shape, want):
+    """The kernel's sum equals scipy's result: canonical CSR arrays, byte for byte."""
+    want = want.tocsr()
+    want.sum_duplicates()  # sorts a product's columns in place, as its norm does
+    got = linalg._sum_csr(shape, got)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_scipy_bit_for_bit(data):
+    n, m, k = (data.draw(st.integers(1, 6)) for _ in range(3))
+    a1, a2 = (data.draw(csr_factors(n, k)) for _ in range(2))
+    b1, b2 = (data.draw(csr_factors(m, k)) for _ in range(2))
+    a3, c = data.draw(csr_factors(k, n)), data.draw(csr_factors(k, m))
+    e = linalg._entries
+    shape = (n, m)
+    # the terms are listed a range of rows at a time, however few fit in one
+    chunk = data.draw(st.sampled_from([1, 3, 8, linalg._CHUNK_TERMS]))
+    with mock.patch.object(linalg, "_CHUNK_TERMS", chunk):
+        # one product, A B^H, and a chain of products and a product's stored entries
+        product = linalg._pairs(e(a1), e(b1))
+        assert_same_entries(linalg._signed_sum("+", [product], shape), shape, a1 @ b1.conj().T)
+        stored = a2 @ b2.conj().T
+        chain = [product, linalg._pairs(e(a2), e(b2)), e(stored), e(stored)]
+        want = a1 @ b1.conj().T - a2 @ b2.conj().T + stored + stored
+        assert_same_entries(linalg._signed_sum("+-++", chain, shape), shape, want)
+
+        # A^H C in CSC, as scipy forms it, and its transpose, which its norm reads
+        adjoint = linalg._adjoint_pairs(e(a3), e(c))
+        assert_same_entries(linalg._signed_sum("+", [adjoint], shape), shape, a3.conj().T @ c)
+        transposed = linalg._adjoint_pairs(e(a3), e(c), transposed=True)
+        got = linalg._signed_sum("+", [transposed], shape[::-1])
+        want = float(sp.linalg.norm(a3.conj().T @ c))
+        assert linalg.frobenius_norm(got[2]).hex() == want.hex()
+        assert_same_entries(got, shape[::-1], (a3.conj().T @ c).T)
+
+        # entries of modulus at most ``drop`` are dropped, as the products drop round-off
+        drop = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+        want = a1 @ b1.conj().T - a2 @ b2.conj().T
+        want.data[np.abs(want.data) <= drop] = 0
+        want.eliminate_zeros()
+        got = linalg._signed_sum("+-", [product, linalg._pairs(e(a2), e(b2))], shape, drop)
+        assert_same_entries(got, shape, want)
+
+        # the normality residual of a CSR matrix, and of a dense one with a zero row
+        square = data.draw(csr_factors(n, n))
+        want = float(sp.linalg.norm(square @ square.conj().T - square.conj().T @ square))
+        assert normality_residual(square).hex() == want.hex()
+    dense = square.toarray()
+    dense[0, :] = dense[:, 0] = 0
+    block = sp.csr_matrix(dense[1:, 1:])
+    want = float(sp.linalg.norm(block @ block.conj().T - block.conj().T @ block))
+    assert normality_residual(dense).hex() == want.hex()

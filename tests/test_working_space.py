@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import _compressed
 
 from isopair import bcl, models
 from isopair.classify import (
@@ -19,13 +20,14 @@ from isopair.classify import (
     working_space,
 )
 from isopair.cli import analyze_object
-from isopair.izuchi import build_izuchi_model
+from isopair.izuchi import build_izuchi_model, verify_izuchi_invariants
 from isopair.linalg import as_complex, coupled_eig, hermitian_eig, lift, random_unitary
 from isopair.models import (
     bishift_truncated,
     conjugate_split,
     defect_and_cross_on_interior,
     dense_products,
+    direct_sum,
     product_operators,
     scramble,
     sparse_operators,
@@ -392,3 +394,47 @@ def test_large_inputs_classify_on_their_coupled_blocks():
         assert bishift.fundamental_sequence == (0j,)
     assert all(verdict.equivalent for verdict in verdicts)
     assert peak <= 400e6
+
+
+@pytest.mark.parametrize("cap", [50, 15], ids=["csr", "dense"])
+def test_filled_block_in_a_sum_keeps_products_small(cap):
+    # a scramble's dense 182 x 182 block gives a product about 6e6 terms for
+    # 3e4 entries; listed all at once, they took 370 MB in either form
+    scrambled = scramble(build_izuchi_model(0.5, 1j, 13, 13).pair, 1)
+    pair = direct_sum([scrambled, build_izuchi_model(0.5, 1j, cap, cap).pair])
+    assert dense_products(pair) == (cap == 15)
+    tracemalloc.start()
+    try:
+        result = classify(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [b.kind for b in result.blocks] == [THREE_FINITE] * 2
+    assert np.allclose(result.fundamental_sequence, [0.5j, 0.5j])
+    assert peak <= 100e6
+
+
+def _csr_constructions(monkeypatch) -> list:
+    """Every scipy compressed-matrix construction, counted by its constructor."""
+    made = []
+    init = _compressed._cs_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        return init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_compressed._cs_matrix, "__init__", counted)
+    return made
+
+
+def test_sparse_products_build_few_csr_objects(monkeypatch):
+    # the interior products are summed from stored entries; when scipy formed
+    # them, a cap-15 classify built 86 CSR objects and a cap-50 verify 55
+    pair = build_izuchi_model(0.5, np.exp(0.7j), 15, 15).pair
+    model = build_izuchi_model(0.5, np.exp(0.7j), 50, 50)
+    made = _csr_constructions(monkeypatch)
+    classify(pair)
+    assert len(made) <= 19
+    made.clear()
+    assert verify_izuchi_invariants(model).ok
+    assert len(made) <= 9
