@@ -14,6 +14,7 @@ exit code 2 or 1.
 
 import argparse
 import csv
+import functools
 import io
 import math
 import os
@@ -298,7 +299,9 @@ def cmd_equiv(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="isopair",
         description="Model, analyze, classify, and compare pairs of "

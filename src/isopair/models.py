@@ -10,8 +10,9 @@ truncation artifacts, which live on boundary indices only, never enter a
 spectrum.
 
 A pair keeps each operator in the form it was given: the generators, which
-know their nonzeros, pass ``scipy.sparse`` matrices and the pair stores CSR;
-a basis scramble and the JSON reader pass dense arrays.  Products run on the
+know their nonzeros, and the JSON reader, for a COO operator, pass
+``scipy.sparse`` matrices and the pair stores CSR; a basis scramble, and the
+JSON reader for a dense matrix, pass dense arrays.  Products run on the
 form :func:`product_operators` picks: dense for filled pairs, CSR for sparse
 ones (see :func:`dense_products`).  Each pair's interior rows and columns
 are sliced once per call, and every product -- the isometry and

@@ -15,7 +15,12 @@ COO when that writes fewer numbers (``3 * stored < 2 * rows * cols``).
 The encoder reads the form the pair stores, CSR or dense, and does not
 convert a sparse one.  It reads a CSR entry as the dense form reads it (a
 stored -0.0 as 0.0), so both forms write the same bytes.
-:func:`matrix_from_json` reads either encoding into a dense array.
+:func:`matrix_from_json` reads either encoding into a dense array.  A pair
+reads a COO operator into a canonical, read-only CSR matrix with int32
+indices, the form a generator stores, so a loaded pair makes no dense
+``dim x dim`` array; it reads a dense matrix, or a COO one with a ``-0.0``
+part, into a dense array, since a CSR operator's dense form adds each entry
+to a zero and would read that part as ``0.0``.
 
 Serialization is canonical and compact (sorted keys, no whitespace between
 tokens, one trailing newline), which makes generate/parse/re-serialize
@@ -26,12 +31,14 @@ indices must be ints in range and strictly increasing, and a triple's
 ``dim`` must match its matrices.  Shapes, a ``dim`` and a pair's interior
 indices must be JSON ints, not floats that would be truncated.  A pair's
 ``basis_labels`` must be a list of labels, each a list, as the encoder
-writes them, with no JSON object or null at any depth, and its
-``provenance`` a string.
+writes them, with no JSON object or null at any depth and nested at most
+``_LABEL_DEPTH`` deep, and its ``provenance`` a string.
 """
 
+import itertools
 import json
 import operator
+import sys
 from functools import reduce
 
 import numpy as np
@@ -111,8 +118,8 @@ def _dense_values(data, size: int) -> np.ndarray:
     return _finite_values(reduce(operator.iadd, data, []))
 
 
-def _coo_values(obj, size: int) -> np.ndarray:
-    """The interleaved parts of all ``size`` entries of a COO matrix."""
+def _coo_entries(obj, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """A COO matrix's checked flat indices, and its parts as a ``2 x stored`` array."""
     index, re, im = obj["index"], obj["re"], obj["im"]
     if not (isinstance(index, list) and isinstance(re, list) and isinstance(im, list)):
         raise ValueError("matrix index, re and im must be lists")
@@ -129,10 +136,22 @@ def _coo_values(obj, size: int) -> np.ndarray:
         raise ValueError(f"matrix index is out of range for {size} entries")
     if np.any(np.diff(flat) <= 0):
         raise ValueError("matrix indices must be strictly increasing")
-    parts = _finite_values(re + im).reshape(2, -1)
-    values = np.zeros((size, 2))
-    values[flat] = parts.T
-    return values.reshape(-1)
+    return flat, _finite_values(re + im).reshape(2, -1)
+
+
+def _coo_csr(rows: int, cols: int, flat: np.ndarray, parts: np.ndarray) -> sp.csr_matrix:
+    """The canonical CSR matrix of checked COO entries, int32-indexed.
+
+    An entry whose parts are both zero is not stored, as converting the
+    dense form would not store it.  The caller makes sure no part is ``-0.0``.
+    """
+    stored = np.flatnonzero(parts.any(axis=0))
+    # strictly increasing flat indices are CSR order already
+    row, col = np.divmod(flat[stored], cols)
+    data = np.empty(stored.size, dtype=np.complex128)
+    data.real, data.imag = parts[:, stored]
+    indptr = np.searchsorted(row, np.arange(rows + 1)).astype(np.int32)
+    return sp.csr_matrix((data, col.astype(np.int32), indptr), shape=(rows, cols))
 
 
 def _json_int(obj, key: str) -> int:
@@ -141,6 +160,27 @@ def _json_int(obj, key: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{key} must be an int, got {value!r}")
     return value
+
+
+def _decode_matrix(obj, sparse: bool):
+    """Decode a dense or COO matrix; see :func:`matrix_from_json` for the checks.
+
+    With ``sparse``, a COO matrix decodes to CSR unless a stored part is
+    ``-0.0``, which a CSR matrix does not keep bit for bit (its dense form
+    adds each entry to a zero).  Everything else decodes to a dense array.
+    """
+    rows, cols = _json_int(obj, "rows"), _json_int(obj, "cols")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"matrix shape {rows}x{cols} is negative")
+    if "data" in obj:
+        values = _dense_values(obj["data"], rows * cols)
+    else:
+        flat, parts = _coo_entries(obj, rows * cols)
+        if sparse and not np.any(np.signbit(parts[parts == 0])):
+            return _coo_csr(rows, cols, flat, parts)
+        values = np.zeros((rows * cols, 2))
+        values[flat] = parts.T
+    return values.reshape(-1).view(np.complex128).reshape(rows, cols)
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -153,12 +193,7 @@ def matrix_from_json(obj) -> np.ndarray:
     real and imaginary parts.  Each check is one pass of built-in calls over
     a list, not a Python loop per entry.
     """
-    rows, cols = _json_int(obj, "rows"), _json_int(obj, "cols")
-    if rows < 0 or cols < 0:
-        raise ValueError(f"matrix shape {rows}x{cols} is negative")
-    values = (_dense_values(obj["data"], rows * cols) if "data" in obj
-              else _coo_values(obj, rows * cols))
-    return values.view(np.complex128).reshape(rows, cols)
+    return _decode_matrix(obj, sparse=False)
 
 
 def triple_to_json(triple: BCLTriple) -> dict:
@@ -184,17 +219,51 @@ def _label_to_json(label):
     return list(label)
 
 
-def _label_from_json(obj: list) -> tuple:
-    """A label's nested JSON lists as nested tuples.
+#: How deep a basis label may nest: the recursive decoder this replaces
+#: stopped there, taking two interpreter frames per level.
+_LABEL_DEPTH = sys.getrecursionlimit() // 2
 
-    ``ValueError`` if it holds a JSON object or null at any depth.
+
+def _labels_from_json(labels: list) -> tuple:
+    """The labels' nested JSON lists as nested tuples.
+
+    One pass over every label's entries checks them; when none is a list,
+    as in every generator's labels, that is all.  Nested labels (direct
+    sums, scrambles) are converted by an explicit stack, not by recursion.
+    ``ValueError`` if a label holds a JSON object or null at any depth, or
+    nests more than ``_LABEL_DEPTH`` lists deep.
     """
-    kinds = set(map(type, obj))
+    kinds = set(map(type, itertools.chain.from_iterable(labels)))
+    _check_label_kinds(kinds)
+    if list not in kinds:
+        return tuple(map(tuple, labels))
+    # a frame is a list's items still to read and those converted so far;
+    # the bottom one is the label list itself
+    frames = [(iter(labels), [])]
+    while True:
+        items, converted = frames[-1]
+        for item in items:
+            if type(item) is list:
+                if len(frames) > _LABEL_DEPTH:
+                    raise ValueError(f"basis labels must not nest more than "
+                                     f"{_LABEL_DEPTH} deep")
+                kinds = set(map(type, item))
+                _check_label_kinds(kinds)
+                if list in kinds:
+                    frames.append((iter(item), []))
+                    break
+                item = tuple(item)
+            converted.append(item)
+        else:
+            frames.pop()
+            if not frames:
+                return tuple(converted)
+            frames[-1][1].append(tuple(converted))
+
+
+def _check_label_kinds(kinds: set) -> None:
     if dict in kinds or type(None) in kinds:
         raise ValueError("basis labels must not hold JSON objects or nulls")
-    if list not in kinds:
-        return tuple(obj)
-    return tuple(_label_from_json(item) if type(item) is list else item for item in obj)
 
 
 def pair_to_json(pair: StructuredPair) -> dict:
@@ -218,12 +287,12 @@ def pair_from_json(obj) -> StructuredPair:
         raise ValueError("pair basis_labels must be a list of label lists")
     if not isinstance(provenance, str):
         raise ValueError(f"pair provenance must be a string, got {provenance!r}")
-    # the decoded arrays are fresh; frozen, the pair keeps them without a copy
+    # the decoded matrices are fresh; frozen, the pair keeps them without a copy
     return StructuredPair(
         dim=dim,
-        v1=_read_only(matrix_from_json(obj["v1"])),
-        v2=_read_only(matrix_from_json(obj["v2"])),
-        basis_labels=tuple(map(_label_from_json, labels)),
+        v1=_read_only(_decode_matrix(obj["v1"], sparse=True)),
+        v2=_read_only(_decode_matrix(obj["v2"], sparse=True)),
+        basis_labels=_labels_from_json(labels),
         interior=interior,
         provenance=provenance,
     )
