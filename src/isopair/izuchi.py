@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .classify import working_space
-from .linalg import _check_tolerance, _support, hermitian_eig, lift, normality_residual
+from .linalg import _check_tolerance, _sum_csr, _support, hermitian_eig, lift, normality_residual
 from .models import StructuredPair, _csr, _monomial_labels, sparse_operators
 from .spectral import rank_formula
 
@@ -121,11 +121,9 @@ def _oracle_matrices(ratio: float, twist: complex, monomial_cap: int,
         target = keys + dz * span + dw
         at = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
         hit = keys[at] == target
-        # one entry per hit, in increasing row order: these are the CSR arrays
-        indptr = np.searchsorted(at[hit], np.arange(len(keys) + 1))
+        # one entry per hit, at row at[hit], in increasing row order
         ones = np.ones(np.count_nonzero(hit), dtype=np.complex128)
-        return sp.csr_matrix((ones, np.flatnonzero(hit), indptr),
-                             shape=(len(keys),) * 2)
+        return _sum_csr((len(keys),) * 2, (at[hit], np.flatnonzero(hit), ones))
 
     ch = coeff.getH()
     v1 = (twist * (ch @ (shift_matrix(1, 0) @ coeff))).tocsr()

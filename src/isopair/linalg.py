@@ -20,10 +20,10 @@ the matching entries of B in B's order; a chain of sums and differences
 then adds the products left to right; each ``a * conj(b)`` is four real
 products; and the Frobenius norm reads a sum's entries sorted by row, then
 column.  A product scipy forms in CSC is summed as the transpose it is
-(:func:`_by_column`).  The terms are listed a range of rows at a time, so
-memory stays near the size of the sum even where a factor holds a filled
-block; each term still takes numpy passes, so such a block costs several
-times what scipy's compiled product takes.
+(:func:`_by_column`).  One rule picks the arithmetic: the kernel sums what
+fits (:func:`_fits`), and scipy's compiled arithmetic forms the rest from
+the same formula, with the same bits and memory that grows with the output
+only.
 """
 
 import math
@@ -208,18 +208,21 @@ def normality_residual(x) -> float:
     add only zeros to both products, so the residual is taken on the rest.
     That block is multiplied as CSR: BLAS picks its kernels by size, and on
     a small dense block it can round a single-term entry unlike the full
-    product (3e-17 for 0.0).  A sparse ``x`` already touches only its
-    stored entries; its products are summed from them by the sparse kernel,
-    with the bits of ``x @ x.conj().T - x.conj().T @ x`` (:func:`_signed_sum`).
+    product (3e-17 for 0.0).  A CSR ``x`` touches only its stored entries;
+    its products are summed from them by the sparse kernel when they fit
+    (:func:`_fits`), with the bits scipy gives for the same formula.
     """
     if isinstance(x, np.ndarray):
         rows, block = _support(x)
         if rows.size < x.shape[0]:
             x = sp.csr_matrix(block)
-        return frobenius_norm(x @ x.conj().T - x.conj().T @ x)
-    entries = _entries(x.tocsr())
-    parts = [_pairs(entries, entries), _adjoint_pairs(entries, entries)]
-    return frobenius_norm(_signed_sum("+-", parts, x.shape)[2])
+    if not isinstance(x, np.ndarray):
+        x = x.tocsr()
+        entries = _entries(x)
+        parts = [_pairs(entries, entries), _adjoint_pairs(entries, entries)]
+        if _fits(parts):
+            return frobenius_norm(_signed_sum("+-", parts, x.shape)[2])
+    return frobenius_norm(x @ x.conj().T - x.conj().T @ x)
 
 
 def _entries(x: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -274,8 +277,8 @@ def _adjoint_pairs(a, b, transposed: bool = False) -> _Product:
     return _Product(_by_column(b), _swap(a), not transposed)
 
 
-def _terms(a, b):
-    """The unsummed terms of ``A B^H`` (:class:`_Product`), as ``(rows, cols, values)``.
+def _terms(part: _Product):
+    """The unsummed terms of a product ``A B^H``, or of its transpose, as ``(rows, cols, values)``.
 
     They come in the order scipy's CSR product adds them: A's entries in
     turn, and for each, B's entries with the same shared index, in B's
@@ -283,8 +286,7 @@ def _terms(a, b):
     builds it; numpy's complex multiply may fuse them and round otherwise (a
     2e-17 imaginary part in ``|x|^2``).
     """
-    a_rows, a_shared, a_values = a
-    b_rows, b_shared, b_values = b
+    (a_rows, a_shared, a_values), (b_rows, b_shared, b_values) = part.a, part.b
     # B's entries grouped by shared index, each group in B's order
     by_shared = np.argsort(b_shared, kind="stable")
     counts = np.bincount(b_shared, minlength=int(a_shared.max(initial=-1)) + 1)
@@ -300,13 +302,13 @@ def _terms(a, b):
     values.real += ai * bi
     np.multiply(ai, br, out=values.imag)
     values.imag -= ar * bi
-    return a_rows[left], b_rows[right], values
+    terms = a_rows[left], b_rows[right], values
+    return _swap(terms) if part.swapped else terms
 
 
-#: Terms :func:`_signed_sum` lists at a time, about.  A factor with a dense
-#: s x s block gives s^3 terms for s^2 entries of the sum, so the terms are
-#: listed and added a range of rows at a time, and memory stays near the
-#: size of the sum.
+#: Terms the kernel lists for one sum, at most (:func:`_fits`).  Each term
+#: takes numpy passes of its own, and a factor with a dense s x s block gives
+#: s^3 terms for s^2 entries of the sum; a larger sum goes to scipy.
 _CHUNK_TERMS = 1 << 16
 
 
@@ -317,64 +319,30 @@ def _most_terms(part) -> int:
     return part.a[1].size * int(np.bincount(part.b[1]).max(initial=0))
 
 
-def _row_terms(part, n_rows: int) -> np.ndarray:
-    """How many terms a part of :func:`_signed_sum` has on each row of the sum."""
-    if not isinstance(part, _Product):
-        return np.bincount(part[0], minlength=n_rows)
-    # the factor that gives the sum's rows, and the other
-    lead, other = (part.b, part.a) if part.swapped else (part.a, part.b)
-    matches = np.bincount(other[1], minlength=int(lead[1].max(initial=-1)) + 1)[lead[1]]
-    return np.bincount(lead[0], matches, n_rows)
-
-
-def _listed(part, rows):
-    """The terms of a part of :func:`_signed_sum` on the sum's rows ``rows``, in order.
-
-    ``rows`` is a range ``(lo, hi)``, or None for every row.
-    """
-    def within(entries):
-        if rows is None:
-            return entries
-        inside = (entries[0] >= rows[0]) & (entries[0] < rows[1])
-        return tuple(array[inside] for array in entries)
-
-    if not isinstance(part, _Product):
-        return within(part)
-    if part.swapped:
-        return _swap(_terms(part.a, within(part.b)))
-    return _terms(within(part.a), part.b)
+def _fits(parts) -> bool:
+    """Whether :func:`_signed_sum` takes ``parts``: at most ``_CHUNK_TERMS`` terms in all."""
+    return sum(_most_terms(part) for part in parts) <= _CHUNK_TERMS
 
 
 def _signed_sum(signs: str, parts, shape: tuple[int, int], drop: float = 0.0):
     """``P1 ± P2 ± ...`` as scipy sums it; ``signs`` holds each part's sign, ``+`` or ``-``.
 
     A part is a product (:func:`_pairs`, :func:`_adjoint_pairs`) or a
-    matrix's entries ``(rows, cols, values)``.  A part's terms at one
-    position are summed from zero in their order, as a CSR product sums
+    matrix's entries ``(rows, cols, values)``.  Every term of every part is
+    listed at once, so callers ask :func:`_fits` first.  A part's terms at
+    one position are summed from zero in their order, as a CSR product sums
     them (``np.bincount`` adds in index order, like ``np.add.at``;
     ``np.add.reduceat`` would give ``1 + (-1 - 0.09)`` where scipy gives
     ``(1 - 1) - 0.09``).  The parts' sums are then added or subtracted left
     to right, as a chain of CSR sums and differences does.  Entries of
     modulus at most ``drop`` are dropped (by default the exact zeros, which
-    scipy drops too).  Each position's terms lie on one row, so listing the
-    terms a range of rows at a time (``_CHUNK_TERMS``) changes no bit.
+    scipy drops too).
 
     Returns the sum's entries as ``(rows, cols, values)``, sorted by row,
     then column: the order in which scipy's sparse norm reads a sum, so
     :func:`frobenius_norm` of ``values`` is the sum's norm, bit for bit.
     """
-    if sum(_most_terms(part) for part in parts) <= _CHUNK_TERMS:
-        return _sum_terms(signs, [_listed(part, None) for part in parts], shape, drop)
-    per_row = np.cumsum(sum(_row_terms(part, shape[0]) for part in parts))
-    ends = np.searchsorted(per_row, np.arange(_CHUNK_TERMS, per_row[-1], _CHUNK_TERMS), "right")
-    bounds = np.concatenate(([0], ends, [shape[0]]))
-    sums = [_sum_terms(signs, [_listed(part, rows) for part in parts], shape, drop)
-            for rows in zip(bounds[:-1], bounds[1:])]
-    return tuple(np.concatenate(arrays) for arrays in zip(*sums))
-
-
-def _sum_terms(signs: str, parts, shape: tuple[int, int], drop: float):
-    """:func:`_signed_sum` of parts given as term lists ``(rows, cols, values)``."""
+    parts = [_terms(part) if isinstance(part, _Product) else part for part in parts]
     n_cols = shape[1]
     keys = np.concatenate([np.asarray(rows, dtype=np.int64) * n_cols + cols
                            for rows, cols, _ in parts])
@@ -411,7 +379,11 @@ def _sum_terms(signs: str, parts, shape: tuple[int, int], drop: float):
 
 
 def _sum_csr(shape: tuple[int, int], entries) -> sp.csr_matrix:
-    """The CSR matrix of entries sorted by row, then column (:func:`_signed_sum`)."""
+    """The CSR matrix of distinct entries ``(rows, cols, values)`` sorted by row, then column.
+
+    Sorted so, the entries are the CSR arrays themselves, as :func:`_signed_sum`
+    returns them; this skips scipy's slower conversion from coordinates.
+    """
     rows, cols, values = entries
     indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(np.int32)
     return sp.csr_matrix((values, cols.astype(np.int32), indptr), shape=shape)

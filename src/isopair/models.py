@@ -20,11 +20,12 @@ commutation residuals, the defect, the cross-commutator and the interior
 compression of ``V V^H`` -- is formed from those slices and keeps their
 form (:class:`_InteriorProducts`); the defect and cross-commutator drop
 their round-off, entries of modulus up to ``_ROUNDOFF``, as they form.
-On CSR slices, scipy forms only the three thin products with a whole
-operator; every other product is summed from the stored entries of the
-slices and of those three by the ``linalg`` kernel (``_pairs``,
-``_adjoint_pairs`` and ``_signed_sum``), which adds in scipy's order and so
-gives its bits, and each returned product is one CSR matrix.
+Each product is written once, in operator syntax, and runs on numpy or on
+scipy's compiled sparse arithmetic.  On CSR slices, a sum whose terms fit
+(``linalg._fits``) is summed instead from stored entries by the ``linalg``
+kernel (``_pairs``, ``_adjoint_pairs`` and ``_signed_sum``), which adds in
+scipy's order and so gives its bits; each returned product is one CSR
+matrix either way.
 
 Basis labels are structured tuples, never strings:
 
@@ -46,6 +47,7 @@ from .linalg import (
     _adjoint_pairs,
     _check_tolerance,
     _entries,
+    _fits,
     _pairs,
     _signed_sum,
     _sum_csr,
@@ -217,13 +219,9 @@ def _csr(dim: int, rows: np.ndarray, cols: np.ndarray, values) -> sp.csr_matrix:
     The positions must be distinct; ``values`` is one value per position or
     one for all of them.
     """
-    # sorted by row, then column, the entries are the CSR arrays themselves;
-    # this skips scipy's slower conversion from coordinates
     order = np.lexsort((cols, rows))
     data = np.broadcast_to(np.asarray(values, dtype=np.complex128), order.shape)[order]
-    indptr = np.searchsorted(rows[order], np.arange(dim + 1)).astype(np.int32)
-    return _read_only(sp.csr_matrix((data, cols[order].astype(np.int32), indptr),
-                                    shape=(dim, dim)))
+    return _read_only(_sum_csr((dim, dim), (rows[order], cols[order], data)))
 
 
 def _block_diag(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
@@ -290,16 +288,35 @@ def product_operators(pair: StructuredPair):
 _ROUNDOFF = 1e-13
 
 
+def _dropped(product, drop: float):
+    """A fresh product, with its entries of modulus up to ``drop`` set to zero.
+
+    A sparse one comes back as canonical CSR, as the kernel leaves its sums.
+    """
+    if not sp.issparse(product):
+        if drop:  # else the entries to set are zero already
+            product[np.abs(product) <= drop] = 0
+        return product
+    product = product.tocsr()
+    product.data[np.abs(product.data) <= drop] = 0
+    product.eliminate_zeros()
+    product.sort_indices()
+    return product
+
+
 class _InteriorProducts:
     """Thin products of ``v1`` and ``v2`` on the indices ``interior``, each formed once.
 
     The operators share one form, dense or CSR (:func:`product_operators`),
     and every product keeps it.  Their interior rows and columns are sliced
-    here, and each product is formed from those slices on first read.  On
-    CSR operators, scipy forms only the three thin products ``V1 cols2``,
-    ``V2 cols1`` and ``rows1 V2``; everything else is summed from the stored
+    here, and each product is formed from those slices on first read by one
+    formula in operator syntax: numpy's arithmetic on dense slices, scipy's
+    compiled arithmetic on CSR ones.  On CSR slices, scipy forms the three
+    thin products ``V1 cols2``, ``V2 cols1`` and ``rows1 V2``, and a sum
+    whose terms fit (``linalg._fits``) is summed instead from the stored
     entries of the slices and of those products by the ``linalg`` kernel,
-    with scipy's bits, and each returned product is one CSR matrix.
+    with scipy's bits and without scipy's intermediate matrices.  Each
+    returned product is one matrix, a CSR one canonical either way.
     """
 
     def __init__(self, v1, v2, interior):
@@ -319,63 +336,59 @@ class _InteriorProducts:
         """The stored entries of ``rows1``, ``rows2``, ``cols1`` and ``cols2``."""
         return tuple(_entries(part) for part in (*self.rows, *self.cols))
 
+    def _summed(self, signs: str, parts, shape=None, drop: float = 0.0):
+        """The kernel's sum of ``parts(*self._slices)``, on CSR operators if it fits; else None."""
+        if self.sparse and _fits(parts := parts(*self._slices)):
+            return _signed_sum(signs, parts, shape or self.shape, drop)
+        return None
+
+    def _formed(self, formula, signs: str, parts, drop: float = 0.0):
+        """One matrix: the kernel's sum (:meth:`_summed`), else ``formula()`` (:func:`_dropped`)."""
+        summed = self._summed(signs, parts, drop=drop)
+        return _dropped(formula(), drop) if summed is None else _sum_csr(self.shape, summed)
+
     @functools.cached_property
     def range_v(self):
         """Interior compression of ``V V^H``, ``V = V1 V2``."""
         rows = self.rows[0] @ self.v2
-        if not self.sparse:
-            return rows @ rows.conj().T
-        rows = _entries(rows)
-        return _sum_csr(self.shape, _signed_sum("+", [_pairs(rows, rows)], self.shape))
+        thin = _entries(rows) if self.sparse else None
+        return self._formed(lambda: rows @ rows.conj().T, "+", lambda *_: [_pairs(thin, thin)])
 
     def range_complement(self):
         """``I - range_v``, in the products' form."""
-        if not self.sparse:
-            return self.identity - self.range_v
-        parts = [_identity(self.shape[0]), _entries(self.range_v)]
-        return _sum_csr(self.shape, _signed_sum("+-", parts, self.shape))
+        return self._formed(lambda: self.identity - self.range_v, "+-",
+                            lambda *_: [_identity(self.shape[0]), _entries(self.range_v)])
 
     @functools.cached_property
     def residuals(self) -> dict[str, float]:
         """Isometry and commutation residuals on the interior columns."""
-        cols1, cols2 = self.cols
-        if not self.sparse:
-            return {
-                "isometry_v1": frobenius_norm(cols1.conj().T @ cols1 - self.identity),
-                "isometry_v2": frobenius_norm(cols2.conj().T @ cols2 - self.identity),
-                "commutation": frobenius_norm(self.v1 @ cols2 - self.v2 @ cols1),
-            }
-        identity = _identity(self.shape[0])
+        def norm(formula, parts, shape=None):
+            summed = self._summed("+-", parts, shape)
+            return frobenius_norm(formula() if summed is None else summed[2])
 
-        def isometry(cols):
-            # scipy forms cols^H cols - I in CSC, whose norm reads it by columns
-            gram = _adjoint_pairs(cols, cols, transposed=True)
-            return frobenius_norm(_signed_sum("+-", [gram, identity], self.shape)[2])
-
-        shape = (self.v1.shape[0], self.interior.size)
-        commutation = _signed_sum("+-", [_entries(self.v1 @ cols2), _entries(self.v2 @ cols1)],
-                                  shape)
+        (cols1, cols2), n = self.cols, self.shape[0]
+        moved = self.v1 @ cols2, self.v2 @ cols1
+        # scipy forms cols^H cols - I in CSC, whose norm reads it by columns
         return {
-            "isometry_v1": isometry(self._slices[2]),
-            "isometry_v2": isometry(self._slices[3]),
-            "commutation": frobenius_norm(commutation[2]),
+            "isometry_v1": norm(lambda: cols1.conj().T @ cols1 - self.identity,
+                                lambda r1, r2, c1, c2: [_adjoint_pairs(c1, c1, True), _identity(n)]),
+            "isometry_v2": norm(lambda: cols2.conj().T @ cols2 - self.identity,
+                                lambda r1, r2, c1, c2: [_adjoint_pairs(c2, c2, True), _identity(n)]),
+            "commutation": norm(lambda: moved[0] - moved[1],
+                                lambda *_: [_entries(m) for m in moved], moved[0].shape),
         }
 
     @functools.cached_property
     def defect_and_cross(self):
-        if self.sparse:
-            rows1, rows2, cols1, cols2 = self._slices
-            defect = _signed_sum("+--+", [_identity(self.shape[0]), _pairs(rows1, rows1),
-                                          _pairs(rows2, rows2), _entries(self.range_v)],
-                                 self.shape, _ROUNDOFF)
-            cross = _signed_sum("+-", [_adjoint_pairs(cols2, cols1), _pairs(rows1, rows2)],
-                                self.shape, _ROUNDOFF)
-            return _sum_csr(self.shape, defect), _sum_csr(self.shape, cross)
         (rows1, rows2), (cols1, cols2) = self.rows, self.cols
-        defect = self.identity - rows1 @ rows1.conj().T - rows2 @ rows2.conj().T + self.range_v
-        cross = cols2.conj().T @ cols1 - rows1 @ rows2.conj().T
-        for product in (defect, cross):
-            product[np.abs(product) <= _ROUNDOFF] = 0
+        defect = self._formed(
+            lambda: self.identity - rows1 @ rows1.conj().T - rows2 @ rows2.conj().T + self.range_v,
+            "+--+", lambda r1, r2, c1, c2: [_identity(self.shape[0]), _pairs(r1, r1),
+                                            _pairs(r2, r2), _entries(self.range_v)],
+            _ROUNDOFF)
+        cross = self._formed(lambda: cols2.conj().T @ cols1 - rows1 @ rows2.conj().T, "+-",
+                             lambda r1, r2, c1, c2: [_adjoint_pairs(c2, c1), _pairs(r1, r2)],
+                             _ROUNDOFF)
         return defect, cross
 
 

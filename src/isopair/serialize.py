@@ -27,12 +27,13 @@ tokens, one trailing newline), which makes generate/parse/re-serialize
 byte-stable.  Readers ignore whitespace, so files written in the earlier
 indented form load to the same objects.  Matrix data is checked on load:
 every value must be a finite number, a shape must not be negative, COO
-indices must be ints in range and strictly increasing, and a triple's
-``dim`` must match its matrices.  Shapes, a ``dim`` and a pair's interior
-indices must be JSON ints, not floats that would be truncated.  A pair's
-``basis_labels`` must be a list of labels, each a list, as the encoder
-writes them, with no JSON object or null at any depth and nested at most
-``_LABEL_DEPTH`` deep, and its ``provenance`` a string.
+indices must be ints in range and strictly increasing, and the shapes a
+pair's or triple's matrices declare, and a pair's label count, must match
+its ``dim`` before any matrix is decoded.  Shapes, a ``dim`` and a pair's
+interior indices must be JSON ints, not floats that would be truncated.  A
+pair's ``basis_labels`` must be a list of labels, each a list, as the
+encoder writes them, with no JSON object or null at any depth and nested
+at most ``_LABEL_DEPTH`` deep, and its ``provenance`` a string.
 """
 
 import itertools
@@ -46,6 +47,7 @@ import scipy.sparse as sp
 
 from .bcl import BCLTriple
 from .classify import BlockDescriptor, ClassificationResult
+from .linalg import _sum_csr
 from .models import _V1, _V2, StructuredPair, _read_only
 
 
@@ -146,12 +148,11 @@ def _coo_csr(rows: int, cols: int, flat: np.ndarray, parts: np.ndarray) -> sp.cs
     dense form would not store it.  The caller makes sure no part is ``-0.0``.
     """
     stored = np.flatnonzero(parts.any(axis=0))
-    # strictly increasing flat indices are CSR order already
+    # strictly increasing flat indices are sorted by row, then column
     row, col = np.divmod(flat[stored], cols)
     data = np.empty(stored.size, dtype=np.complex128)
     data.real, data.imag = parts[:, stored]
-    indptr = np.searchsorted(row, np.arange(rows + 1)).astype(np.int32)
-    return sp.csr_matrix((data, col.astype(np.int32), indptr), shape=(rows, cols))
+    return _sum_csr((rows, cols), (row, col, data))
 
 
 def _json_int(obj, key: str) -> int:
@@ -162,6 +163,14 @@ def _json_int(obj, key: str) -> int:
     return value
 
 
+def _declared_shape(obj) -> tuple[int, int]:
+    """A matrix's ``(rows, cols)`` as its JSON declares them, checked but not decoded."""
+    rows, cols = _json_int(obj, "rows"), _json_int(obj, "cols")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"matrix shape {rows}x{cols} is negative")
+    return rows, cols
+
+
 def _decode_matrix(obj, sparse: bool):
     """Decode a dense or COO matrix; see :func:`matrix_from_json` for the checks.
 
@@ -169,9 +178,7 @@ def _decode_matrix(obj, sparse: bool):
     ``-0.0``, which a CSR matrix does not keep bit for bit (its dense form
     adds each entry to a zero).  Everything else decodes to a dense array.
     """
-    rows, cols = _json_int(obj, "rows"), _json_int(obj, "cols")
-    if rows < 0 or cols < 0:
-        raise ValueError(f"matrix shape {rows}x{cols} is negative")
+    rows, cols = _declared_shape(obj)
     if "data" in obj:
         values = _dense_values(obj["data"], rows * cols)
     else:
@@ -207,12 +214,12 @@ def triple_to_json(triple: BCLTriple) -> dict:
 
 def triple_from_json(obj) -> BCLTriple:
     dim = _json_int(obj, "dim")
-    unitary = matrix_from_json(obj["unitary"])
-    projection = matrix_from_json(obj["projection"])
-    if unitary.shape != (dim, dim) or projection.shape != (dim, dim):
+    shapes = [_declared_shape(obj[key]) for key in ("unitary", "projection")]
+    if shapes != [(dim, dim)] * 2:
         raise ValueError(f"triple dim {dim} disagrees with matrix shapes "
-                         f"{unitary.shape} and {projection.shape}")
-    return BCLTriple(dim=dim, unitary=unitary, projection=projection)
+                         f"{shapes[0]} and {shapes[1]}")
+    return BCLTriple(dim=dim, unitary=matrix_from_json(obj["unitary"]),
+                     projection=matrix_from_json(obj["projection"]))
 
 
 def _label_to_json(label):
@@ -287,6 +294,11 @@ def pair_from_json(obj) -> StructuredPair:
         raise ValueError("pair basis_labels must be a list of label lists")
     if not isinstance(provenance, str):
         raise ValueError(f"pair provenance must be a string, got {provenance!r}")
+    # checked before decoding, which allocates the declared shapes in full
+    if any(_declared_shape(obj[key]) != (dim, dim) for key in ("v1", "v2")):
+        raise ValueError("operator shapes do not match dim")
+    if len(labels) != dim:
+        raise ValueError("one label per basis vector required")
     # the decoded matrices are fresh; frozen, the pair keeps them without a copy
     return StructuredPair(
         dim=dim,

@@ -404,3 +404,34 @@ def test_unhashable_kind_exits_2(tmp_path, capsys, kind):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: unknown object kind")
+
+
+def _coo(rows: int, cols: int) -> dict:
+    return {"rows": rows, "cols": cols, "index": [], "re": [], "im": []}
+
+
+
+@pytest.mark.parametrize("base,spoil,message", [
+    ("pair", lambda payload: payload.update(v1=_coo(10**12, 3)),
+     "operator shapes do not match dim"),
+    ("pair", lambda payload: payload.update(dim=10**12, v1=_coo(10**12, 10**12),
+                                            v2=_coo(10**12, 10**12)),
+     "one label per basis vector required"),
+    ("triple", lambda payload: payload.update(unitary=_coo(10**6, 10**6)),
+     "triple dim 2 disagrees with matrix shapes"),
+], ids=["pair-operator-rows", "pair-labels", "triple-unitary"])
+def test_declared_shapes_are_checked_before_decoding(tmp_path, capsys, base, spoil, message):
+    # decoding allocates the declared shape: 7 TiB of CSR row pointers, or
+    # 16 TiB of dense entries, ended in a MemoryError traceback with exit 1
+    payload = pair_to_json(twisted_shift(1j, 3)) if base == "pair" \
+        else triple_to_json(two_finite_triple(1j))
+    spoil(payload)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert path.stat().st_size < 400
+    for argv in (["classify", str(path)], ["analyze", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert len(err.strip().splitlines()) == 1

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse import _compressed
 
-from isopair import bcl, models
+from isopair import bcl, linalg, models
 from isopair.classify import (
     ONE_FINITE,
     THREE_FINITE,
@@ -19,7 +19,7 @@ from isopair.classify import (
     fundamental_sequence,
     working_space,
 )
-from isopair.cli import analyze_object
+from isopair.cli import CLUSTER_TOL, analyze_object
 from isopair.izuchi import build_izuchi_model, verify_izuchi_invariants
 from isopair.linalg import as_complex, coupled_eig, hermitian_eig, lift, random_unitary
 from isopair.models import (
@@ -34,6 +34,7 @@ from isopair.models import (
     twisted_shift,
     validate_pair,
 )
+from isopair.serialize import classification_to_json, dumps_canonical
 
 from conftest import two_finite_triple
 from test_classify import shift_unitary_pair
@@ -438,3 +439,54 @@ def test_sparse_products_build_few_csr_objects(monkeypatch):
     made.clear()
     assert verify_izuchi_invariants(model).ok
     assert len(made) <= 9
+
+
+def _filled_block_sum():
+    """A sparse pair holding a filled block: a scramble's 182 x 182 block next to a cap-50 model."""
+    return direct_sum([scramble(build_izuchi_model(0.5, 1j, 13, 13).pair, 1),
+                       build_izuchi_model(0.5, 1j, 50, 50).pair])
+
+
+def _sparse_answers(pair) -> tuple:
+    products = models._InteriorProducts(*product_operators(pair), pair.interior)
+    matrices = (*products.defect_and_cross, products.range_complement())
+    assert all(isinstance(matrix, sp.csr_matrix) for matrix in matrices)
+    arrays = [(matrix.indptr.tobytes(), matrix.indices.tobytes(), matrix.data.tobytes())
+              for matrix in matrices]
+    return (arrays, repr(validate_pair(pair)),
+            dumps_canonical(classification_to_json(classify(pair))),
+            dumps_canonical(analyze_object(pair, None, CLUSTER_TOL)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bishift_truncated(8),
+    lambda: twisted_shift(np.exp(0.7j), 9),
+    lambda: build_izuchi_model(0.5, np.exp(0.7j), 12, 12).pair,
+    lambda: direct_sum([build_izuchi_model(-0.3, np.exp(2.0j), 8, 8).pair,
+                        twisted_shift(1j, 6), bishift_truncated(5)]),
+    _filled_block_sum,
+], ids=["bishift", "twisted", "model", "sum", "filled-block-sum"])
+def test_scipy_formula_gives_the_kernels_bytes(monkeypatch, make):
+    # with no sum small enough for the kernel, every product is formed by
+    # scipy from its operator formula, and every answer keeps its bytes
+    pair = make()
+    assert not dense_products(pair)
+    kernel = _sparse_answers(pair)
+    monkeypatch.setattr(linalg, "_CHUNK_TERMS", 0)
+    assert _sparse_answers(pair) == kernel
+
+
+def test_filled_block_sum_hands_the_kernel_only_sums_that_fit(monkeypatch):
+    # listing every term of a sum over the filled block would take millions
+    sizes = []
+    signed_sum = linalg._signed_sum
+
+    def spy(signs, parts, *args, **kwargs):
+        sizes.append(sum(linalg._most_terms(part) for part in parts))
+        return signed_sum(signs, parts, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_signed_sum", spy)
+    monkeypatch.setattr(models, "_signed_sum", spy)
+    result = classify(_filled_block_sum())
+    assert [b.kind for b in result.blocks] == [THREE_FINITE] * 2
+    assert sizes and max(sizes) <= linalg._CHUNK_TERMS
