@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _check_tolerance, as_complex, random_unitary
+from .linalg import _check_tolerance, as_complex, frobenius_norm, random_unitary
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,13 @@ def validate_triple(triple: BCLTriple, tol: float = 1e-10) -> TripleValidation:
             f"dimension mismatch: expected {(n, n)} operators, "
             f"got U {u.shape} and P {p.shape}"
         )
-    eye = np.eye(n)
+    # ``U^H U - I``, formed in place
+    gram = u.conj().T @ u
+    gram.flat[::n + 1] -= 1.0
     residuals = {
-        "unitarity": float(np.linalg.norm(u.conj().T @ u - eye)),
-        "idempotency": float(np.linalg.norm(p @ p - p)),
-        "hermitian": float(np.linalg.norm(p - p.conj().T)),
+        "unitarity": frobenius_norm(gram),
+        "idempotency": frobenius_norm(p @ p - p),
+        "hermitian": frobenius_norm(p - p.conj().T),
     }
     return TripleValidation(ok=all(r <= tol for r in residuals.values()),
                             residuals=residuals)
@@ -119,14 +121,16 @@ def wandering_projections(triple: BCLTriple, tol: float = 1e-10) -> WanderingOpe
     _require_valid(triple, tol)
     u, p = triple.unitary, triple.projection
     eye = np.eye(triple.dim)
-    conj = u @ p @ u.conj().T
+    uh = u.conj().T
+    conj = u @ p @ uh
+    complement = eye - p
     return WanderingOperators(
         proj_w1=p.copy(),
         proj_v2w1=conj,
         proj_w2=eye - conj,
-        proj_v1w2=eye - p,
+        proj_v1w2=complement,
         defect=p - conj,
-        cross=_cross_commutator(u, p),
+        cross=_cross_commutator(uh, p, complement),
     )
 
 
@@ -139,12 +143,13 @@ def cross_commutator_on_wandering(triple: BCLTriple, tol: float = 1e-10) -> np.n
     of ``U P U^* (I - P)``.
     """
     _require_valid(triple, tol)
-    return _cross_commutator(triple.unitary, triple.projection)
+    u, p = triple.unitary, triple.projection
+    return _cross_commutator(u.conj().T, p, np.eye(triple.dim) - p)
 
 
-def _cross_commutator(u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    uh = u.conj().T
-    return p @ uh @ (np.eye(len(p)) - p) @ uh
+def _cross_commutator(uh: np.ndarray, p: np.ndarray, complement: np.ndarray) -> np.ndarray:
+    """``P U^* (I - P) U^*`` from ``U^*``, ``P`` and ``I - P``."""
+    return p @ uh @ complement @ uh
 
 
 def toeplitz_symbols(triple: BCLTriple, tol: float = 1e-10) -> ToeplitzSymbols:

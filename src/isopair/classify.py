@@ -26,14 +26,16 @@ the other rows.  A filled (scrambled) input has no such rows and takes one
 decomposition of the whole interior.
 """
 
+import math
+from collections import Counter
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import zgees as _zgees
 
 # the working-space builder calls through these modules, so a test can
 # count how often each input's working data are computed
@@ -223,7 +225,9 @@ def _largest_distance(vectors: np.ndarray, basis: np.ndarray) -> float:
     """Largest distance of the columns of ``vectors`` from the span of the orthonormal ``basis``."""
     if vectors.shape[1] == 0:
         return 0.0
-    return float(np.max(np.linalg.norm(vectors - basis @ (basis.conj().T @ vectors), axis=0)))
+    off = vectors - basis @ (basis.conj().T @ vectors)
+    # the column norms as ``np.linalg.norm(off, axis=0)`` takes them
+    return math.sqrt(np.add.reduce((off.conj() * off).real, axis=0).max())
 
 
 def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[str, float]]:
@@ -257,12 +261,13 @@ def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[s
     # matrices.  Rows and columns where neither X nor the basis has a
     # nonzero entry add only zeros to the residual, so it is taken on the rest
     support = (vectors != 0).any(axis=1)
-    support[_support(cross)[0]] = True
     if not support.all():
-        rows = np.flatnonzero(support)
-        cross = _block(cross, rows) if sp.issparse(cross) else cross[np.ix_(rows, rows)]
-        vectors = vectors[rows]
-    contract = float(np.linalg.norm(cross - vectors @ compressed @ vectors.conj().T))
+        support[_support(cross)[0]] = True
+        if not support.all():
+            rows = np.flatnonzero(support)
+            cross = _block(cross, rows) if sp.issparse(cross) else cross[np.ix_(rows, rows)]
+            vectors = vectors[rows]
+    contract = frobenius_norm(cross - vectors @ compressed @ vectors.conj().T)
     residuals["cross_confined"] = contract
     if contract > floor:
         raise ValueError(
@@ -331,12 +336,38 @@ class ClassificationResult:
         return tuple(b.alpha for b in self.blocks)
 
 
-def _canonical_angle(alpha: complex) -> float:
-    if abs(alpha) == 0:
-        return 0.0
-    angle = float(np.angle(alpha)) % (2.0 * np.pi)
-    # snap the wrap-around so arguments a hair below 2*pi sort like 0
-    return 0.0 if angle > 2.0 * np.pi - 1e-9 else angle
+def _canonical_angles(values: np.ndarray) -> list[float]:
+    """The arguments of complex ``values`` in ``[0, 2 pi)``, 0.0 for a zero value.
+
+    ``np.angle`` runs once on the whole array, the same ufunc loop a single
+    value takes.
+    """
+    tau = 2.0 * np.pi
+    angles = []
+    for zero, angle in zip((values == 0).tolist(), np.angle(values).tolist()):
+        angle = 0.0 if zero else angle % tau
+        # snap the wrap-around so arguments a hair below 2*pi sort like 0
+        angles.append(0.0 if angle > tau - 1e-9 else angle)
+    return angles
+
+
+def _schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form ``(T, Z)`` of a square complex128 matrix with ``k >= 1`` rows.
+
+    The LAPACK call of ``scipy.linalg.schur(a, output="complex")``, with its
+    finiteness check and its workspace query, without its argument handling.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lwork = int(_zgees(_no_sort, a, lwork=-1)[-2][0].real)
+    t, _, _, z, _, info = _zgees(_no_sort, a, lwork=lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Schur form not found (LAPACK info {info})")
+    return t, z
+
+
+def _no_sort(_):
+    return None
 
 
 def fundamental_sequence(obj: PairInput, tol: float = 1e-8,
@@ -347,9 +378,9 @@ def fundamental_sequence(obj: PairInput, tol: float = 1e-8,
     eigenpair becomes a :class:`BlockDescriptor` whose kind is decided by
     the modulus band.  Blocks are ordered deterministically by descending
     modulus, then ascending argument, then lexicographically by the
-    phase-normalized eigenvector.  The shift-unitary part is left unfilled;
-    see :func:`classify` for the complete invariant.  Both tolerances must
-    be finite and nonnegative.
+    phase-normalized eigenvector, a key built only where the first two tie.
+    The shift-unitary part is left unfilled; see :func:`classify` for the
+    complete invariant.  Both tolerances must be finite and nonnegative.
     """
     _check_tolerance("tol", tol)
     _check_tolerance("band_tol", band_tol)
@@ -363,7 +394,7 @@ def _fundamental_sequence(ws: WorkingSpace, tol: float,
     if k == 0:
         return ClassificationResult(0, (), None, residuals)
 
-    xnorm = float(np.linalg.norm(compressed))
+    xnorm = frobenius_norm(compressed)
     normality = normality_residual(compressed)
     residuals["e1_cross_normality"] = normality
     if xnorm > 0 and normality > tol * max(1.0, xnorm * xnorm):
@@ -372,20 +403,29 @@ def _fundamental_sequence(ws: WorkingSpace, tol: float,
             f"(residual {normality:.3e})"
         )
 
-    t, z = sla.schur(compressed, output="complex")
-    offdiag = float(np.linalg.norm(t - np.diag(np.diagonal(t))))
-    residuals["schur_offdiagonal"] = offdiag
-    alphas = np.diagonal(t).copy()
+    t, z = _schur(compressed)
+    alphas = t.diagonal().copy()
+    # T less its diagonal, read in row order as the difference would be
+    offdiagonal = np.ascontiguousarray(t)
+    offdiagonal.flat[::k + 1] = 0
+    residuals["schur_offdiagonal"] = frobenius_norm(offdiagonal)
     vectors = np.ascontiguousarray(z)
     _normalize_phases(vectors)
 
+    # moduli and angles are quantized so float fuzz cannot reorder
+    # numerically equal entries across runs or scrambles.  Only blocks whose
+    # heads tie are told apart by their phase-normalized eigenvectors, so
+    # only they pay for that key; every other comparison ends at the head
+    moduli = np.hypot(alphas.real, alphas.imag).round(9).tolist()
+    heads = [(-modulus, round(angle, 9))
+             for modulus, angle in zip(moduli, _canonical_angles(alphas))]
+    tied = Counter(heads)
+
     def sort_key(j: int):
-        # moduli and angles are quantized so float fuzz cannot reorder
-        # numerically equal entries across runs or scrambles
-        a = alphas[j]
-        lex = tuple((round(float(c.real), 12), round(float(c.imag), 12))
-                    for c in vectors[:, j])
-        return (-round(abs(a), 9), round(_canonical_angle(a), 9), lex)
+        if tied[heads[j]] == 1:
+            return heads[j], ()
+        lex = tuple((round(c.real, 12), round(c.imag, 12)) for c in vectors[:, j].tolist())
+        return heads[j], lex
 
     order = sorted(range(k), key=sort_key)
 
@@ -421,16 +461,17 @@ def _orbit_closure(ops: Sequence[np.ndarray], seeds: np.ndarray,
     block = seeds
     while block.shape[1] and size < n:
         kept = basis[:, :size]
-        for _ in range(2):
+        # nothing to project off before the first directions are kept
+        for _ in range(2 if size else 0):
             block = block - kept @ (kept.conj().T @ block)
         # no singular value exceeds the Frobenius norm: nothing would be kept
-        if np.linalg.norm(block) <= tol:
+        if frobenius_norm(block) <= tol:
             break
         u, s, _ = np.linalg.svd(block, full_matrices=False)
         new = u[:, s > tol]
         basis[:, size:size + new.shape[1]] = new
         size += new.shape[1]
-        block = np.hstack([op @ new for op in ops])
+        block = np.concatenate([op @ new for op in ops], axis=1)
     return basis[:, :size].copy()
 
 
@@ -438,9 +479,8 @@ def _unitary_eigs(matrix: np.ndarray) -> tuple[complex, ...]:
     if matrix.shape[0] == 0:
         return ()
     values = np.linalg.eigvals(matrix)
-    ordered = sorted((complex(v) for v in values),
-                     key=lambda v: (_canonical_angle(v), v.real, v.imag))
-    return tuple(ordered)
+    keys = zip(_canonical_angles(values), values.tolist())
+    return tuple(v for _, v in sorted(keys, key=lambda kv: (kv[0], kv[1].real, kv[1].imag)))
 
 
 def shift_unitary_invariant(obj: PairInput, tol: float = 1e-8) -> ShiftUnitaryInvariant:
@@ -472,7 +512,7 @@ def _shift_unitary(ws: WorkingSpace, tol: float) -> ShiftUnitaryInvariant:
 
     u_n = complement.conj().T @ unitary @ complement
     p_n = complement.conj().T @ model.kernel1 @ complement
-    commute = float(np.linalg.norm(p_n - u_n @ p_n @ u_n.conj().T))
+    commute = frobenius_norm(p_n - u_n @ p_n @ u_n.conj().T)
     if commute > tol:
         raise ValueError(
             f"projection does not commute with the unitary on the residual "
@@ -480,7 +520,7 @@ def _shift_unitary(ws: WorkingSpace, tol: float) -> ShiftUnitaryInvariant:
         )
     # the residual block must also reduce the projection itself, otherwise
     # the 0/1 eigenvalue split below is meaningless
-    idem = float(np.linalg.norm(p_n @ p_n - p_n))
+    idem = frobenius_norm(p_n @ p_n - p_n)
     if idem > max(tol, 1e-8):
         raise ValueError(
             f"residual block does not reduce the projection "
@@ -509,7 +549,7 @@ def classify(obj: PairInput, tol: float = 1e-8,
         raise ValueError(f"input is not compact normal: {failure}")
     result = _fundamental_sequence(ws, tol, band_tol)
     shift = _shift_unitary(ws, tol)
-    return replace(result, shift_unitary=shift, residuals={
+    return ClassificationResult(result.k, result.blocks, shift, {
         **result.residuals, "cross_normality": report.normality_residual})
 
 
@@ -524,10 +564,12 @@ def _match_within(left: tuple[complex, ...], right: tuple[complex, ...],
     """
     if len(left) != len(right):
         return None
+    if not left:
+        return []
     gaps = np.abs(np.subtract.outer(np.asarray(left, dtype=complex),
                                     np.asarray(right, dtype=complex)))
-    order = np.argsort(gaps, axis=1, kind="stable")
-    near = [row[gap[row] <= tol].tolist() for row, gap in zip(order, gaps)]
+    order = gaps.argsort(axis=1, kind="stable").tolist()
+    near = [[j for j in row if close[j]] for row, close in zip(order, (gaps <= tol).tolist())]
     match = [-1] * len(left)    # left index -> right index
     owner = [-1] * len(right)   # right index -> left index
     for start in range(len(left)):

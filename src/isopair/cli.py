@@ -45,7 +45,8 @@ from .spectral import CLUSTER_TOL, rank_formula
 
 
 class InputError(Exception):
-    """A malformed input file, an unwritable output path or a bad parameter (exit 2)."""
+    """A malformed input file or one too large for memory, an unwritable output path or a
+    bad parameter (exit 2)."""
 
 
 @contextmanager
@@ -57,6 +58,8 @@ def _input_errors():
         raise InputError(exc) from exc
     except RecursionError as exc:
         raise InputError(f"input is nested too deeply: {exc}") from exc
+    except MemoryError as exc:
+        raise InputError(f"input does not fit in memory: {exc}") from exc
 
 
 def parse_complex(text: str) -> complex:

@@ -69,7 +69,7 @@ def hermitian_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """
     _check_tolerance("tol", tol)
     values, vectors = np.linalg.eigh(_checked_hermitian(a, tol))
-    order = np.argsort(values)[::-1]
+    order = values.argsort()[::-1]
     values = np.ascontiguousarray(values[order])
     vectors = np.ascontiguousarray(vectors[:, order])
     _normalize_phases(vectors)
@@ -87,12 +87,12 @@ def _checked_hermitian(a, tol: float = 1e-10) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     # a NaN or inf entry makes the norm NaN or inf; tested before the
     # difference, which would turn inf - inf into NaN with a warning
-    scale = float(np.linalg.norm(a))
+    scale = frobenius_norm(a)
     if not math.isfinite(scale):
         raise ValueError("matrix has a non-finite entry")
     # relative check with an absolute floor so near-zero matrices with
     # round-off-sized skew parts still pass; written so that NaN fails it
-    if not np.linalg.norm(a - a.conj().T) <= tol * max(scale, 1.0):
+    if not frobenius_norm(a - a.conj().T) <= tol * max(scale, 1.0):
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
 
@@ -101,7 +101,7 @@ def _normalize_phases(vectors: np.ndarray) -> None:
     """Rotate each column in place so its first largest-modulus entry is real and >= 0."""
     if vectors.size == 0:
         return
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
     # np.hypot rounds like the scalar abs(); np.abs on an array may not
     moduli = np.hypot(pivots.real, pivots.imag)
     # a zero column keeps the factor 1, which multiplies exactly
@@ -128,9 +128,13 @@ def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray],
     """
     index, block = _support(a)
     off = block != 0
-    np.fill_diagonal(off, False)
-    coupled = off.any(axis=0) | off.any(axis=1)
-    if index.size == a.shape[0] and coupled.all():
+    # a block with no zero entry couples every row to the others
+    filled = index.size == a.shape[0] > 1 and off.all()
+    if not filled:
+        np.fill_diagonal(off, False)
+        coupled = off.any(axis=0) | off.any(axis=1)
+        filled = index.size == a.shape[0] and coupled.all()
+    if filled:
         # a filled matrix, such as a triple's defect: placing its vectors
         # would add a third to the call at dimension 10
         values, vectors = eig(block)
@@ -147,7 +151,7 @@ def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray],
         vectors = np.zeros((a.shape[0], values.size), dtype=np.complex128)
         vectors[index[coupled], :np.count_nonzero(kept)] = block_vectors[:, kept]
         vectors[index[units], np.arange(values.size - units.size, values.size)] = 1.0
-    order = np.argsort(-values, kind="stable")
+    order = (-values).argsort(kind="stable")
     return values[order], vectors[:, order]
 
 
@@ -185,7 +189,7 @@ def _rank_from_moduli(moduli: np.ndarray, shape: tuple[int, ...],
         return 0
     if tol is None:
         tol = max(shape) * RANK_TOL_FACTOR
-    cutoff = max(tol * float(np.max(moduli)), RANK_FLOOR)
+    cutoff = max(tol * float(moduli.max()), RANK_FLOOR)
     return int(np.count_nonzero(moduli > cutoff))
 
 
@@ -197,8 +201,23 @@ def _check_tolerance(name: str, value: float) -> None:
 
 
 def frobenius_norm(x) -> float:
-    """Frobenius norm of a dense array or a ``scipy.sparse`` matrix."""
-    return float(np.linalg.norm(x) if isinstance(x, np.ndarray) else sp.linalg.norm(x))
+    """Frobenius norm of a dense array or a ``scipy.sparse`` matrix.
+
+    A float64 or complex128 array takes the arithmetic of ``np.linalg.norm``
+    (the dot products of its flattened real and imaginary parts, read in
+    memory order) without that function's argument handling, so the value
+    is the same float.
+    """
+    if not isinstance(x, np.ndarray):
+        return float(sp.linalg.norm(x))
+    kind = x.dtype.char
+    if kind not in "dD":
+        return float(np.linalg.norm(x))
+    flat = x.ravel(order="K")
+    if kind == "d":
+        return math.sqrt(flat.dot(flat))
+    real, imag = flat.real, flat.imag
+    return math.sqrt(real.dot(real) + imag.dot(imag))
 
 
 def normality_residual(x) -> float:
@@ -477,7 +496,9 @@ class Subspace:
                 f"{self.ambient_dim}"
             )
         gram = basis.conj().T @ basis
-        if np.linalg.norm(gram - np.eye(basis.shape[1])) > 1e-10:
+        # ``gram - I``, formed in place
+        gram.flat[::basis.shape[1] + 1] -= 1.0
+        if frobenius_norm(gram) > 1e-10:
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", basis)
 

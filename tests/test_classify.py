@@ -1,10 +1,13 @@
 import importlib
 from dataclasses import replace
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isopair.bcl import (
     BCLTriple,
@@ -29,7 +32,13 @@ from isopair.classify import (
 )
 from isopair.cli import analyze_object
 from isopair.izuchi import build_izuchi_model, canonical_basis_3finite, verify_izuchi_invariants
-from isopair.linalg import as_complex, hermitian_eig, random_unitary, subspace_intersection
+from isopair.linalg import (
+    _normalize_phases,
+    as_complex,
+    hermitian_eig,
+    random_unitary,
+    subspace_intersection,
+)
 from isopair.models import (
     StructuredPair,
     bishift_truncated,
@@ -535,6 +544,117 @@ class TestClassify:
             w @ triple.projection @ w.conj().T,
         )
         assert decide_equivalence(triple, conjugated).equivalent
+
+
+def _reference_angle(alpha) -> float:
+    """The argument of one value in [0, 2 pi), as the block order defines it."""
+    if abs(alpha) == 0:
+        return 0.0
+    angle = float(np.angle(alpha)) % (2.0 * np.pi)
+    return 0.0 if angle > 2.0 * np.pi - 1e-9 else angle
+
+
+def _full_key(alphas, vectors, j):
+    """The block-order key with every part built: head, then eigenvector."""
+    a = alphas[j]
+    lex = tuple((round(float(c.real), 12), round(float(c.imag), 12)) for c in vectors[:, j])
+    return (-round(abs(a), 9), round(_reference_angle(a), 9), lex)
+
+
+def _classify_with_schur_data(obj):
+    """``classify(obj)``, the Schur data and E1 basis it sorted, and its 12-digit rounds."""
+    seen = {"lex_rounds": 0}
+    schur, e1_core = classify_module._schur, classify_module._e1_core
+
+    def spy_schur(a):
+        t, z = schur(a)
+        seen["alphas"], seen["z"] = np.diagonal(t).copy(), z.copy()
+        return t, z
+
+    def spy_e1_core(ws, tol):
+        found = e1_core(ws, tol)
+        seen["basis"] = found[0].basis
+        return found
+
+    def counted_round(x, digits=None):
+        seen["lex_rounds"] += digits == 12
+        return round(x, digits)
+
+    with mock.patch.object(classify_module, "_schur", spy_schur), \
+            mock.patch.object(classify_module, "_e1_core", spy_e1_core), \
+            mock.patch.object(classify_module, "round", counted_round, create=True):
+        result = classify(obj)
+    return result, seen
+
+
+def _compact_normal_triple(alphas, phases, bits, seed) -> BCLTriple:
+    """Two-finite blocks ``[[0, 1], [alpha, 0]]`` plus a diagonal commuting part, scrambled."""
+    m, r = len(alphas), len(phases)
+    n = 2 * m + r
+    u = np.zeros((n, n), dtype=complex)
+    p = np.zeros((n, n), dtype=complex)
+    for j, alpha in enumerate(alphas):
+        u[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[0.0, 1.0], [alpha, 0.0]]
+        p[2 * j, 2 * j] = 1.0
+    u[2 * m:, 2 * m:] = np.diag(phases)
+    p[2 * m:, 2 * m:] = np.diag(np.asarray(bits, dtype=float))
+    w = random_unitary(n, np.random.default_rng(seed))
+    return BCLTriple(n, w @ u @ w.conj().T, w @ p @ w.conj().T)
+
+
+#: Unimodular values on a grid of sevenths: two are equal or far apart.
+sevenths = st.integers(0, 6).map(lambda k: complex(np.exp(2j * np.pi * k / 7)))
+order_seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def triples_for_order(draw, repeated: bool):
+    """A compact-normal triple whose sequence repeats a value, or holds distinct ones."""
+    if repeated:
+        alphas = draw(st.lists(sevenths, min_size=1, max_size=3))
+        alphas = [alphas[0]] + alphas
+    else:
+        alphas = [complex(np.exp(2j * np.pi * k / 7))
+                  for k in draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True))]
+    phases = draw(st.lists(sevenths, max_size=3))
+    bits = draw(st.lists(st.integers(0, 1), min_size=len(phases), max_size=len(phases)))
+    return _compact_normal_triple(alphas, phases, bits, draw(order_seeds))
+
+
+@st.composite
+def tied_pairs(draw):
+    """A direct sum of two blocks with one twist, or a model summed with its own scramble."""
+    twist = draw(sevenths)
+    kind = draw(st.sampled_from(["twisted", "izuchi", "bishift", "scramble"]))
+    if kind == "twisted":
+        parts = [twisted_shift(twist, draw(st.integers(3, 6))) for _ in range(2)]
+    elif kind == "izuchi":
+        parts = [build_izuchi_model(0.5, twist, 6, 6).pair] * 2
+    elif kind == "bishift":
+        parts = [bishift_truncated(draw(st.integers(3, 5))) for _ in range(2)]
+    else:
+        model = build_izuchi_model(draw(st.sampled_from([0.5, -0.3])), twist, 6, 6).pair
+        parts = [model, scramble(model, draw(order_seeds))]
+    return direct_sum(parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(obj=st.one_of(triples_for_order(repeated=True), triples_for_order(repeated=False),
+                     tied_pairs()))
+def test_blocks_come_in_the_order_of_the_full_key(obj):
+    # the eigenvector part of the key is built only for blocks whose heads
+    # tie; sorting by the whole key must give the same order
+    result, seen = _classify_with_schur_data(obj)
+    assert result.k == len(seen["alphas"]) > 0
+    alphas, vectors = seen["alphas"], np.ascontiguousarray(seen["z"])
+    _normalize_phases(vectors)
+    order = sorted(range(result.k), key=lambda j: _full_key(alphas, vectors, j))
+    for block, j in zip(result.blocks, order, strict=True):
+        assert np.array_equal(block.f_vector, seen["basis"] @ vectors[:, j])
+    # and only tied blocks paid for it: two rounds per eigenvector entry
+    heads = [_full_key(alphas, vectors, j)[:2] for j in range(result.k)]
+    tied = sum(heads.count(head) > 1 for head in heads)
+    assert seen["lex_rounds"] == 2 * tied * vectors.shape[0]
 
 
 # each entry gets ``None`` for its input, so work begun before the tolerance

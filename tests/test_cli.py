@@ -1,8 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from isopair import serialize
 from isopair.cli import main, parse_complex
 from isopair.models import direct_sum, scramble, twisted_shift
 from isopair.serialize import (
@@ -435,3 +437,23 @@ def test_declared_shapes_are_checked_before_decoding(tmp_path, capsys, base, spo
         assert out == ""
         assert err.startswith(f"error: {message}")
         assert len(err.strip().splitlines()) == 1
+
+
+def test_an_input_too_large_for_memory_exits_2(tmp_path, capsys):
+    # a triple whose declared shape agrees with its dim is decoded dense:
+    # this 10**6-wide one asks for 14.6 TiB.  The allocation is mocked, so
+    # the test does not depend on the machine's overcommit setting
+    payload = {"kind": "bcl_triple", "dim": 10**6,
+               "unitary": _coo(10**6, 10**6), "projection": _coo(10**6, 10**6)}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    refusal = MemoryError("Unable to allocate 14.6 TiB for an array with shape "
+                          "(1000000, 1000000) and data type complex128")
+    with mock.patch.object(serialize, "_decode_matrix", side_effect=refusal):
+        for argv in (["classify", str(path)], ["analyze", str(path)],
+                     ["equiv", str(path), str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("error: input does not fit in memory: Unable to allocate")
+            assert len(err.strip().splitlines()) == 1

@@ -8,6 +8,7 @@ from isopair.linalg import (
     Subspace,
     _normalize_phases,
     coupled_eig,
+    frobenius_norm,
     hermitian_eig,
     numerical_rank,
     orthonormal_columns,
@@ -290,3 +291,13 @@ def test_random_unitary_is_unitary_and_seeded():
     u = random_unitary(9, rng_a)
     assert np.linalg.norm(u.conj().T @ u - np.eye(9)) < 1e-12
     assert np.array_equal(u, random_unitary(9, rng_b))
+
+
+@pytest.mark.parametrize("layout", ["c", "f", "strided", "transposed", "real", "int", "empty"])
+def test_frobenius_norm_is_numpys_norm_bit_for_bit(rng, layout):
+    # the summation order follows memory order, so every layout is checked
+    x = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
+    x = {"c": x, "f": np.asfortranarray(x), "strided": x[::2, 1::3], "transposed": x.T,
+         "real": x.real.copy(), "int": np.arange(12).reshape(3, 4),
+         "empty": x[:0]}[layout]
+    assert frobenius_norm(x).hex() == float(np.linalg.norm(x)).hex()

@@ -272,38 +272,39 @@ def test_kernel_matches_scipy_bit_for_bit(data):
     a3, c = data.draw(csr_factors(k, n)), data.draw(csr_factors(k, m))
     e = linalg._entries
     shape = (n, m)
-    # the terms are listed a range of rows at a time, however few fit in one
-    chunk = data.draw(st.sampled_from([1, 3, 8, linalg._CHUNK_TERMS]))
-    with mock.patch.object(linalg, "_CHUNK_TERMS", chunk):
-        # one product, A B^H, and a chain of products and a product's stored entries
-        product = linalg._pairs(e(a1), e(b1))
-        assert_same_entries(linalg._signed_sum("+", [product], shape), shape, a1 @ b1.conj().T)
-        stored = a2 @ b2.conj().T
-        chain = [product, linalg._pairs(e(a2), e(b2)), e(stored), e(stored)]
-        want = a1 @ b1.conj().T - a2 @ b2.conj().T + stored + stored
-        assert_same_entries(linalg._signed_sum("+-++", chain, shape), shape, want)
+    # one product, A B^H, and a chain of products and a product's stored entries
+    product = linalg._pairs(e(a1), e(b1))
+    assert_same_entries(linalg._signed_sum("+", [product], shape), shape, a1 @ b1.conj().T)
+    stored = a2 @ b2.conj().T
+    chain = [product, linalg._pairs(e(a2), e(b2)), e(stored), e(stored)]
+    want = a1 @ b1.conj().T - a2 @ b2.conj().T + stored + stored
+    assert_same_entries(linalg._signed_sum("+-++", chain, shape), shape, want)
 
-        # A^H C in CSC, as scipy forms it, and its transpose, which its norm reads
-        adjoint = linalg._adjoint_pairs(e(a3), e(c))
-        assert_same_entries(linalg._signed_sum("+", [adjoint], shape), shape, a3.conj().T @ c)
-        transposed = linalg._adjoint_pairs(e(a3), e(c), transposed=True)
-        got = linalg._signed_sum("+", [transposed], shape[::-1])
-        want = float(sp.linalg.norm(a3.conj().T @ c))
-        assert linalg.frobenius_norm(got[2]).hex() == want.hex()
-        assert_same_entries(got, shape[::-1], (a3.conj().T @ c).T)
+    # A^H C in CSC, as scipy forms it, and its transpose, which its norm reads
+    adjoint = linalg._adjoint_pairs(e(a3), e(c))
+    assert_same_entries(linalg._signed_sum("+", [adjoint], shape), shape, a3.conj().T @ c)
+    transposed = linalg._adjoint_pairs(e(a3), e(c), transposed=True)
+    got = linalg._signed_sum("+", [transposed], shape[::-1])
+    want = float(sp.linalg.norm(a3.conj().T @ c))
+    assert linalg.frobenius_norm(got[2]).hex() == want.hex()
+    assert_same_entries(got, shape[::-1], (a3.conj().T @ c).T)
 
-        # entries of modulus at most ``drop`` are dropped, as the products drop round-off
-        drop = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
-        want = a1 @ b1.conj().T - a2 @ b2.conj().T
-        want.data[np.abs(want.data) <= drop] = 0
-        want.eliminate_zeros()
-        got = linalg._signed_sum("+-", [product, linalg._pairs(e(a2), e(b2))], shape, drop)
-        assert_same_entries(got, shape, want)
+    # entries of modulus at most ``drop`` are dropped, as the products drop round-off
+    drop = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    want = a1 @ b1.conj().T - a2 @ b2.conj().T
+    want.data[np.abs(want.data) <= drop] = 0
+    want.eliminate_zeros()
+    got = linalg._signed_sum("+-", [product, linalg._pairs(e(a2), e(b2))], shape, drop)
+    assert_same_entries(got, shape, want)
 
-        # the normality residual of a CSR matrix, and of a dense one with a zero row
-        square = data.draw(csr_factors(n, n))
-        want = float(sp.linalg.norm(square @ square.conj().T - square.conj().T @ square))
+    # the normality residual of a CSR matrix, summed by the kernel (these
+    # products fit) and, with no sum fitting, formed by scipy
+    square = data.draw(csr_factors(n, n))
+    want = float(sp.linalg.norm(square @ square.conj().T - square.conj().T @ square))
+    assert normality_residual(square).hex() == want.hex()
+    with mock.patch.object(linalg, "_CHUNK_TERMS", 0):
         assert normality_residual(square).hex() == want.hex()
+    # and of a dense one with a zero row
     dense = square.toarray()
     dense[0, :] = dense[:, 0] = 0
     block = sp.csr_matrix(dense[1:, 1:])
