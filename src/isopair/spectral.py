@@ -31,23 +31,24 @@ from .linalg import (
 CLUSTER_TOL = 1e-8
 
 
-def _runs(values: list[float], lo: int, hi: int, tol: float) -> list[tuple[float, range]]:
-    """Clusters of the descending ``values[lo:hi]``, as runs of positions.
+def _runs(values: np.ndarray, vals: list[float], lo: int, hi: int,
+          tol: float) -> tuple[list[float], list[range]]:
+    """Clusters of the descending ``values[lo:hi]`` (``vals`` holds them as floats).
 
     A cluster ends where the next value is not within ``tol`` of the last
-    one.  Returns ``(mean, positions)`` per cluster, by descending mean.
+    one.  Returns each cluster's mean and its run of positions.
     """
-    runs = []
+    means, runs = [], []
     start = lo
     for i in range(lo + 1, hi + 1):
-        if i == hi or not abs(values[i] - values[i - 1]) <= tol:
+        if i == hi or not abs(vals[i] - vals[i - 1]) <= tol:
             # np.mean of one value is exactly 0.0 + value: its sum starts at
             # +0.0, which turns -0.0 into 0.0 and leaves every other value as is
-            mean = (values[start] + 0.0 if i - start == 1
-                    else float(np.mean(values[start:i])))
-            runs.append((mean, range(start, i)))
+            means.append(vals[start] + 0.0 if i - start == 1
+                         else float(values[start:i].mean()))
+            runs.append(range(start, i))
             start = i
-    return runs
+    return means, runs
 
 
 @dataclass(frozen=True)
@@ -118,73 +119,60 @@ def _profile(values: np.ndarray, cluster_tol: float) -> SpectralProfile:
 
     ``values`` holds every eigenvalue; the profile lists them in descending order.
     """
-    values = values[np.argsort(values)[::-1]]
+    values = values[values.argsort()[::-1]]
     vals = values.tolist()
     n = len(vals)
     if n and max(vals[0], -vals[-1]) > 1.0 + 1e-8:
         raise ValueError("operator norm exceeds 1 beyond tolerance; not a contraction")
 
     # The values descend, so each region is a run of positions, found by
-    # bisection: at_least(x) counts the values >= x and above(x) those > x.
-    # Each region counts its own values; where a large tolerance overlaps
-    # two regions, a value counts in both.
-    def at_least(x):
-        return bisect_right(vals, -x, key=neg)
-
-    def above(x):
-        return bisect_left(vals, -x, key=neg)
-
-    plus_end = at_least(1.0 - cluster_tol)
-    minus_start = above(-1.0 + cluster_tol)
-    kernel_start, kernel_end = above(cluster_tol), at_least(-cluster_tol)
+    # bisection on the negated values: bisect_right at -x counts the values
+    # >= x and bisect_left those > x.  Each region counts its own values;
+    # where a large tolerance overlaps two regions, a value counts in both.
+    plus_end = bisect_right(vals, -(1.0 - cluster_tol), key=neg)
+    minus_start = bisect_left(vals, -(-1.0 + cluster_tol), key=neg)
+    kernel_start = bisect_left(vals, -cluster_tol, key=neg)
+    kernel_end = bisect_right(vals, cluster_tol, key=neg)
     # the interior values are the ones outside all three regions
-    pos_clusters = _runs(vals, plus_end, min(kernel_start, minus_start), cluster_tol)
-    neg_clusters = _runs(vals, max(kernel_end, plus_end), minus_start, cluster_tol)
-
-    # +1 wins over -1 and -1 over the kernel when a large tolerance overlaps
-    # them; interior values are labelled by their pair below
-    labels = ["kernel"] * n
-    labels[minus_start:] = ["minus_one"] * (n - minus_start)
-    labels[:plus_end] = ["plus_one"] * plus_end
-
-    pairs: list[InteriorPair] = []
-    symmetric = True
-
-    def add_pair(value, members, neg_members):
-        for side, run in (("pos", members), ("neg", neg_members)):
-            labels[run.start:run.stop] = [f"pair{len(pairs)}_{side}"] * len(run)
-        pairs.append(InteriorPair(value, len(members), len(neg_members)))
+    pos_means, pos_runs = _runs(values, vals, plus_end, min(kernel_start, minus_start),
+                                cluster_tol)
+    neg_means, neg_runs = _runs(values, vals, max(kernel_end, plus_end), minus_start,
+                                cluster_tol)
 
     # Each positive cluster, largest first, takes the first unused negative
     # cluster (in descending order) with |mean + neg_mean| <= cluster_tol.
-    # Any such neg_mean lies within 2 * cluster_tol of -mean, whatever the
-    # rounding, so only that window of the sorted negative means is tested
-    # (bisect is searchsorted on a list; these are a few clusters)
-    ascending = sorted((neg_mean, j) for j, (neg_mean, _) in enumerate(neg_clusters))
-    keys = [neg_mean for neg_mean, _ in ascending]
-    used = [False] * len(neg_clusters)
-    for mean, members in pos_clusters:
-        window = ascending[bisect_left(keys, -mean - 2 * cluster_tol):
-                           bisect_right(keys, -mean + 2 * cluster_tol)]
-        match = None
-        for j in sorted(j for _, j in window):
-            if not used[j] and abs(mean + neg_clusters[j][0]) <= cluster_tol:
-                match = j
+    # A plain scan: small inputs have a few clusters, where it costs less
+    # than a bisect window or an array of all candidates
+    match = [-1] * len(pos_runs)
+    pair_of_neg = [-1] * len(neg_runs)
+    for i, mean in enumerate(pos_means):
+        for j, neg_mean in enumerate(neg_means):
+            if pair_of_neg[j] < 0 and abs(mean + neg_mean) <= cluster_tol:
+                match[i], pair_of_neg[j] = j, i
                 break
-        if match is None:
+    pairs = []
+    symmetric = True
+    for mean, run, j in zip(pos_means, pos_runs, match):
+        neg_size = len(neg_runs[j]) if j >= 0 else 0
+        symmetric = symmetric and neg_size == len(run)
+        pairs.append(InteriorPair(mean, len(run), neg_size))
+    for j, (mean, run) in enumerate(zip(neg_means, neg_runs)):
+        if pair_of_neg[j] < 0:
             symmetric = False
-            add_pair(mean, members, range(0))
-            continue
-        used[match] = True
-        neg_members = neg_clusters[match][1]
-        if len(neg_members) != len(members):
-            symmetric = False
-        add_pair(mean, members, neg_members)
-    for j, (neg_mean, neg_members) in enumerate(neg_clusters):
-        if used[j]:
-            continue
-        symmetric = False
-        add_pair(-neg_mean, range(0), neg_members)
+            pair_of_neg[j] = len(pairs)
+            pairs.append(InteriorPair(-mean, 0, len(run)))
+
+    # +1 wins over -1 and -1 over the kernel when a large tolerance overlaps
+    # them; each interior value is labelled by the pair of its cluster
+    labels = ["kernel"] * n
+    labels[minus_start:] = ["minus_one"] * (n - minus_start)
+    labels[:plus_end] = ["plus_one"] * plus_end
+    if pos_runs:
+        labels[pos_runs[0].start:pos_runs[-1].stop] = [
+            f"pair{i}_pos" for i, run in enumerate(pos_runs) for _ in run]
+    if neg_runs:
+        labels[neg_runs[0].start:neg_runs[-1].stop] = [
+            f"pair{k}_neg" for k, run in zip(pair_of_neg, neg_runs) for _ in run]
 
     return SpectralProfile(
         ambient_dim=n,
@@ -193,7 +181,7 @@ def _profile(values: np.ndarray, cluster_tol: float) -> SpectralProfile:
         dim_plus1=plus_end,
         dim_minus1=n - minus_start,
         interior_pairs=tuple(pairs),
-        dim_kplus=sum(p.mult_pos for p in pairs),
+        dim_kplus=sum(map(len, pos_runs)),
         kernel_dim=kernel_end - kernel_start,
         symmetric=symmetric,
     )
@@ -252,8 +240,9 @@ def rank_formula(
     _check_tolerance("cluster_tol", cluster_tol)
     rank_cross = numerical_rank(cross, rank_tol)
     rows, block = _support(defect)
-    values = np.zeros(np.shape(defect)[0])
-    values[:rows.size] = np.linalg.eigh(_checked_hermitian(block))[0]
+    values = np.linalg.eigh(_checked_hermitian(block))[0]
+    if rows.size < np.shape(defect)[0]:
+        values = np.concatenate((values, np.zeros(np.shape(defect)[0] - rows.size)))
     profile = _profile(values, cluster_tol)
     rank_defect = _rank_from_moduli(np.abs(values), (profile.ambient_dim,) * 2, rank_tol)
     report = RankFormulaReport(
@@ -273,6 +262,14 @@ def rank_formula(
     return report, profile
 
 
+def _finite(name: str, matrix) -> np.ndarray:
+    """``matrix`` as complex128, after checking that every entry is finite."""
+    matrix = as_complex(matrix)
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return matrix
+
+
 @dataclass(frozen=True)
 class DiffProjCanonicalForm:
     """Parameters of the canonical difference-of-two-projections model.
@@ -281,6 +278,7 @@ class DiffProjCanonicalForm:
     generic part: ``diag`` is a strictly positive diagonal contraction on K,
     ``kernel_proj`` is an arbitrary projection on the kernel block, and
     ``commuting_unitary`` is a unitary on K that commutes with ``diag``.
+    A parameter with a non-finite entry raises ``ValueError``.
     """
 
     kernel_dim: int
@@ -291,9 +289,9 @@ class DiffProjCanonicalForm:
     commuting_unitary: np.ndarray
 
     def __post_init__(self):
-        diag = as_complex(self.diag)
-        kernel_proj = as_complex(self.kernel_proj)
-        unitary = as_complex(self.commuting_unitary)
+        diag = _finite("diag", self.diag)
+        kernel_proj = _finite("kernel_proj", self.kernel_proj)
+        unitary = _finite("commuting_unitary", self.commuting_unitary)
         k = diag.shape[0]
         if diag.shape != (k, k) or np.linalg.norm(diag - np.diag(np.diagonal(diag))) > 1e-12:
             raise ValueError("diag must be a square diagonal matrix")
@@ -381,18 +379,20 @@ class SymmetryReport:
 def eigen_symmetry_check(a, p, q, tol: float = 1e-8) -> SymmetryReport:
     """Verify the ``+lambda / -lambda`` multiplicity symmetry of ``a = p - q``.
 
-    Raises ``ValueError`` when the inputs fail the difference-of-projections
-    precondition (``p``/``q`` not projections, ``a != p - q``, or ``a`` not a
-    Hermitian contraction) and for a ``tol`` that is not finite and
-    nonnegative; the symmetry outcome itself is returned, not raised, since
-    it is the quantity under test.
+    Raises ``ValueError`` for a non-finite entry in ``a``, ``p`` or ``q``,
+    when the inputs fail the difference-of-projections precondition
+    (``p``/``q`` not projections, ``a != p - q``, or ``a`` not a Hermitian
+    contraction) and for a ``tol`` that is not finite and nonnegative; the
+    symmetry outcome itself is returned, not raised, since it is the
+    quantity under test.
     """
     _check_tolerance("tol", tol)
-    a, p, q = as_complex(a), as_complex(p), as_complex(q)
+    a, p, q = _finite("a", a), _finite("p", p), _finite("q", q)
+    # written so that NaN fails them
     for name, m in (("p", p), ("q", q)):
-        if np.linalg.norm(m @ m - m) > tol or np.linalg.norm(m - m.conj().T) > tol:
+        if not (np.linalg.norm(m @ m - m) <= tol and np.linalg.norm(m - m.conj().T) <= tol):
             raise ValueError(f"{name} is not an orthogonal projection within tol")
-    if np.linalg.norm(a - (p - q)) > tol:
+    if not np.linalg.norm(a - (p - q)) <= tol:
         raise ValueError("a is not the difference of the given projections within tol")
     profile = spectral_profile(a, cluster_tol=tol)
     pairs = tuple((pr.value, pr.mult_pos, pr.mult_neg) for pr in profile.interior_pairs)

@@ -36,15 +36,23 @@ def _block_matrices(triple: BCLTriple, cap: int) -> tuple[np.ndarray, np.ndarray
     n = triple.dim
     v1 = np.zeros((n * cap, n * cap), dtype=np.complex128)
     v2 = np.zeros_like(v1)
-    for k in range(cap):
-        rows = slice(k * n, (k + 1) * n)
-        v1[rows, rows] = sym.phi1_const
-        v2[rows, rows] = sym.phi2_const
-        if k + 1 < cap:
-            above = slice((k + 1) * n, (k + 2) * n)
-            v1[above, rows] = sym.phi1_lin
-            v2[above, rows] = sym.phi2_lin
+    for v, const, lin in ((v1, sym.phi1_const, sym.phi1_lin),
+                          (v2, sym.phi2_const, sym.phi2_lin)):
+        _degree_blocks(v, n, cap, 0)[...] = const
+        _degree_blocks(v, n, cap, 1)[...] = lin
     return v1, v2
+
+
+def _degree_blocks(v: np.ndarray, n: int, cap: int, lower: int) -> np.ndarray:
+    """Writable view of the ``n x n`` blocks ``(k + lower, k)`` of ``v``, by ``k``.
+
+    ``v`` is C-ordered on ``cap`` degrees.  Block ``k`` of the view starts
+    ``n`` rows and ``n`` columns after block ``k - 1``: one stride of
+    ``n * (row + column)`` bytes.
+    """
+    row, col = v.strides
+    return np.ndarray((cap - lower, n, n), dtype=v.dtype, buffer=v,
+                      offset=lower * n * row, strides=(n * (row + col), row, col))
 
 
 def build_truncated_pair(triple: BCLTriple, degree_cap: int) -> TruncatedToeplitzPair:
@@ -79,39 +87,36 @@ def oracle_cross_and_defect(pair: TruncatedToeplitzPair) -> tuple[np.ndarray, np
         c_full = I - V1 V1^H - V2 V2^H + (V1 V2)(V1 V2)^H
         x_full = V2^H V1 - V1 V2^H
 
-    The products are evaluated with one extra internal buffer degree and then
-    compressed back to ``cap`` blocks: the lowering-after-raising term of the
+    The products are those of the operators on one more degree, compressed
+    back to ``cap`` blocks: the lowering-after-raising term of the
     cross-commutator needs the coefficient one degree above the cap, so the
-    raw truncation carries an artifact in its top block that the buffer
-    removes.  Within the returned window both operators are then supported on
-    the degree-0 block to machine precision, and that block is the oracle
-    value for the wandering-space closed forms.
+    raw truncation carries an artifact in its top block that the extra
+    degree removes.  Within the returned window both operators are then
+    supported on the degree-0 block to machine precision, and that block is
+    the oracle value for the wandering-space closed forms.
 
-    The oracle reads the pair's matrices ``v1`` and ``v2``, not its triple:
-    the buffer degree repeats their constant block ``v[:n, :n]`` on the
-    diagonal and their raising block ``v[n:2n, :n]`` below it.  Only the
-    rows and columns of the returned window of each product are formed,
-    each over the whole buffered inner dimension.
+    The extra degree is never formed.  Its rows of each operator hold the
+    raising block ``v[n:2n, :n]`` below the last kept degree and the
+    constant block on the diagonal, and the kept rows have no entry in its
+    columns.  So the defect's three products are those of the kept window,
+    and the extra degree adds to ``V2^H V1`` only the product of the two
+    raising blocks, on its last diagonal block.  The oracle reads the pair's
+    matrices ``v1`` and ``v2``, not its triple.
     """
     if pair.degree_cap < 3:
         raise ValueError(
             f"degree cap must be at least 3 for the oracle, got {pair.degree_cap}"
         )
-    n, cap = pair.wandering_dim, pair.degree_cap
-    keep = n * cap
-    v1, v2 = (_buffered(v, n, keep) for v in (pair.v1, pair.v2))
-    top1, top2 = v1[:keep], v2[:keep]
-    prod = top1 @ v2
-    c_full = (np.eye(keep) - top1 @ top1.conj().T - top2 @ top2.conj().T
-              + prod @ prod.conj().T)
-    x_full = v2[:, :keep].conj().T @ v1[:, :keep] - top1 @ top2.conj().T
+    n, keep = pair.wandering_dim, pair.wandering_dim * pair.degree_cap
+    v1, v2 = pair.v1, pair.v2
+    v1h, v2h = v1.conj().T, v2.conj().T
+    prod = v1 @ v2
+    # each sum is formed in place, on the first product
+    c_full = prod @ prod.conj().T
+    c_full -= v1 @ v1h
+    c_full -= v2 @ v2h
+    c_full.flat[::keep + 1] += 1.0
+    x_full = v2h @ v1
+    x_full -= v1 @ v2h
+    x_full[keep - n:, keep - n:] += v2h[:n, n:2 * n] @ v1[n:2 * n, :n]
     return c_full, x_full
-
-
-def _buffered(v: np.ndarray, n: int, keep: int) -> np.ndarray:
-    """``v`` on one more degree: its constant and raising blocks extend the bidiagonal."""
-    out = np.zeros((keep + n, keep + n), dtype=np.complex128)
-    out[:keep, :keep] = v
-    out[keep:, keep:] = v[:n, :n]
-    out[keep:, keep - n:keep] = v[n:2 * n, :n]
-    return out

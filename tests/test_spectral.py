@@ -201,6 +201,16 @@ def spectra(draw):
     return np.clip(values, -1.0, 1.0)
 
 
+def assert_same_profile(got, want):
+    """Two profiles agree bit for bit: eigenvalue bytes, labels, pairs and counts."""
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert got.clusters == want.clusters
+    assert got.interior_pairs == want.interior_pairs
+    assert got.symmetric == want.symmetric
+    assert (got.ambient_dim, got.dim_plus1, got.dim_minus1, got.dim_kplus, got.kernel_dim) \
+        == (want.ambient_dim, want.dim_plus1, want.dim_minus1, want.dim_kplus, want.kernel_dim)
+
+
 class TestProfileAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(spectra(), st.sampled_from([0.0, 1e-8, 1e-3]), st.booleans(), st.integers(0, 2**31))
@@ -210,14 +220,8 @@ class TestProfileAgainstReference:
             w = random_unitary(values.size, np.random.default_rng(seed))
             defect = w @ defect @ w.conj().T
             defect = (defect + defect.conj().T) / 2
-        got = spectral_profile(defect, cluster_tol)
-        want = reference_profile(defect, cluster_tol)
-        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-        assert got.clusters == want.clusters
-        assert got.interior_pairs == want.interior_pairs
-        assert got.symmetric == want.symmetric
-        assert (got.ambient_dim, got.dim_plus1, got.dim_minus1, got.dim_kplus, got.kernel_dim) \
-            == (want.ambient_dim, want.dim_plus1, want.dim_minus1, want.dim_kplus, want.kernel_dim)
+        assert_same_profile(spectral_profile(defect, cluster_tol),
+                            reference_profile(defect, cluster_tol))
 
     @pytest.mark.parametrize("tol, labels, counts", [
         (0.6, ["plus_one"] * 2 + ["kernel"] * 3 + ["minus_one"] * 2, (2, 2, 5)),
@@ -232,6 +236,19 @@ class TestProfileAgainstReference:
         assert (got.dim_plus1, got.dim_minus1, got.kernel_dim) == counts
         assert (want.dim_plus1, want.dim_minus1, want.kernel_dim) == counts
         assert got.interior_pairs == want.interior_pairs == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 64).flatmap(lambda dim: st.tuples(st.just(dim), st.integers(0, dim))),
+       st.integers(0, 2**31 - 1), st.sampled_from([0.0, 1e-8, 1e-3]))
+def test_random_defect_profiles_match_the_reference(shape, seed, cluster_tol):
+    # random defects have many interior pairs, and at dimension 64 far more
+    # levels than spectra() draws; both profile paths must give the same bits
+    dim, rank = shape
+    ops = wandering_projections(random_triple(dim, rank, seed))
+    want = reference_profile(ops.defect, cluster_tol)
+    assert_same_profile(spectral_profile(ops.defect, cluster_tol), want)
+    assert_same_profile(rank_formula(ops.defect, ops.cross, None, cluster_tol)[1], want)
 
 
 class TestRankFormula:
@@ -334,6 +351,16 @@ class TestDifferenceProjections:
             DiffProjCanonicalForm(0, 0, 0, np.diag([1.0]).astype(complex),
                                   np.zeros((0, 0)), np.eye(1, dtype=complex))
 
+    @pytest.mark.parametrize("name", ["diag", "kernel_proj", "commuting_unitary"])
+    def test_rejects_a_non_finite_parameter(self, name):
+        # each check was a > or <= comparison, which NaN passed
+        params = dict(kernel_dim=1, dim_plus1=0, dim_minus1=0, diag=np.diag([0.5]),
+                      kernel_proj=np.zeros((1, 1)), commuting_unitary=np.eye(1))
+        DiffProjCanonicalForm(**params)
+        params[name] = np.full(np.shape(params[name]), np.nan)
+        with pytest.raises(ValueError, match=f"{name} has a non-finite entry"):
+            DiffProjCanonicalForm(**params)
+
 
 class TestEigenSymmetry:
     def test_constructed_pair_at_point_three(self):
@@ -365,6 +392,16 @@ class TestEigenSymmetry:
         p = np.diag([1.0, 0.0])
         with pytest.raises(ValueError):
             eigen_symmetry_check(np.diag([0.5, 0.0]), p, p)
+
+    @pytest.mark.parametrize("name", ["a", "p", "q"])
+    def test_rejects_a_non_finite_input(self, name):
+        # NaN projections once passed every "norm > tol" precondition and
+        # came back as a symmetric pair (0.5, 1, 1)
+        args = dict(a=np.diag([1.0, -1.0]), p=np.diag([1.0, 0.0]), q=np.diag([0.0, 1.0]))
+        assert eigen_symmetry_check(**args).ok
+        args[name] = np.full((2, 2), np.nan)
+        with pytest.raises(ValueError, match=f"{name} has a non-finite entry"):
+            eigen_symmetry_check(**args)
 
 
 def test_reconstruction_property():

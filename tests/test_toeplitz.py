@@ -3,7 +3,7 @@ import pytest
 
 import isopair.bcl
 import isopair.toeplitz
-from isopair.bcl import BCLTriple, random_triple, wandering_projections
+from isopair.bcl import BCLTriple, random_triple, toeplitz_symbols, wandering_projections
 from isopair.toeplitz import (
     _block_matrices,
     build_truncated_pair,
@@ -54,6 +54,36 @@ class TestBuildTruncatedPair:
     def test_cap_too_small(self):
         with pytest.raises(ValueError):
             build_truncated_pair(random_triple(2, 1, 0), 1)
+
+
+def reference_block_matrices(triple, cap):
+    """The two block bidiagonals as a per-degree loop: one slice assignment per block."""
+    sym = toeplitz_symbols(triple)
+    n = triple.dim
+    v1 = np.zeros((n * cap, n * cap), dtype=np.complex128)
+    v2 = np.zeros_like(v1)
+    for k in range(cap):
+        rows = slice(k * n, (k + 1) * n)
+        v1[rows, rows] = sym.phi1_const
+        v2[rows, rows] = sym.phi2_const
+        if k + 1 < cap:
+            above = slice((k + 1) * n, (k + 2) * n)
+            v1[above, rows] = sym.phi1_lin
+            v2[above, rows] = sym.phi2_lin
+    return v1, v2
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4, 5, 6])
+def test_block_matrices_match_the_per_degree_loop(cap):
+    rng = np.random.default_rng(2500 + cap)
+    for dim in range(1, 25):
+        for rank in sorted({0, dim, int(rng.integers(0, dim + 1))}):
+            triple = random_triple(dim, rank, int(rng.integers(2**31)))
+            for got, want in zip(_block_matrices(triple, cap),
+                                 reference_block_matrices(triple, cap)):
+                assert got.shape == want.shape == (dim * cap, dim * cap)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), (dim, rank, cap)
 
 
 class TestOracle:
