@@ -100,7 +100,6 @@ class WorkingSpace:
     interior size.  Nothing outlives the call that built the object.
     """
 
-    obj: PairInput
     defect: np.ndarray | sp.csr_matrix
     cross: np.ndarray | sp.csr_matrix
     structure_residuals: Callable[[], dict[str, float]]
@@ -158,10 +157,10 @@ def working_space(obj: PairInput) -> WorkingSpace:
     if isinstance(obj, BCLTriple):
         ops = bcl.wandering_projections(obj)
         model = WanderingModel(np.eye(obj.dim), obj.unitary, ops.proj_w1, ops.proj_w2)
-        return WorkingSpace(obj, ops.defect, ops.cross, lambda: {}, lambda: model)
+        return WorkingSpace(ops.defect, ops.cross, lambda: {}, lambda: model)
     if isinstance(obj, StructuredPair):
         products = models._InteriorProducts(*models.product_operators(obj), obj.interior)
-        return WorkingSpace(obj, *products.defect_and_cross, lambda: products.residuals,
+        return WorkingSpace(*products.defect_and_cross, lambda: products.residuals,
                             partial(_pair_wandering_model, products))
     raise TypeError(f"unsupported input type {type(obj).__name__}")
 

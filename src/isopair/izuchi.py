@@ -33,7 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .classify import working_space
-from .linalg import _check_tolerance, _sum_csr, _support, hermitian_eig, lift, normality_residual
+from .linalg import (_check_tolerance, _sum_csr, _support, frobenius_norm, hermitian_eig, lift,
+                     normality_residual)
 from .models import StructuredPair, _csr, _monomial_labels, sparse_operators
 from .spectral import rank_formula
 
@@ -218,7 +219,7 @@ def build_izuchi_model(ratio: float, twist: complex, monomial_cap: int = 12,
     )
 
     dim = v1.shape[0]
-    ortho_residual = sp.linalg.norm(gram - sp.identity(dim, format="csr"))
+    ortho_residual = frobenius_norm(gram - sp.identity(dim, format="csr"))
     if ortho_residual > BUILD_RESIDUAL_CAP:
         raise ValueError(
             f"basis orthonormality residual {ortho_residual:.3e} exceeds "

@@ -10,23 +10,18 @@ floor: a pair's products drop their round-off as they form (``models``).
 Every function here is pure: inputs are never mutated, outputs are fresh
 arrays.
 
-Sparse products are formed by one kernel on stored entries, with no scipy
-matrix in between: :func:`_pairs` and :func:`_adjoint_pairs` name the
-products ``A B^H`` and ``A^H B`` of two matrices' entries, and
-:func:`_signed_sum` lists their unsummed terms and adds them.  It gives
-scipy's bits, because it adds in scipy's order: a CSR product sums the
-terms at one position from zero, A's entries in storage order and for each
-the matching entries of B in B's order; a chain of sums and differences
-then adds the products left to right; each ``a * conj(b)`` is four real
-products; and the Frobenius norm reads a sum's entries sorted by row, then
-column.  A product scipy forms in CSC is summed as the transpose it is
-(:func:`_by_column`).  One rule picks the arithmetic: the kernel sums what
-fits (:func:`_fits`), and scipy's compiled arithmetic forms the rest from
-the same formula, with the same bits and memory that grows with the output
-only.
+A sum of products, such as a pair's defect ``I - V1 V1^H - V2 V2^H + V V^H``,
+is written once, as signed parts (``A B^H``, ``A^H B``, a matrix or the
+identity), and formed by one entry, :func:`form_sum` (:func:`sum_norm` for
+its norm), which alone picks the arithmetic.  When every operand is CSR and
+the terms fit (:data:`_CHUNK_TERMS`), a kernel adds the stored entries'
+terms in scipy's order (:func:`_signed_sum`), which gives scipy's bits
+without its intermediate matrices; otherwise numpy or scipy forms the parts
+and adds them left to right.
 """
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -206,14 +201,20 @@ def frobenius_norm(x) -> float:
     A float64 or complex128 array takes the arithmetic of ``np.linalg.norm``
     (the dot products of its flattened real and imaginary parts, read in
     memory order) without that function's argument handling, so the value
-    is the same float.
+    is the same float.  A sparse matrix takes ``scipy.sparse.linalg.norm``'s:
+    its stored values, summed where a position repeats, in canonical order.
     """
     if not isinstance(x, np.ndarray):
-        return float(sp.linalg.norm(x))
+        if not hasattr(x, "has_canonical_format"):  # LIL, DOK or DIA
+            x = x.tocsr()
+        if not x.has_canonical_format:
+            x = x.copy()
+            x.sum_duplicates()
+        x = x.data
     kind = x.dtype.char
     if kind not in "dD":
         return float(np.linalg.norm(x))
-    flat = x.ravel(order="K")
+    flat = np.asarray(x).ravel(order="K")  # an np.matrix would ravel to two dimensions
     if kind == "d":
         return math.sqrt(flat.dot(flat))
     real, imag = flat.real, flat.imag
@@ -227,21 +228,120 @@ def normality_residual(x) -> float:
     add only zeros to both products, so the residual is taken on the rest.
     That block is multiplied as CSR: BLAS picks its kernels by size, and on
     a small dense block it can round a single-term entry unlike the full
-    product (3e-17 for 0.0).  A CSR ``x`` touches only its stored entries;
-    its products are summed from them by the sparse kernel when they fit
-    (:func:`_fits`), with the bits scipy gives for the same formula.
+    product (3e-17 for 0.0).
     """
     if isinstance(x, np.ndarray):
         rows, block = _support(x)
         if rows.size < x.shape[0]:
             x = sp.csr_matrix(block)
-    if not isinstance(x, np.ndarray):
+    else:
         x = x.tocsr()
-        entries = _entries(x)
-        parts = [_pairs(entries, entries), _adjoint_pairs(entries, entries)]
-        if _fits(parts):
-            return frobenius_norm(_signed_sum("+-", parts, x.shape)[2])
-    return frobenius_norm(x @ x.conj().T - x.conj().T @ x)
+    return sum_norm("+-", [TimesAdjoint(x, x), AdjointTimes(x, x)])
+
+
+#: The parts ``A B^H`` and ``A^H B`` of a sum (:func:`form_sum`).
+TimesAdjoint, AdjointTimes = namedtuple("TimesAdjoint", "a b"), namedtuple("AdjointTimes", "a b")
+
+#: The identity, as a part of a square sum (:func:`form_sum`).
+IDENTITY = "I"
+
+
+def form_sum(signs: str, parts, drop: float = 0.0, entries: dict | None = None):
+    """``P1 ± P2 ± ...`` as one fresh matrix; ``signs`` holds each part's sign, the first ``+``.
+
+    A part is a product (:class:`TimesAdjoint`, :class:`AdjointTimes`), a
+    matrix or :data:`IDENTITY`, on operands all dense or all CSR.  The kernel
+    (:func:`_signed_sum`) forms CSR sums whose terms fit (:data:`_CHUNK_TERMS`);
+    numpy or scipy forms the rest, part by part, left to right, with the same
+    bits if no matrix part stores a zero or a negative zero, as no formed sum
+    does.  Entries of modulus at most ``drop`` become zero; a sparse sum
+    comes back as canonical CSR without them.  ``entries`` keeps the CSR
+    operands' stored entries for the next sum.
+    """
+    shape, sparse = _layout(parts)
+    listed = sparse and _listed(parts, shape, {} if entries is None else entries)
+    if listed:
+        return _sum_csr(shape, _signed_sum(signs, listed, shape, drop))
+    total = _folded(signs, parts, shape, sparse)
+    if total is parts[0]:  # a sum of one matrix is that matrix, not a fresh one
+        total = total.copy()
+    if sparse:
+        total = total.tocsr()
+        total.data[np.abs(total.data) <= drop] = 0
+        total.eliminate_zeros()
+        total.sort_indices()
+    elif drop:  # else the entries to set are zero already
+        total[np.abs(total) <= drop] = 0
+    return total
+
+
+def sum_norm(signs: str, parts, entries: dict | None = None) -> float:
+    """Frobenius norm of the sum :func:`form_sum` forms, with scipy's bits.
+
+    scipy forms a sparse sum that starts with ``A^H B`` in CSC, whose norm
+    reads it by columns: the kernel then sums the parts' transposes.
+    """
+    shape, sparse = _layout(parts)
+    by_columns = isinstance(parts[0], AdjointTimes)
+    listed = sparse and _listed(parts, shape, {} if entries is None else entries, by_columns)
+    if not listed:
+        return frobenius_norm(_folded(signs, parts, shape, sparse))
+    return frobenius_norm(_signed_sum(signs, listed, shape[::-1] if by_columns else shape)[2])
+
+
+def _layout(parts) -> tuple[tuple[int, int], bool]:
+    """A sum's shape, and whether it is sparse, read from its first part but the identity."""
+    part = next(part for part in parts if part is not IDENTITY)
+    if isinstance(part, TimesAdjoint):
+        return (part.a.shape[0], part.b.shape[0]), not isinstance(part.a, np.ndarray)
+    if isinstance(part, AdjointTimes):
+        return (part.a.shape[1], part.b.shape[1]), not isinstance(part.a, np.ndarray)
+    return part.shape, not isinstance(part, np.ndarray)
+
+
+def _listed(parts, shape, entries: dict, transposed: bool = False):
+    """The kernel's parts of a CSR sum, or their transposes; None unless the terms fit.
+
+    ``entries`` maps an operand's ``id`` to the operand and its stored
+    entries; holding the operand keeps its id from being reused.
+    """
+    def stored(x):
+        if id(x) not in entries:
+            entries[id(x)] = x, _entries(x)
+        return entries[id(x)][1]
+
+    listed = []
+    for part in parts:
+        if part is IDENTITY:
+            diagonal = np.arange(shape[0])
+            part = diagonal, diagonal, np.ones(shape[0], dtype=np.complex128)
+        elif isinstance(part, TimesAdjoint):
+            part = _Product(stored(part.a), stored(part.b), transposed)
+        elif isinstance(part, AdjointTimes):
+            # scipy forms it in CSC, as the transpose of B^T conj(A), with B's
+            # transpose stored column by column, each in B's order
+            b = stored(part.b)
+            order = np.argsort(b[1], kind="stable")
+            part = _Product(tuple(x[order] for x in _swap(b)), _swap(stored(part.a)),
+                            not transposed)
+        else:
+            part = _swap(stored(part)) if transposed else stored(part)
+        listed.append(part)
+    return listed if sum(map(_most_terms, listed)) <= _CHUNK_TERMS else None
+
+
+def _folded(signs: str, parts, shape, sparse: bool):
+    """The sum as numpy or scipy forms it: each part by its formula, added left to right."""
+    total = None
+    for sign, part in zip(signs, parts, strict=True):
+        if part is IDENTITY:
+            part = sp.identity(shape[0], np.complex128, "csr") if sparse else np.eye(shape[0])
+        elif isinstance(part, TimesAdjoint):
+            part = part.a @ part.b.conj().T
+        elif isinstance(part, AdjointTimes):
+            part = part.a.conj().T @ part.b
+        total = part if total is None else total + part if sign == "+" else total - part
+    return total
 
 
 def _entries(x: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -258,16 +358,6 @@ def _swap(entries):
     return cols, rows, values
 
 
-def _by_column(entries):
-    """The transpose's entries, in the order scipy's CSR-to-CSC conversion stores them.
-
-    Column by column, each in the order of ``entries``: so a CSC product
-    walks a column's entries by increasing row.
-    """
-    order = np.argsort(entries[1], kind="stable")
-    return tuple(array[order] for array in _swap(entries))
-
-
 class _Product(NamedTuple):
     """A product ``A B^H`` as a part of :func:`_signed_sum`, its terms not yet listed.
 
@@ -278,22 +368,6 @@ class _Product(NamedTuple):
     a: tuple
     b: tuple
     swapped: bool = False
-
-
-def _pairs(a, b) -> _Product:
-    """``A B^H`` for A's and B's entries ``a`` and ``b``, each in CSR storage order (:func:`_entries`)."""
-    return _Product(a, b)
-
-
-def _adjoint_pairs(a, b, transposed: bool = False) -> _Product:
-    """``A^H B`` for A's and B's entries, each in CSR storage order, as scipy forms it.
-
-    scipy forms it in CSC, as the transpose of ``B^T conj(A)`` with B read
-    by columns (:func:`_by_column`).  With ``transposed``, the part is that
-    ``B^T conj(A)``: the rows of its sum are the columns in which the sparse
-    norm reads the CSC product.
-    """
-    return _Product(_by_column(b), _swap(a), not transposed)
 
 
 def _terms(part: _Product):
@@ -325,7 +399,7 @@ def _terms(part: _Product):
     return _swap(terms) if part.swapped else terms
 
 
-#: Terms the kernel lists for one sum, at most (:func:`_fits`).  Each term
+#: Terms the kernel lists for one sum, at most (:func:`_listed`).  Each term
 #: takes numpy passes of its own, and a factor with a dense s x s block gives
 #: s^3 terms for s^2 entries of the sum; a larger sum goes to scipy.
 _CHUNK_TERMS = 1 << 16
@@ -338,19 +412,14 @@ def _most_terms(part) -> int:
     return part.a[1].size * int(np.bincount(part.b[1]).max(initial=0))
 
 
-def _fits(parts) -> bool:
-    """Whether :func:`_signed_sum` takes ``parts``: at most ``_CHUNK_TERMS`` terms in all."""
-    return sum(_most_terms(part) for part in parts) <= _CHUNK_TERMS
-
-
 def _signed_sum(signs: str, parts, shape: tuple[int, int], drop: float = 0.0):
-    """``P1 ± P2 ± ...`` as scipy sums it; ``signs`` holds each part's sign, ``+`` or ``-``.
+    """The kernel's sum ``P1 ± P2 ± ...``, as scipy sums it (see :func:`form_sum`).
 
-    A part is a product (:func:`_pairs`, :func:`_adjoint_pairs`) or a
-    matrix's entries ``(rows, cols, values)``.  Every term of every part is
-    listed at once, so callers ask :func:`_fits` first.  A part's terms at
-    one position are summed from zero in their order, as a CSR product sums
-    them (``np.bincount`` adds in index order, like ``np.add.at``;
+    A part is a :class:`_Product` or a matrix's entries ``(rows, cols,
+    values)``.  Every term of every part is listed at once, so callers bound
+    them first (:func:`_most_terms`).  A part's terms at one position are
+    summed from zero in their order, as a CSR product sums them
+    (``np.bincount`` adds in index order, like ``np.add.at``;
     ``np.add.reduceat`` would give ``1 + (-1 - 0.09)`` where scipy gives
     ``(1 - 1) - 0.09``).  The parts' sums are then added or subtracted left
     to right, as a chain of CSR sums and differences does.  Entries of

@@ -14,18 +14,11 @@ know their nonzeros, and the JSON reader, for a COO operator, pass
 ``scipy.sparse`` matrices and the pair stores CSR; a basis scramble, and the
 JSON reader for a dense matrix, pass dense arrays.  Products run on the
 form :func:`product_operators` picks: dense for filled pairs, CSR for sparse
-ones (see :func:`dense_products`).  Each pair's interior rows and columns
-are sliced once per call, and every product -- the isometry and
-commutation residuals, the defect, the cross-commutator and the interior
-compression of ``V V^H`` -- is formed from those slices and keeps their
-form (:class:`_InteriorProducts`); the defect and cross-commutator drop
-their round-off, entries of modulus up to ``_ROUNDOFF``, as they form.
-Each product is written once, in operator syntax, and runs on numpy or on
-scipy's compiled sparse arithmetic.  On CSR slices, a sum whose terms fit
-(``linalg._fits``) is summed instead from stored entries by the ``linalg``
-kernel (``_pairs``, ``_adjoint_pairs`` and ``_signed_sum``), which adds in
-scipy's order and so gives its bits; each returned product is one CSR
-matrix either way.
+ones (see :func:`dense_products`).  :class:`_InteriorProducts` slices a
+pair's interior rows and columns once per call and writes each product of
+them once, as a sum that ``linalg.form_sum`` forms in their form; the
+defect and cross-commutator drop their round-off, entries of modulus up to
+``_ROUNDOFF``, as they form.
 
 Basis labels are structured tuples, never strings:
 
@@ -44,16 +37,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import (
-    _adjoint_pairs,
+    IDENTITY,
+    AdjointTimes,
+    TimesAdjoint,
     _check_tolerance,
-    _entries,
-    _fits,
-    _pairs,
-    _signed_sum,
     _sum_csr,
     as_complex,
-    frobenius_norm,
+    form_sum,
     random_unitary,
+    sum_norm,
 )
 
 Label = tuple
@@ -288,113 +280,50 @@ def product_operators(pair: StructuredPair):
 _ROUNDOFF = 1e-13
 
 
-def _dropped(product, drop: float):
-    """A fresh product, with its entries of modulus up to ``drop`` set to zero.
-
-    A sparse one comes back as canonical CSR, as the kernel leaves its sums.
-    """
-    if not sp.issparse(product):
-        if drop:  # else the entries to set are zero already
-            product[np.abs(product) <= drop] = 0
-        return product
-    product = product.tocsr()
-    product.data[np.abs(product.data) <= drop] = 0
-    product.eliminate_zeros()
-    product.sort_indices()
-    return product
-
-
 class _InteriorProducts:
     """Thin products of ``v1`` and ``v2`` on the indices ``interior``, each formed once.
 
-    The operators share one form, dense or CSR (:func:`product_operators`),
-    and every product keeps it.  Their interior rows and columns are sliced
-    here, and each product is formed from those slices on first read by one
-    formula in operator syntax: numpy's arithmetic on dense slices, scipy's
-    compiled arithmetic on CSR ones.  On CSR slices, scipy forms the three
-    thin products ``V1 cols2``, ``V2 cols1`` and ``rows1 V2``, and a sum
-    whose terms fit (``linalg._fits``) is summed instead from the stored
-    entries of the slices and of those products by the ``linalg`` kernel,
-    with scipy's bits and without scipy's intermediate matrices.  Each
-    returned product is one matrix, a CSR one canonical either way.
+    The operators share one form, dense or CSR (:func:`product_operators`).
+    Each product is formed on first read from their interior rows and
+    columns, sliced here, and the three thin products ``V1 cols2``, ``V2
+    cols1`` and ``rows1 V2``, with the stored entries of each CSR operand
+    listed once for all its sums (``linalg.form_sum``'s ``entries``).
     """
 
     def __init__(self, v1, v2, interior):
         self.v1, self.v2, self.interior = v1, v2, np.asarray(interior, dtype=int)
         self.rows = v1[self.interior, :], v2[self.interior, :]
         self.cols = v1[:, self.interior], v2[:, self.interior]
-        self.sparse = sp.issparse(v1)
-        self.shape = (self.interior.size,) * 2
-
-    @functools.cached_property
-    def identity(self):
-        n = self.interior.size
-        return sp.identity(n, np.complex128, "csr") if self.sparse else np.eye(n)
-
-    @functools.cached_property
-    def _slices(self):
-        """The stored entries of ``rows1``, ``rows2``, ``cols1`` and ``cols2``."""
-        return tuple(_entries(part) for part in (*self.rows, *self.cols))
-
-    def _summed(self, signs: str, parts, shape=None, drop: float = 0.0):
-        """The kernel's sum of ``parts(*self._slices)``, on CSR operators if it fits; else None."""
-        if self.sparse and _fits(parts := parts(*self._slices)):
-            return _signed_sum(signs, parts, shape or self.shape, drop)
-        return None
-
-    def _formed(self, formula, signs: str, parts, drop: float = 0.0):
-        """One matrix: the kernel's sum (:meth:`_summed`), else ``formula()`` (:func:`_dropped`)."""
-        summed = self._summed(signs, parts, drop=drop)
-        return _dropped(formula(), drop) if summed is None else _sum_csr(self.shape, summed)
+        self._entries = {}
 
     @functools.cached_property
     def range_v(self):
         """Interior compression of ``V V^H``, ``V = V1 V2``."""
         rows = self.rows[0] @ self.v2
-        thin = _entries(rows) if self.sparse else None
-        return self._formed(lambda: rows @ rows.conj().T, "+", lambda *_: [_pairs(thin, thin)])
+        return form_sum("+", [TimesAdjoint(rows, rows)], entries=self._entries)
 
     def range_complement(self):
         """``I - range_v``, in the products' form."""
-        return self._formed(lambda: self.identity - self.range_v, "+-",
-                            lambda *_: [_identity(self.shape[0]), _entries(self.range_v)])
+        return form_sum("+-", [IDENTITY, self.range_v], entries=self._entries)
 
     @functools.cached_property
     def residuals(self) -> dict[str, float]:
         """Isometry and commutation residuals on the interior columns."""
-        def norm(formula, parts, shape=None):
-            summed = self._summed("+-", parts, shape)
-            return frobenius_norm(formula() if summed is None else summed[2])
-
-        (cols1, cols2), n = self.cols, self.shape[0]
-        moved = self.v1 @ cols2, self.v2 @ cols1
-        # scipy forms cols^H cols - I in CSC, whose norm reads it by columns
+        cols1, cols2 = self.cols
         return {
-            "isometry_v1": norm(lambda: cols1.conj().T @ cols1 - self.identity,
-                                lambda r1, r2, c1, c2: [_adjoint_pairs(c1, c1, True), _identity(n)]),
-            "isometry_v2": norm(lambda: cols2.conj().T @ cols2 - self.identity,
-                                lambda r1, r2, c1, c2: [_adjoint_pairs(c2, c2, True), _identity(n)]),
-            "commutation": norm(lambda: moved[0] - moved[1],
-                                lambda *_: [_entries(m) for m in moved], moved[0].shape),
+            "isometry_v1": sum_norm("+-", [AdjointTimes(cols1, cols1), IDENTITY], self._entries),
+            "isometry_v2": sum_norm("+-", [AdjointTimes(cols2, cols2), IDENTITY], self._entries),
+            "commutation": sum_norm("+-", [self.v1 @ cols2, self.v2 @ cols1], self._entries),
         }
 
     @functools.cached_property
     def defect_and_cross(self):
         (rows1, rows2), (cols1, cols2) = self.rows, self.cols
-        defect = self._formed(
-            lambda: self.identity - rows1 @ rows1.conj().T - rows2 @ rows2.conj().T + self.range_v,
-            "+--+", lambda r1, r2, c1, c2: [_identity(self.shape[0]), _pairs(r1, r1),
-                                            _pairs(r2, r2), _entries(self.range_v)],
-            _ROUNDOFF)
-        cross = self._formed(lambda: cols2.conj().T @ cols1 - rows1 @ rows2.conj().T, "+-",
-                             lambda r1, r2, c1, c2: [_adjoint_pairs(c2, c1), _pairs(r1, r2)],
-                             _ROUNDOFF)
+        defect = form_sum("+--+", [IDENTITY, TimesAdjoint(rows1, rows1), TimesAdjoint(rows2, rows2),
+                                   self.range_v], _ROUNDOFF, self._entries)
+        cross = form_sum("+-", [AdjointTimes(cols2, cols1), TimesAdjoint(rows1, rows2)],
+                         _ROUNDOFF, self._entries)
         return defect, cross
-
-
-def _identity(n: int):
-    """The entries of the ``n x n`` identity."""
-    return np.arange(n), np.arange(n), np.ones(n, dtype=np.complex128)
 
 
 def validate_pair(pair: StructuredPair, tol: float = 1e-12) -> PairValidation:

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import isopair
 from isopair import serialize
 from isopair.cli import main, parse_complex
+from isopair.izuchi import build_izuchi_model
 from isopair.models import direct_sum, scramble, twisted_shift
 from isopair.serialize import (
     dumps_canonical,
@@ -31,6 +37,25 @@ def run(capsys, *args):
 ])
 def test_parse_complex(text, value):
     assert parse_complex(text) == value
+
+
+def test_gen_and_classify_leave_scipy_sparse_linalg_unimported(tmp_path):
+    # every process would pay for its import; a sparse Frobenius norm, its
+    # only use, reads the stored values itself
+    path = tmp_path / "model.json"
+    path.write_text(dumps_canonical(pair_to_json(build_izuchi_model(0.5, 1j, 8, 8).pair)))
+    script = ("import sys\n"
+              "from isopair.cli import main\n"
+              "assert main(['gen', 'izuchi', '--r', '0.5', '--gamma', 'i', '--N', '8',"
+              f" '-o', {str(tmp_path / 'gen.json')!r}]) == 0\n"
+              f"assert main(['classify', {str(path)!r}]) == 0\n"
+              "assert 'scipy.sparse.linalg' not in sys.modules\n")
+    src = str(Path(isopair.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestGen:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg  # noqa: F401  (scipy's sparse norm, the reference)
 
 from isopair.bcl import random_triple, wandering_projections
 from isopair.linalg import (
@@ -301,3 +302,25 @@ def test_frobenius_norm_is_numpys_norm_bit_for_bit(rng, layout):
          "real": x.real.copy(), "int": np.arange(12).reshape(3, 4),
          "empty": x[:0]}[layout]
     assert frobenius_norm(x).hex() == float(np.linalg.norm(x)).hex()
+
+
+@pytest.mark.parametrize("kind", ["csr", "csc", "coo", "bsr", "duplicates", "lil", "dok", "dia"])
+def test_sparse_frobenius_norm_is_scipys_norm(rng, kind):
+    # the stored values, a repeated position summed, as scipy's sparse norm
+    # reads them: bit for bit where it reads the compressed storage order
+    dense = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
+    dense[rng.random((7, 9)) < 0.6] = 0
+    if kind == "duplicates":
+        rows, cols = np.nonzero(dense)
+        values = dense[rows, cols]
+        x = sp.coo_matrix((np.r_[values / 3, 2 * values / 3], (np.r_[rows, rows], np.r_[cols, cols])),
+                          shape=dense.shape)
+    else:
+        x = sp.csr_matrix(dense).asformat(kind)
+    stored = x.nnz
+    want = float(sp.linalg.norm(x.copy()))  # scipy sums the copy's duplicates in place
+    if kind in ("lil", "dok", "dia"):
+        assert frobenius_norm(x) == pytest.approx(want, rel=1e-15)
+    else:
+        assert frobenius_norm(x).hex() == want.hex()
+    assert x.nnz == stored

@@ -13,6 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg  # noqa: F401  (scipy's sparse norm, the reference)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,17 @@ from isopair import linalg, models
 from isopair.classify import working_space
 from isopair.cli import analyze_object
 from isopair.izuchi import build_izuchi_model, canonical_basis_3finite, verify_izuchi_invariants
-from isopair.linalg import _support, as_complex, normality_residual, numerical_rank
+from isopair.linalg import (
+    IDENTITY,
+    AdjointTimes,
+    TimesAdjoint,
+    _support,
+    as_complex,
+    form_sum,
+    normality_residual,
+    numerical_rank,
+    sum_norm,
+)
 from isopair.models import (
     bishift_truncated,
     defect_and_cross_on_interior,
@@ -158,7 +169,8 @@ def test_products_drop_roundoff_and_nothing_else(form):
     operators = (pair.v1, pair.v2) if form == "dense" else sparse_operators(pair)
     products = models._InteriorProducts(*operators, idx)
     (rows1, rows2), (cols1, cols2) = products.rows, products.cols
-    unpruned = (products.identity - rows1 @ rows1.conj().T - rows2 @ rows2.conj().T
+    identity = np.eye(idx.size) if form == "dense" else sp.identity(idx.size, np.complex128, "csr")
+    unpruned = (identity - rows1 @ rows1.conj().T - rows2 @ rows2.conj().T
                 + products.range_v,
                 cols2.conj().T @ cols1 - rows1 @ rows2.conj().T)
     floor = 1e-13
@@ -253,14 +265,22 @@ def csr_factors(draw, n_rows: int, n_cols: int) -> sp.csr_matrix:
                           np.array(indptr, dtype=np.int32)), shape=(n_rows, n_cols))
 
 
-def assert_same_entries(got, shape, want):
-    """The kernel's sum equals scipy's result: canonical CSR arrays, byte for byte."""
+def assert_same_entries(got, want):
+    """A sum equals scipy's result: canonical CSR arrays, byte for byte."""
     want = want.tocsr()
     want.sum_duplicates()  # sorts a product's columns in place, as its norm does
-    got = linalg._sum_csr(shape, got)
+    assert got.shape == want.shape
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert got.data.tobytes() == want.data.tobytes()
+
+
+def by_kernel(call):
+    """``call()``, which must sum its terms with the kernel."""
+    with mock.patch.object(linalg, "_signed_sum", wraps=linalg._signed_sum) as kernel:
+        result = call()
+    assert kernel.called
+    return result
 
 
 @settings(max_examples=80, deadline=None)
@@ -270,38 +290,36 @@ def test_kernel_matches_scipy_bit_for_bit(data):
     a1, a2 = (data.draw(csr_factors(n, k)) for _ in range(2))
     b1, b2 = (data.draw(csr_factors(m, k)) for _ in range(2))
     a3, c = data.draw(csr_factors(k, n)), data.draw(csr_factors(k, m))
-    e = linalg._entries
-    shape = (n, m)
     # one product, A B^H, and a chain of products and a product's stored entries
-    product = linalg._pairs(e(a1), e(b1))
-    assert_same_entries(linalg._signed_sum("+", [product], shape), shape, a1 @ b1.conj().T)
+    product = TimesAdjoint(a1, b1)
+    assert_same_entries(by_kernel(lambda: form_sum("+", [product])), a1 @ b1.conj().T)
     stored = a2 @ b2.conj().T
-    chain = [product, linalg._pairs(e(a2), e(b2)), e(stored), e(stored)]
+    chain = [product, TimesAdjoint(a2, b2), stored, stored]
     want = a1 @ b1.conj().T - a2 @ b2.conj().T + stored + stored
-    assert_same_entries(linalg._signed_sum("+-++", chain, shape), shape, want)
+    assert_same_entries(by_kernel(lambda: form_sum("+-++", chain)), want)
 
     # A^H C in CSC, as scipy forms it, and its transpose, which its norm reads
-    adjoint = linalg._adjoint_pairs(e(a3), e(c))
-    assert_same_entries(linalg._signed_sum("+", [adjoint], shape), shape, a3.conj().T @ c)
-    transposed = linalg._adjoint_pairs(e(a3), e(c), transposed=True)
-    got = linalg._signed_sum("+", [transposed], shape[::-1])
+    adjoint = [AdjointTimes(a3, c)]
+    assert_same_entries(by_kernel(lambda: form_sum("+", adjoint)), a3.conj().T @ c)
     want = float(sp.linalg.norm(a3.conj().T @ c))
-    assert linalg.frobenius_norm(got[2]).hex() == want.hex()
-    assert_same_entries(got, shape[::-1], (a3.conj().T @ c).T)
+    assert by_kernel(lambda: sum_norm("+", adjoint)).hex() == want.hex()
+    transposed = linalg._listed(adjoint, (n, m), {}, transposed=True)
+    got = linalg._sum_csr((m, n), linalg._signed_sum("+", transposed, (m, n)))
+    assert_same_entries(got, (a3.conj().T @ c).T)
 
     # entries of modulus at most ``drop`` are dropped, as the products drop round-off
     drop = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
     want = a1 @ b1.conj().T - a2 @ b2.conj().T
     want.data[np.abs(want.data) <= drop] = 0
     want.eliminate_zeros()
-    got = linalg._signed_sum("+-", [product, linalg._pairs(e(a2), e(b2))], shape, drop)
-    assert_same_entries(got, shape, want)
+    got = by_kernel(lambda: form_sum("+-", [product, TimesAdjoint(a2, b2)], drop))
+    assert_same_entries(got, want)
 
     # the normality residual of a CSR matrix, summed by the kernel (these
     # products fit) and, with no sum fitting, formed by scipy
     square = data.draw(csr_factors(n, n))
     want = float(sp.linalg.norm(square @ square.conj().T - square.conj().T @ square))
-    assert normality_residual(square).hex() == want.hex()
+    assert by_kernel(lambda: normality_residual(square)).hex() == want.hex()
     with mock.patch.object(linalg, "_CHUNK_TERMS", 0):
         assert normality_residual(square).hex() == want.hex()
     # and of a dense one with a zero row
@@ -310,3 +328,49 @@ def test_kernel_matches_scipy_bit_for_bit(data):
     block = sp.csr_matrix(dense[1:, 1:])
     want = float(sp.linalg.norm(block @ block.conj().T - block.conj().T @ block))
     assert normality_residual(dense).hex() == want.hex()
+
+
+@st.composite
+def summed_matrices(draw, n_rows: int, n_cols: int) -> sp.csr_matrix:
+    """A matrix part as a formed sum leaves it, in any storage order: its values
+    summed from zero, so with no negative zero, and no stored zero."""
+    matrix = draw(csr_factors(n_rows, n_cols))
+    matrix.data += 0.0
+    matrix.eliminate_zeros()
+    return matrix
+
+
+@st.composite
+def signed_sums(draw):
+    """Signs and parts of a sum of ``n x m`` CSR products and matrices, and a drop."""
+    n, m, k = (draw(st.integers(1, 5)) for _ in range(3))
+    kinds = ["times_adjoint", "adjoint_times", "matrix"] + ["identity"] * (n == m)
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        if kind == "times_adjoint":
+            parts.append(TimesAdjoint(draw(csr_factors(n, k)), draw(csr_factors(m, k))))
+        elif kind == "adjoint_times":
+            parts.append(AdjointTimes(draw(csr_factors(k, n)), draw(csr_factors(k, m))))
+        elif kind == "matrix":
+            parts.append(draw(summed_matrices(n, m)))
+        else:
+            parts.append(IDENTITY)
+    if all(part is IDENTITY for part in parts):
+        parts.append(draw(summed_matrices(n, m)))
+    signs = "+" + "".join(draw(st.sampled_from("+-")) for _ in parts[1:])
+    return signs, parts, draw(st.sampled_from([0.0, 1e-16, 0.3, 1.0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed=signed_sums())
+def test_kernel_and_scipy_give_a_sum_the_same_bytes(signed):
+    signs, parts, drop = signed
+    kernel = by_kernel(lambda: form_sum(signs, parts, drop))
+    norm = by_kernel(lambda: sum_norm(signs, parts))
+    with mock.patch.object(linalg, "_CHUNK_TERMS", 0):
+        scipy = form_sum(signs, parts, drop)
+        scipy_norm = sum_norm(signs, parts)
+    assert isinstance(kernel, sp.csr_matrix) and isinstance(scipy, sp.csr_matrix)
+    assert (kernel.indptr.tobytes(), kernel.indices.tobytes(), kernel.data.tobytes()) \
+        == (scipy.indptr.tobytes(), scipy.indices.tobytes(), scipy.data.tobytes())
+    assert norm.hex() == scipy_norm.hex()

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse import _compressed
 
-from isopair import bcl, linalg, models
+from isopair import bcl, cli, linalg, models
 from isopair.classify import (
     ONE_FINITE,
     THREE_FINITE,
@@ -23,6 +23,7 @@ from isopair.cli import CLUSTER_TOL, analyze_object
 from isopair.izuchi import build_izuchi_model, verify_izuchi_invariants
 from isopair.linalg import as_complex, coupled_eig, hermitian_eig, lift, random_unitary
 from isopair.models import (
+    StructuredPair,
     bishift_truncated,
     conjugate_split,
     defect_and_cross_on_interior,
@@ -34,7 +35,7 @@ from isopair.models import (
     twisted_shift,
     validate_pair,
 )
-from isopair.serialize import classification_to_json, dumps_canonical
+from isopair.serialize import classification_to_json, dumps_canonical, pair_to_json
 
 from conftest import two_finite_triple
 from test_classify import shift_unitary_pair
@@ -207,6 +208,27 @@ def test_product_forms_agree_on_one_pair(name):
         assert np.linalg.norm(got - csr_got.toarray()) <= 1e-13
 
 
+@pytest.mark.parametrize("interior", [(0,), ()], ids=["one-index", "empty"])
+def test_window_inside_the_e1_support_classifies_on_both_forms(monkeypatch, tmp_path, capsys,
+                                                               interior):
+    # the eigenvalue-1 vectors touch every index of the window, so the CSR
+    # cross-commutator minus a dense array gives an np.matrix, which the
+    # Frobenius norm must read as an array
+    bishift = bishift_truncated(12)
+    pair = StructuredPair(bishift.dim, *sparse_operators(bishift), bishift.basis_labels,
+                          interior, "bishift")
+    path = tmp_path / "pair.json"
+    path.write_text(dumps_canonical(pair_to_json(pair)))
+    assert cli.main(["classify", str(path)]) == 0
+    capsys.readouterr()
+    result = classify(pair)
+    assert (result.k, result.fundamental_sequence) == (len(interior), (0j,) * len(interior))
+    csr = dumps_canonical(classification_to_json(result))
+    monkeypatch.setattr(models, "DENSE_FILL", 0)
+    assert dense_products(pair)
+    assert dumps_canonical(classification_to_json(classify(pair))) == csr
+
+
 def test_dense_path_keeps_shift_unitary_spectrum():
     # the residual shift-unitary part goes through the wandering-space model
     pair = shift_unitary_pair(np.array([0.4, 2.0]), cap=12)
@@ -275,7 +297,8 @@ def _projector(basis: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("name", sorted(SPLIT_INPUTS))
 def test_coupled_blocks_match_full_decompositions(name):
     # the split path against one decomposition of the whole interior matrix
-    ws = working_space(SPLIT_INPUTS[name]())
+    pair = SPLIT_INPUTS[name]()
+    ws = working_space(pair)
     values, vectors = ws.defect_eig
     full_values, full_vectors = hermitian_eig(ws.defect)
     got, want = values[np.abs(values) > 1e-8], full_values[np.abs(full_values) > 1e-8]
@@ -284,8 +307,8 @@ def test_coupled_blocks_match_full_decompositions(name):
     e1, full_e1 = vectors[:, values >= 1 - 1e-8], full_vectors[:, full_values >= 1 - 1e-8]
     assert np.linalg.norm(_projector(e1) - _projector(full_e1)) <= 1e-12
 
-    rows = _gram_rows(ws.obj)
-    w_values, w_vectors = np.linalg.eigh(np.eye(ws.obj.interior_dim)
+    rows = _gram_rows(pair)
+    w_values, w_vectors = np.linalg.eigh(np.eye(pair.interior_dim)
                                          - as_complex(rows @ rows.conj().T))
     full_w = w_vectors[:, w_values > 0.5]
     basis = ws.wandering_model.basis
@@ -337,11 +360,12 @@ def test_triple_has_no_structure_residuals():
 
 def test_no_pair_defect_gives_no_eigenpairs():
     # the unitary second operator leaves the interior defect zero
-    ws = working_space(shift_unitary_pair(np.array([0.4, 2.0]), cap=12))
+    pair = shift_unitary_pair(np.array([0.4, 2.0]), cap=12)
+    ws = working_space(pair)
     assert not as_complex(ws.defect).any()
     values, vectors = ws.defect_eig
-    assert values.shape == (0,) and vectors.shape == (ws.obj.interior_dim, 0)
-    assert classify(ws.obj).k == 0
+    assert values.shape == (0,) and vectors.shape == (pair.interior_dim, 0)
+    assert classify(pair).k == 0
 
 
 def test_bishift_wandering_space_has_no_coupled_block(monkeypatch):
@@ -486,7 +510,6 @@ def test_filled_block_sum_hands_the_kernel_only_sums_that_fit(monkeypatch):
         return signed_sum(signs, parts, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "_signed_sum", spy)
-    monkeypatch.setattr(models, "_signed_sum", spy)
     result = classify(_filled_block_sum())
     assert [b.kind for b in result.blocks] == [THREE_FINITE] * 2
     assert sizes and max(sizes) <= linalg._CHUNK_TERMS
