@@ -33,8 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .classify import working_space
-from .linalg import (_check_tolerance, _sum_csr, _support, frobenius_norm, hermitian_eig, lift,
-                     normality_residual)
+from .linalg import (_check_tolerance, _entries, _sum_csr, _support, frobenius_norm,
+                     hermitian_eig, lift, normality_residual)
 from .models import StructuredPair, _csr, _monomial_labels, sparse_operators
 from .spectral import rank_formula
 
@@ -76,61 +76,108 @@ def _basis_labels(monomial_cap: int, chain_len: int) -> tuple[tuple, ...]:
 
 
 def _basis_expansions(ratio: float, monomial_cap: int, chain_len: int,
-                      series_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every basis vector's Laurent terms, as ``(exponents, coefficients, column)``.
+                      series_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every basis vector's Laurent terms, as ``(z, w, coefficients, column)``.
 
-    Row ``t`` says that basis vector ``column[t]`` has coefficient
-    ``coefficients[t]`` at exponent ``exponents[t] = (z, w)``; columns run
-    over the basis in label order, and a chain vector's terms in series
-    order.
+    Term ``t`` says that basis vector ``column[t]`` has coefficient
+    ``coefficients[t]`` at the monomial ``z^z[t] w^w[t]``; columns run over
+    the basis in label order, and a chain vector's terms in series order,
+    each the float :func:`chain_expansion` gives.
     """
-    mono = np.arange(monomial_cap * monomial_cap)
-    mono_exps = np.stack(np.divmod(mono, monomial_cap), axis=1)
-    # chain vector j is z^j times chain vector 0
-    g0 = chain_expansion(ratio, 0, series_len)
+    cap = monomial_cap
+    # chain vector j holds r^k z^(j+k) w^-(k+1), k < series_len
+    k = np.tile(np.arange(series_len), chain_len)
     shifts = np.repeat(np.arange(chain_len), series_len)
-    chain_exps = np.tile(np.array(list(g0)), (chain_len, 1))
-    chain_exps[:, 0] += shifts
-    exponents = np.concatenate([mono_exps, chain_exps])
-    coefficients = np.concatenate([np.ones(mono.size),
-                                   np.tile(np.fromiter(g0.values(), float), chain_len)])
-    column = np.concatenate([mono, mono.size + shifts])
-    return exponents, coefficients.astype(np.complex128), column
+    z = np.concatenate([np.repeat(np.arange(cap), cap), shifts + k])
+    w = np.concatenate([np.tile(np.arange(cap), cap), -1 - k])
+    norm = math.sqrt(1.0 - ratio * ratio)
+    coefficients = np.ones(z.size, dtype=np.complex128)
+    coefficients[cap * cap:] = np.tile([norm * ratio ** i for i in range(series_len)], chain_len)
+    column = np.concatenate([np.arange(cap * cap), cap * cap + shifts])
+    return z, w, coefficients, column
+
+
+def _summed(dim: int, rows: np.ndarray, cols: np.ndarray, terms: np.ndarray):
+    """The sum of the ``terms`` at each position ``(rows, cols)`` of a ``dim x dim`` matrix.
+
+    Each position adds its terms in the order given.  Returns the distinct
+    positions, sorted by row and then column, as ``(rows, cols, values)``.
+    """
+    ids = rows * dim + cols
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    first = np.empty(ids.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    position = np.cumsum(first) - 1
+    terms = terms[order]
+    values = np.empty(position[-1] + 1, dtype=np.complex128)
+    values.real = np.bincount(position, terms.real, values.size)
+    values.imag = np.bincount(position, terms.imag, values.size)
+    ids = ids[first]
+    rows = ids // dim
+    return rows, ids - rows * dim, values
+
+
+def _difference(dim: int, first, second) -> np.ndarray:
+    """``first - second`` at every position either holds, from their entries.
+
+    Each of ``first`` and ``second`` is ``(rows, cols, values)`` with distinct
+    positions; a position one of them lacks is zero there.  A position both
+    hold gives its difference once and a zero.
+    """
+    ids = np.concatenate([first[0] * dim + first[1], second[0] * dim + second[1]])
+    values = np.concatenate([first[2], -second[2]])
+    order = np.argsort(ids, kind="stable")
+    ids, values = ids[order], values[order]
+    # a position both hold comes twice in a row, first's entry ahead
+    both = np.flatnonzero(ids[1:] == ids[:-1])
+    values[both] += values[both + 1]
+    values[both + 1] = 0.0
+    return values
 
 
 def _oracle_matrices(ratio: float, twist: complex, monomial_cap: int,
                      chain_len: int, series_len: int):
     """Operator matrices and Gram matrix from raw inner products.
 
-    Basis expansions are encoded as sparse coefficient vectors over the set
-    of occurring exponents; multiplication by a coordinate is an exponent
-    shift, so entry ``(a, b)`` of each operator is exactly
-    ``<coordinate . basis_b, basis_a>`` computed by exponent matching.
+    Entry ``(a, b)`` of each operator is ``<coordinate . basis_b, basis_a>``,
+    computed by exponent matching: multiplying by a coordinate shifts every
+    exponent of ``basis_b``, and each shifted term that lands on a term of
+    ``basis_a`` adds ``conj(c_a) c_b``.  Each entry adds its terms in
+    increasing exponent order.  No two basis vectors may share an exponent
+    (a ``ValueError`` otherwise), so the Gram matrix is diagonal: the
+    squared norms of the basis vectors.
     """
-    exps, data, cols = _basis_expansions(ratio, monomial_cap, chain_len, series_len)
-    # one row per occurring exponent, in sorted order: an exponent (z, w)
-    # is keyed by an integer that sorts like the pair, with room in the w
-    # part for a shift by one
-    z_low, w_low = exps.min(axis=0)
-    span = int(exps[:, 1].max() - w_low) + 2
-    keys, rows = np.unique((exps[:, 0] - z_low) * span + (exps[:, 1] - w_low),
-                           return_inverse=True)
-    shape = (len(keys), monomial_cap * monomial_cap + chain_len)
-    coeff = sp.csr_matrix((data, (rows, cols)), shape=shape)
+    z, w, data, cols = _basis_expansions(ratio, monomial_cap, chain_len, series_len)
+    # an exponent (z, w) is keyed by an integer that sorts like the pair,
+    # with room in the w part for a shift by one
+    w_low = w.min()
+    span = int(w.max() - w_low) + 2
+    keys = (z - z.min()) * span + (w - w_low)
+    order = np.argsort(keys, kind="stable")  # a merge sort: the keys come in sorted runs
+    keys, data, cols = keys[order], data[order], cols[order]
+    shared = np.flatnonzero(keys[1:] == keys[:-1])
+    if shared.size:
+        t = order[shared[0]]
+        raise ValueError(f"two basis terms share the exponent z^{z[t]} w^{w[t]}")
+    dim = monomial_cap * monomial_cap + chain_len
 
-    def shift_matrix(dz: int, dw: int) -> sp.csr_matrix:
-        target = keys + dz * span + dw
-        at = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
-        hit = keys[at] == target
-        # one entry per hit, at row at[hit], in increasing row order
-        ones = np.ones(np.count_nonzero(hit), dtype=np.complex128)
-        return _sum_csr((len(keys),) * 2, (at[hit], np.flatnonzero(hit), ones))
+    def shifted(delta: int) -> sp.csr_matrix:
+        # source terms in increasing exponent order land on targets in
+        # increasing exponent order, the order each entry adds its terms in
+        landing = keys + delta
+        target = np.minimum(np.searchsorted(keys, landing), keys.size - 1)
+        source = np.flatnonzero(keys[target] == landing)
+        target = target[source]
+        terms = data[target].conj() * data[source]
+        return _sum_csr((dim, dim), _summed(dim, cols[target], cols[source], terms))
 
-    ch = coeff.getH()
-    v1 = (twist * (ch @ (shift_matrix(1, 0) @ coeff))).tocsr()
-    v2 = (ch @ (shift_matrix(0, 1) @ coeff)).tocsr()
-    gram = (ch @ coeff).tocsr()
-    return v1, v2, gram
+    v1 = shifted(span)
+    v1.data *= twist
+    norms = np.bincount(cols, (data.conj() * data).real, dim).astype(np.complex128)
+    gram = _sum_csr((dim, dim), (np.arange(dim), np.arange(dim), norms))
+    return v1, shifted(1), gram
 
 
 def _closed_form_matrices(ratio: float, twist: complex, monomial_cap: int,
@@ -219,7 +266,8 @@ def build_izuchi_model(ratio: float, twist: complex, monomial_cap: int = 12,
     )
 
     dim = v1.shape[0]
-    ortho_residual = frobenius_norm(gram - sp.identity(dim, format="csr"))
+    identity = (np.arange(dim), np.arange(dim), np.ones(dim))
+    ortho_residual = frobenius_norm(_difference(dim, _entries(gram), identity))
     if ortho_residual > BUILD_RESIDUAL_CAP:
         raise ValueError(
             f"basis orthonormality residual {ortho_residual:.3e} exceeds "
@@ -228,7 +276,7 @@ def build_izuchi_model(ratio: float, twist: complex, monomial_cap: int = 12,
     for name, closed, oracle in (("v1", v1, v1_oracle), ("v2", v2, v2_oracle)):
         # entries absent from both sides are equal, so the sparse maximum
         # is the dense one
-        gap = float(np.abs((closed - oracle).data).max(initial=0.0))
+        gap = float(np.abs(_difference(dim, _entries(closed), _entries(oracle))).max(initial=0.0))
         if gap > BUILD_RESIDUAL_CAP:
             raise ValueError(
                 f"closed-form {name} disagrees with the inner-product oracle "

@@ -224,6 +224,40 @@ def test_closed_form_off_by_1e_9_is_caught(monkeypatch):
         build_izuchi_model(0.5, 1j, 6, 6)
 
 
+def _entry_moved(matrix, row, col, value):
+    """``matrix`` with ``value`` at ``(row, col)``; ``None`` drops that entry."""
+    entries = matrix.todok()
+    if value is None:
+        del entries[row, col]
+    else:
+        entries[row, col] = value
+    return entries.tocsr()
+
+
+@pytest.mark.parametrize("operator, row, col, value, fires", [
+    ("v1", 6, 0, 1j + 1e-9, True),      # an entry both store, off by 1e-9
+    ("v2", 0, 36, None, True),          # the z^0 term of w . g_0 dropped
+    ("v2", 0, 1, 1e-9, True),           # an entry the oracle lacks
+    ("v2", 0, 1, 1e-11, False),         # below the threshold
+], ids=["v1-off", "v2-missing", "v2-extra", "v2-extra-small"])
+def test_closed_form_gap_is_read_over_both_supports(monkeypatch, operator, row, col,
+                                                     value, fires):
+    closed_form = izuchi._closed_form_matrices
+
+    def moved(*args):
+        v1, v2 = closed_form(*args)
+        if operator == "v1":
+            return _entry_moved(v1, row, col, value), v2
+        return v1, _entry_moved(v2, row, col, value)
+
+    monkeypatch.setattr(izuchi, "_closed_form_matrices", moved)
+    if fires:
+        with pytest.raises(ValueError, match=f"closed-form {operator} disagrees"):
+            build_izuchi_model(0.5, 1j, 6, 6)
+    else:
+        build_izuchi_model(0.5, 1j, 6, 6)
+
+
 NON_FINITE = [complex("nan"), complex(0.0, float("nan")), complex("inf"),
               complex(float("nan"), float("inf"))]
 

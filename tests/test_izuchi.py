@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isopair import izuchi
 from isopair.classify import classify, working_space
 from isopair.izuchi import (
     LaurentSeries,
@@ -93,6 +94,27 @@ class TestBuildValidation:
     def test_rejects_small_caps(self):
         with pytest.raises(ValueError):
             build_izuchi_model(0.5, 1.0, monomial_cap=3)
+
+    def test_short_series_fails_the_orthonormality_check(self, monkeypatch):
+        # with the tail floor lowered, a two-term chain vector has squared
+        # norm 1 - r^4 and only the built basis check can refuse it
+        monkeypatch.setattr(izuchi, "minimal_series_len", lambda ratio: 2)
+        with pytest.raises(ValueError, match="orthonormality residual"):
+            build_izuchi_model(0.5, 1.0, 6, 6)
+
+    def test_basis_vectors_sharing_an_exponent_are_refused(self, monkeypatch):
+        expansions = izuchi._basis_expansions
+
+        def shared(ratio, monomial_cap, chain_len, series_len):
+            z, w, coefficients, column = expansions(ratio, monomial_cap, chain_len,
+                                                    series_len)
+            # the last chain vector's last term lands on the monomial z^1 w^2
+            z[-1], w[-1] = 1, 2
+            return z, w, coefficients, column
+
+        monkeypatch.setattr(izuchi, "_basis_expansions", shared)
+        with pytest.raises(ValueError, match=r"share the exponent z\^1 w\^2"):
+            build_izuchi_model(0.5, 1.0, 6, 6)
 
 
 class TestInvariants:

@@ -13,12 +13,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isopair.classify import classify
 from isopair.izuchi import (
     _oracle_matrices,
     build_izuchi_model,
     chain_expansion,
+    minimal_series_len,
     verify_izuchi_invariants,
 )
 from isopair.models import (
@@ -246,8 +249,21 @@ def loop_oracle(ratio, twist, monomial_cap, chain_len, series_len):
             ch @ coeff)
 
 
-@pytest.mark.parametrize("args", [(0.5, 1j, 6, 6, 47), (-0.3, np.exp(0.2j), 5, 8, 12),
-                                  (0.7, -1.0, 9, 4, 30)])
+@st.composite
+def oracle_args(draw):
+    ratio = draw(st.floats(0.05, 0.95)) * draw(st.sampled_from([1.0, -1.0]))
+    twist = draw(st.one_of(st.sampled_from([1.0, -1.0, 1j]),
+                           st.floats(0.0, 2 * np.pi).map(lambda t: complex(np.exp(1j * t)))))
+    monomial_cap, chain_len = draw(st.integers(4, 9)), draw(st.integers(4, 9))
+    series_len = minimal_series_len(ratio) + draw(st.integers(0, 30))
+    return ratio, twist, monomial_cap, chain_len, series_len
+
+
+@settings(max_examples=40, deadline=None)
+@given(args=oracle_args())
+@example(args=(0.5, 1j, 6, 6, 47))
+@example(args=(-0.3, np.exp(0.2j), 5, 8, 12))
+@example(args=(0.7, -1.0, 9, 4, 30))
 def test_vectorised_oracle_equals_the_entrywise_one(args):
     for got, want in zip(_oracle_matrices(*args), loop_oracle(*args)):
         assert got.shape == want.shape
