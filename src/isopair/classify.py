@@ -22,8 +22,16 @@ A structured pair's eigen-data comes from its exactly coupled rows.  Its
 building blocks have defects of finite rank, so on a truncation almost every
 interior row of the defect, and of ``V V^H``, is an exact 1x1 block:
 ``linalg.coupled_eig`` reads those off and diagonalizes only the block of
-the other rows.  A filled (scrambled) input has no such rows and takes one
-decomposition of the whole interior.
+the other rows.  A filled (scrambled) input has no such rows, and its whole
+interior is that block.  A block of at least ``linalg.THIN_MIN_ROWS`` rows
+(48) is solved on its range first: a fixed-seed Gaussian sketch of
+``ceil(norm^2) + 8`` columns, accepted when the completeness residual
+``norm(A - V diag(values) V^H)`` is at most ``1e-10 * max(norm(A), 1)``
+(Frobenius norms).  A wider sketch than half the rows, or a residual over
+that bound, decomposes the whole block instead, and so does a defect
+residual above ``tol``, which could hide a value the readers keep.  Each
+residual in use is reported in ``ClassificationResult.residuals``
+(``defect_thin_residual``, ``range_complement_thin_residual``).
 """
 
 import math
@@ -77,13 +85,16 @@ class WanderingModel(NamedTuple):
     ``basis`` spans the space in working coordinates; in that basis,
     ``unitary`` is the model unitary U and ``kernel1``, ``kernel2`` are the
     kernels P and ``I - U P U^H`` of the two adjoints.  A triple is this
-    model with the identity as basis.
+    model with the identity as basis.  ``thin_residual`` is the completeness
+    residual of a basis solved on its block's range (``coupled_eig``), else
+    None.
     """
 
     basis: np.ndarray
     unitary: np.ndarray
     kernel1: np.ndarray
     kernel2: np.ndarray
+    thin_residual: float | None = None
 
 
 @dataclass(frozen=True)
@@ -106,15 +117,33 @@ class WorkingSpace:
     build_model: Callable[[], WanderingModel]
 
     @cached_property
-    def defect_eig(self) -> tuple[np.ndarray, np.ndarray]:
+    def defect_eig(self) -> tuple[np.ndarray, np.ndarray, float | None]:
         """The defect's eigenpairs off its zero rows, computed on first use.
 
         Every reader selects nonzero eigenvalues only, so the kernel of the
         defect's zero rows is left out; the rest comes from
         :func:`~isopair.linalg.coupled_eig` with ``hermitian_eig`` on the
         coupled block, whose phase choice fixes the ``f_vector`` phases.
+        The third item is the residual of a thin solve, else None.
         """
         return coupled_eig(self.defect, lambda values: values != 0, hermitian_eig)
+
+    @cached_property
+    def whole_defect_eig(self) -> tuple[np.ndarray, np.ndarray, None]:
+        """:attr:`defect_eig` with its coupled block decomposed whole."""
+        return coupled_eig(self.defect, lambda values: values != 0, hermitian_eig, thin=False)
+
+    def defect_eig_at(self, tol: float) -> tuple[np.ndarray, np.ndarray, float | None]:
+        """The defect's eigenpairs for readers that keep values above ``tol`` in modulus.
+
+        They also keep values of at least ``1 - tol``.  A thin solve leaves
+        out values of modulus at most its residual; unless the readers leave
+        all of those out too, the defect is decomposed whole.
+        """
+        residual = self.defect_eig[2]
+        if residual is None or residual <= tol < 1.0 - residual:
+            return self.defect_eig
+        return self.whole_defect_eig
 
     @cached_property
     def wandering_model(self) -> WanderingModel:
@@ -132,10 +161,11 @@ def _pair_wandering_model(products: models._InteriorProducts) -> WanderingModel:
     ``V2 (I - V1 V1^H) + V1^H V1 V1^H`` and ``kernel1``, ``kernel2``
     compress ``I - V1 V1^H`` and ``I - V2 V2^H``; on a truncation they are
     quasi-projections.  All three are thin products of the basis with the
-    operators' interior rows and columns.
+    operators' interior rows and columns.  A thin solve of the basis leaves
+    out values of modulus at most ``linalg.THIN_RESIDUAL``, far below 1/2.
     """
-    _, basis = coupled_eig(products.range_complement(),
-                           lambda values: values > 0.5, np.linalg.eigh)
+    _, basis, residual = coupled_eig(products.range_complement(),
+                                     lambda values: values > 0.5, np.linalg.eigh)
     rows1, rows2 = products.rows
     # a CSR product copies a dense operand that is not C-ordered, as ``basis`` is
     thin = np.ascontiguousarray(basis)
@@ -145,8 +175,8 @@ def _pair_wandering_model(products: models._InteriorProducts) -> WanderingModel:
     unitary = (basis.conj().T @ (rows2 @ (lifted - range1))
                + (products.cols[0] @ thin).conj().T @ range1)
     eye = np.eye(basis.shape[1])
-    return WanderingModel(basis, unitary,
-                          eye - adj1.conj().T @ adj1, eye - adj2.conj().T @ adj2)
+    return WanderingModel(basis, unitary, eye - adj1.conj().T @ adj1,
+                          eye - adj2.conj().T @ adj2, residual)
 
 
 def working_space(obj: PairInput) -> WorkingSpace:
@@ -231,7 +261,7 @@ def _largest_distance(vectors: np.ndarray, basis: np.ndarray) -> float:
 
 def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[str, float]]:
     floor = max(tol, 1e-8)
-    values, vectors = ws.defect_eig
+    values, vectors, defect_residual = ws.defect_eig_at(tol)
     basis = Subspace(ws.defect.shape[0], vectors[:, values >= 1.0 - tol])
     model = ws.wandering_model
     # inside W, the eigenvalue-1 space is where the two kernels meet
@@ -239,7 +269,10 @@ def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[s
     coords = model.basis.conj().T @ basis.basis
     membership = max(_largest_distance(basis.basis, model.basis),
                      _largest_distance(coords, range1), _largest_distance(coords, range2))
-    residuals = {"e1_membership": membership}
+    thin = {"defect_thin_residual": defect_residual,
+            "range_complement_thin_residual": model.thin_residual}
+    residuals = {name: value for name, value in thin.items() if value is not None}
+    residuals["e1_membership"] = membership
     if membership > floor:
         raise ValueError(
             "eigenvalue-1 vectors leave the wandering subspaces "
@@ -498,7 +531,7 @@ def shift_unitary_invariant(obj: PairInput, tol: float = 1e-8) -> ShiftUnitaryIn
 
 def _shift_unitary(ws: WorkingSpace, tol: float) -> ShiftUnitaryInvariant:
     model = ws.wandering_model
-    values, vectors = ws.defect_eig
+    values, vectors, _ = ws.defect_eig_at(tol)
     # the defect vanishes on range(V1 V2), so its eigenvectors off the kernel
     # lie in W, where the basis restricts them
     seeds = model.basis.conj().T @ vectors[:, np.abs(values) > tol]

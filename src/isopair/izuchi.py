@@ -200,7 +200,7 @@ def _closed_form_matrices(ratio: float, twist: complex, monomial_cap: int,
     return v1, v2
 
 
-def _interior_indices(monomial_cap: int, chain_len: int) -> tuple[int, ...]:
+def _interior_indices(monomial_cap: int, chain_len: int) -> np.ndarray:
     # Two indices of margin from every truncation edge: the operators and
     # their adjoints each move an index by at most one, and the chain/monomial
     # sectors couple, so the margin is taken from the smaller cap.
@@ -208,7 +208,8 @@ def _interior_indices(monomial_cap: int, chain_len: int) -> tuple[int, ...]:
     m, n = np.divmod(np.arange(monomial_cap * monomial_cap), monomial_cap)
     mono = np.flatnonzero((m < keep) & (n < keep))
     chain = monomial_cap * monomial_cap + np.arange(keep)
-    return tuple(np.concatenate([mono, chain]).tolist())
+    # an int64 array: ``StructuredPair`` makes its tuple of ints from it
+    return np.concatenate([mono, chain])
 
 
 @dataclass(frozen=True)

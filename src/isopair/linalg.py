@@ -20,6 +20,7 @@ without its intermediate matrices; otherwise numpy or scipy forms the parts
 and adds them left to right.
 """
 
+import functools
 import math
 from collections import namedtuple
 from collections.abc import Callable
@@ -105,8 +106,93 @@ def _normalize_phases(vectors: np.ndarray) -> None:
     vectors *= factors
 
 
-def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray],
-                eig: Callable) -> tuple[np.ndarray, np.ndarray]:
+#: Rows from which :func:`coupled_eig` solves a block on its range first
+#: (:func:`_thin_eig`).  Median ms per call of ``hermitian_eig`` (full) and
+#: of the thin solve on filled Hermitian matrices with ``r`` eigenvalues
+#: +-1 and the rest 0, 1 BLAS thread on a shared 2-vCPU VM; "first" draws
+#: the Gaussian block anew, as the first solve at a size does:
+#:
+#: ====  ====  =============  ==============  =============
+#: rows  full  thin, r = n/8  first, r = n/8   thin, r = n/3
+#: ====  ====  =============  ==============  =============
+#: 24    0.22  0.18           0.25            (falls back)
+#: 32    0.24  0.21           0.28            (falls back)
+#: 40    0.29  0.17           0.17            (falls back)
+#: 48    0.29  0.15           0.20            0.24
+#: 64    0.52  0.20           0.25            0.31
+#: 96    1.33  0.34           0.42            0.67
+#: 128   2.51  0.59           0.72            1.15
+#: ====  ====  =============  ==============  =============
+#:
+#: Below about 40 rows a first solve loses, and a win saves at most tens of
+#: microseconds; 48 also keeps the coupled blocks of sparse models up to
+#: cap 20 (at most 32 rows) on the full solve.
+THIN_MIN_ROWS = 48
+
+#: Completeness bound of a thin solve, relative to ``max(norm(a), 1)``.
+THIN_RESIDUAL = 1e-10
+
+#: Seed of the Gaussian block a thin solve draws; fixed, so every call is repeatable.
+_THIN_SEED = 20111
+
+#: Entries of the largest Gaussian block kept for later solves (1 MiB of
+#: complex128); a larger one is drawn anew each time.  The cache holds at
+#: most 8 blocks, so at most 8 MiB.
+_CACHED_ENTRIES = 1 << 16
+
+
+def _gaussian_block(rows: int, width: int) -> np.ndarray:
+    """The read-only complex Gaussian ``rows x width`` block of :func:`_thin_eig`."""
+    # real and imaginary parts interleaved
+    block = np.random.default_rng(_THIN_SEED).standard_normal((rows, 2 * width))
+    block = block.view(np.complex128)
+    block.flags.writeable = False
+    return block
+
+
+_cached_gaussian_block = functools.lru_cache(maxsize=8)(_gaussian_block)
+
+
+def _thin_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Eigenpairs of the Hermitian ``a`` solved on its range, with the completeness residual.
+
+    A randomized range finder (Halko, Martinsson and Tropp, SIAM Review
+    53(2), 2011): ``Q = qr(a Omega)`` for a fixed-seed complex Gaussian
+    ``Omega`` of ``ceil(norm(a)^2) + 8`` columns (Frobenius norm; a
+    contraction's rank is at least its square), then ``eigh(Q^H a Q)``.
+    The pairs ``(values, vectors)`` are returned only when
+    ``norm(a - V diag(values) V^H) <= THIN_RESIDUAL * max(norm(a), 1)``:
+    by Weyl's inequality every eigenvalue they leave out is then at most
+    that residual in modulus.  None comes back when that bound fails, when
+    the width would pass half the rows, or when ``a`` has a non-finite
+    entry; so randomness never decides an answer.
+
+    ``a`` passes the checks of :func:`hermitian_eig` and the result follows
+    its rules: values descend, and the phase rule holds on the full-length
+    vectors.
+    """
+    n = a.shape[0]
+    scale = frobenius_norm(a)
+    if not math.isfinite(scale):
+        return None
+    width = math.ceil(scale * scale) + 8
+    if 2 * width > n:
+        return None
+    a = _checked_hermitian(a)
+    draw = _cached_gaussian_block if n * width <= _CACHED_ENTRIES else _gaussian_block
+    q = np.linalg.qr(a @ draw(n, width))[0]
+    values, small = np.linalg.eigh(q.conj().T @ a @ q)
+    vectors = q @ small
+    residual = frobenius_norm(a - (vectors * values) @ vectors.conj().T)
+    if not residual <= THIN_RESIDUAL * max(scale, 1.0):  # written so that NaN fails it
+        return None
+    values, vectors = values[::-1].copy(), vectors[:, ::-1].copy()
+    _normalize_phases(vectors)
+    return values, vectors, residual
+
+
+def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray], eig: Callable,
+                thin: bool = True) -> tuple[np.ndarray, np.ndarray, float | None]:
     """Eigenpairs of a Hermitian matrix, taken from its coupled rows only.
 
     Zero rows give no eigenpair, so ``keep(0)`` must be false.  On the block
@@ -117,10 +203,31 @@ def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray],
     :func:`hermitian_eig` to check the block and fix each vector's phase.
     A filled matrix takes that one call on the whole matrix.
 
+    With ``thin``, a block of at least :data:`THIN_MIN_ROWS` rows is first
+    solved on its range (:func:`_thin_eig`): a fixed-seed Gaussian block of
+    ``ceil(norm^2) + 8`` columns, accepted when the completeness residual is
+    at most ``THIN_RESIDUAL * max(norm, 1)`` (Frobenius norms), and checked
+    and phased as by :func:`hermitian_eig` whatever ``eig`` is.  When that
+    width passes half the rows, or the residual misses the bound, ``eig``
+    runs on the whole block instead.  The eigenpairs a thin solve leaves out
+    have values of modulus at most its residual, which comes back as the
+    third item (None when no thin solve was accepted).  A reader that keeps
+    such values must solve again without ``thin``.
+
     ``keep`` maps eigenvalues to a mask of the pairs to return; only their
     vectors are formed, as columns on all rows.  Values come in descending
     order.  ``a`` is dense or ``scipy.sparse``.
     """
+    residual = None
+
+    def solve(block):
+        nonlocal residual
+        solved = _thin_eig(block) if thin and block.shape[0] >= THIN_MIN_ROWS else None
+        if solved is None:
+            return eig(block)
+        values, vectors, residual = solved
+        return values, vectors
+
     index, block = _support(a)
     off = block != 0
     # a block with no zero entry couples every row to the others
@@ -132,13 +239,13 @@ def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray],
     if filled:
         # a filled matrix, such as a triple's defect: placing its vectors
         # would add a third to the call at dimension 10
-        values, vectors = eig(block)
+        values, vectors = solve(block)
         kept = keep(values)
         values, vectors = values[kept], vectors[:, kept]
     else:
         values, block_vectors = np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
         if coupled.any():
-            values, block_vectors = eig(block[np.ix_(coupled, coupled)])
+            values, block_vectors = solve(block[np.ix_(coupled, coupled)])
         kept = keep(values)
         diagonal = np.diagonal(block).real
         units = np.flatnonzero(~coupled & keep(diagonal))
@@ -147,7 +254,7 @@ def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray],
         vectors[index[coupled], :np.count_nonzero(kept)] = block_vectors[:, kept]
         vectors[index[units], np.arange(values.size - units.size, values.size)] = 1.0
     order = (-values).argsort(kind="stable")
-    return values[order], vectors[:, order]
+    return values[order], vectors[:, order], residual
 
 
 def numerical_rank(a, tol: float | None = None) -> int:
@@ -470,10 +577,13 @@ def _sum_csr(shape: tuple[int, int], entries) -> sp.csr_matrix:
     """The CSR matrix of distinct entries ``(rows, cols, values)`` sorted by row, then column.
 
     Sorted so, the entries are the CSR arrays themselves, as :func:`_signed_sum`
-    returns them; this skips scipy's slower conversion from coordinates.
+    returns them; this skips scipy's slower conversion from coordinates.  Row
+    ``i`` starts after the entries of the rows before it: ``indptr`` is the
+    running count of the entries per row.
     """
     rows, cols, values = entries
-    indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(np.int32)
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    indptr[1:] = np.bincount(rows, minlength=shape[0]).cumsum()
     return sp.csr_matrix((values, cols.astype(np.int32), indptr), shape=shape)
 
 

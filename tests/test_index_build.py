@@ -27,7 +27,7 @@ from isopair.models import (
     sparse_operators,
     twisted_shift,
 )
-from isopair.serialize import pair_from_json, pair_to_json
+from isopair.serialize import dumps_canonical, pair_from_json, pair_to_json
 
 CAPS = [(4, 4), (5, 14), (12, 7), (50, 50)]
 RATIOS = [0.3, -0.3, 0.5, 0.9]
@@ -128,8 +128,23 @@ def test_closed_form_matches_reference(caps, ratio, twist):
 @pytest.mark.parametrize("caps", CAPS, ids=[f"{a}x{b}" for a, b in CAPS])
 def test_labels_and_interior_match_reference(caps):
     assert _basis_labels(*caps) == reference_labels(*caps)
-    assert _interior_indices(*caps) == reference_interior(*caps)
-    assert all(type(i) is int for i in _interior_indices(*caps))
+    # an int64 array, which the built pair holds as a tuple of ints
+    indices = _interior_indices(*caps)
+    assert indices.dtype == np.int64
+    assert tuple(indices.tolist()) == reference_interior(*caps)
+    interior = build_izuchi_model(0.5, 1j, *caps).pair.interior
+    assert interior == reference_interior(*caps)
+    assert all(type(i) is int for i in interior)
+
+
+def test_interior_array_gives_the_pair_and_bytes_of_its_tuple():
+    for cap in range(4, 51):
+        pair = build_izuchi_model(0.5, 1j, cap, cap).pair
+        listed = StructuredPair(pair.dim, *sparse_operators(pair), pair.basis_labels,
+                                tuple(_interior_indices(cap, cap).tolist()), pair.provenance)
+        assert pair.interior == listed.interior
+        assert all(type(i) is int for i in pair.interior)
+        assert dumps_canonical(pair_to_json(pair)) == dumps_canonical(pair_to_json(listed))
 
 
 @pytest.mark.parametrize("caps", [(4, 4), (12, 7)], ids=["4x4", "12x7"])

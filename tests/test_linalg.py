@@ -1,13 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg  # noqa: F401  (scipy's sparse norm, the reference)
 
+from isopair import linalg
 from isopair.bcl import random_triple, wandering_projections
 from isopair.linalg import (
+    _CACHED_ENTRIES,
+    THIN_MIN_ROWS,
+    THIN_RESIDUAL,
     Subspace,
+    _cached_gaussian_block,
     _normalize_phases,
+    _thin_eig,
     coupled_eig,
     frobenius_norm,
     hermitian_eig,
@@ -146,7 +154,7 @@ class TestCoupledEig:
     def test_matches_full_decomposition(self, rng, monkeypatch, form):
         a = self._matrix(rng)
         sizes = eigh_sizes(monkeypatch)
-        values, vectors = coupled_eig(form(a), lambda v: v != 0, hermitian_eig)
+        values, vectors, _ = coupled_eig(form(a), lambda v: v != 0, hermitian_eig)
         assert sizes == [3]
         full_values, full_vectors = hermitian_eig(a)
         # the zero row's eigenvalue, which the full decomposition rounds
@@ -157,7 +165,7 @@ class TestCoupledEig:
 
     def test_keep_selects_unit_vectors_and_block_vectors(self, rng):
         a = self._matrix(rng)
-        values, vectors = coupled_eig(a, lambda v: v > 0.5, np.linalg.eigh)
+        values, vectors, _ = coupled_eig(a, lambda v: v > 0.5, np.linalg.eigh)
         full_values, full_vectors = np.linalg.eigh(a)
         above = full_vectors[:, full_values > 0.5]
         assert np.allclose(values, np.sort(full_values[full_values > 0.5])[::-1])
@@ -167,24 +175,143 @@ class TestCoupledEig:
     @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
     def test_diagonal_matrix_takes_no_decomposition(self, monkeypatch, form):
         sizes = eigh_sizes(monkeypatch)
-        values, vectors = coupled_eig(form(np.diag([0.0, 2.0, 0.0, -1.0])),
+        values, vectors, _ = coupled_eig(form(np.diag([0.0, 2.0, 0.0, -1.0])),
                                       lambda v: v != 0, hermitian_eig)
         assert sizes == []
         assert values.tolist() == [2.0, -1.0]
         assert np.array_equal(vectors, np.eye(4)[:, [1, 3]])
 
     def test_zero_matrix_gives_no_pairs(self):
-        values, vectors = coupled_eig(np.zeros((5, 5)), lambda v: v != 0, hermitian_eig)
+        values, vectors, _ = coupled_eig(np.zeros((5, 5)), lambda v: v != 0, hermitian_eig)
         assert values.shape == (0,) and vectors.shape == (5, 0)
 
     def test_filled_matrix_takes_one_full_decomposition(self, rng, monkeypatch):
         a = random_hermitian(7, rng)
         sizes = eigh_sizes(monkeypatch)
-        values, vectors = coupled_eig(a, lambda v: v != 0, hermitian_eig)
+        values, vectors, _ = coupled_eig(a, lambda v: v != 0, hermitian_eig)
         assert sizes == [7]
         full_values, full_vectors = hermitian_eig(a)
         assert np.array_equal(values, full_values)
         assert np.array_equal(vectors, full_vectors)
+
+
+def signed_projection(dim, rank, rng):
+    """A filled Hermitian matrix with ``rank`` eigenvalues +-1, in alternation, and the rest 0."""
+    basis = random_unitary(dim, rng)[:, :rank]
+    signs = np.where(np.arange(rank) % 2, -1.0, 1.0)
+    a = (basis * signs) @ basis.conj().T
+    return (a + a.conj().T) / 2
+
+
+def full_route(a, keep, eig):
+    """What ``coupled_eig`` returns for a filled matrix solved whole."""
+    values, vectors = eig(a)
+    kept = keep(values)
+    values, vectors = values[kept], vectors[:, kept]
+    order = (-values).argsort(kind="stable")
+    return values[order], vectors[:, order]
+
+
+class TestThinRoute:
+    """A filled block of at least ``THIN_MIN_ROWS`` rows is solved on its range first."""
+
+    @pytest.mark.parametrize("eig", [hermitian_eig, np.linalg.eigh], ids=["checked", "eigh"])
+    def test_block_below_the_size_returns_what_eig_returns(self, rng, monkeypatch, eig):
+        a = signed_projection(THIN_MIN_ROWS - 1, 4, rng)
+        keep = lambda v: v != 0  # noqa: E731
+        want = full_route(a, keep, eig)
+        draws = []
+        monkeypatch.setattr(np.linalg, "qr", lambda *args: draws.append(args))
+        *got, residual = coupled_eig(a, keep, eig)
+        assert draws == [] and residual is None
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("eig", [hermitian_eig, np.linalg.eigh], ids=["checked", "eigh"])
+    @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
+    def test_block_above_the_size_is_solved_on_its_range(self, rng, monkeypatch, form, eig):
+        a = signed_projection(64, 5, rng)
+        sizes = eigh_sizes(monkeypatch)
+        values, vectors, residual = coupled_eig(form(a), lambda v: np.abs(v) > 0.5, eig)
+        # a width of ceil(5 + round-off) + 8 columns: no 64-row solve
+        assert max(sizes) <= 14
+        assert 0 <= residual <= THIN_RESIDUAL * np.sqrt(5)
+        assert np.allclose(values, [1, 1, 1, -1, -1], atol=1e-12)
+        assert np.linalg.norm((vectors * values) @ vectors.conj().T - a) <= 1e-12
+        # the phase rule of hermitian_eig, on the full-length vectors, whatever eig is
+        pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(values.size)]
+        assert np.all(np.abs(pivots.imag) <= 1e-15) and np.all(pivots.real > 0)
+
+    @pytest.mark.parametrize("eig", [hermitian_eig, np.linalg.eigh], ids=["checked", "eigh"])
+    def test_thin_route_keeps_hermitian_eigs_checks(self, rng, eig):
+        a = signed_projection(64, 5, rng)
+        a[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            coupled_eig(a, lambda v: v != 0, eig)
+
+    @pytest.mark.parametrize("eig", [hermitian_eig, np.linalg.eigh], ids=["checked", "eigh"])
+    def test_full_rank_block_falls_back_to_eig_bit_for_bit(self, rng, monkeypatch, eig):
+        a = random_hermitian(THIN_MIN_ROWS + 16, rng)
+        draws = []
+        monkeypatch.setattr(np.linalg, "qr", lambda *args: draws.append(args))
+        # its squared norm is far above half its rows: no block is drawn
+        assert _thin_eig(a) is None and draws == []
+        *got, residual = coupled_eig(a, lambda v: v != 0, eig)
+        assert residual is None
+        for g, w in zip(got, full_route(a, lambda v: v != 0, eig)):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("eig", [hermitian_eig, np.linalg.eigh], ids=["checked", "eigh"])
+    def test_missed_bound_falls_back_to_eig_bit_for_bit(self, rng, monkeypatch, eig):
+        # squared norm 0.2 against rank 20: a width of 9 columns misses the range
+        a = 0.1 * signed_projection(64, 20, rng)
+        widths = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda x: widths.append(x.shape[1]) or qr(x))
+        assert _thin_eig(a) is None and widths == [9]
+        *got, residual = coupled_eig(a, lambda v: v != 0, eig)
+        assert residual is None and widths == [9, 9]
+        for g, w in zip(got, full_route(a, lambda v: v != 0, eig)):
+            assert np.array_equal(g, w)
+
+    def test_without_thin_the_block_is_solved_whole(self, rng, monkeypatch):
+        a = signed_projection(64, 5, rng)
+        draws = []
+        monkeypatch.setattr(np.linalg, "qr", lambda *args: draws.append(args))
+        *got, residual = coupled_eig(a, lambda v: v != 0, hermitian_eig, thin=False)
+        assert draws == [] and residual is None
+        for g, w in zip(got, full_route(a, lambda v: v != 0, hermitian_eig)):
+            assert np.array_equal(g, w)
+
+    def test_thin_solves_repeat_bit_for_bit(self, rng):
+        a = signed_projection(80, 7, rng)
+        first, second = _thin_eig(a), _thin_eig(a)
+        for f, s in zip(first, second):
+            assert np.array_equal(f, s)
+
+    def test_only_small_gaussian_blocks_are_kept(self, rng, monkeypatch):
+        # the cache holds at most maxsize blocks of _CACHED_ENTRIES entries
+        held = _cached_gaussian_block.cache_parameters()["maxsize"] * _CACHED_ENTRIES * 16
+        assert held <= 8 << 20
+        a = signed_projection(64, 5, rng)
+        entries = 64 * (math.ceil(frobenius_norm(a) ** 2) + 8)
+        _cached_gaussian_block.cache_clear()
+        monkeypatch.setattr(linalg, "_CACHED_ENTRIES", entries - 1)
+        large = _thin_eig(a)
+        assert _cached_gaussian_block.cache_info().currsize == 0
+        monkeypatch.setattr(linalg, "_CACHED_ENTRIES", entries)
+        small = _thin_eig(a)
+        assert _cached_gaussian_block.cache_info().currsize == 1
+        # the block drawn anew is the one the cache holds
+        for f, s in zip(small, large):
+            assert np.array_equal(f, s)
+
+    def test_non_finite_block_is_refused_by_hermitian_eig(self):
+        a = signed_projection(THIN_MIN_ROWS, 3, np.random.default_rng(0))
+        a[0, 0] = np.nan
+        assert _thin_eig(a) is None
+        with pytest.raises(ValueError, match="non-finite"):
+            coupled_eig(a, lambda v: v != 0, hermitian_eig)
 
 
 class TestNumericalRank:

@@ -3,15 +3,20 @@
 Each property is one the theory guarantees for every input: ``classify`` is
 invariant under a basis scramble, the fundamental sequence of a direct sum
 is the union of its parts' sequences, ``decide_equivalence`` is symmetric,
-and the two rank identities hold on every random triple.  Inputs are kept
-small so that the file runs in a few seconds.
+the two rank identities hold on every random triple, and a block solved on
+its range (``linalg.coupled_eig``'s thin route) answers as the whole block
+does.  Inputs are kept small so that the file runs in a few seconds.
 """
+
+import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from isopair import linalg
 from isopair.bcl import random_triple
 from isopair.classify import classify, decide_equivalence
 from isopair.izuchi import build_izuchi_model
@@ -99,3 +104,51 @@ def test_rank_identities_hold_on_random_triples(dim, share, seed):
     report = check_rank_formula(random_triple(dim, round(share * dim), seed))
     assert report.sum_identity_ok
     assert report.difference_identity_ok
+
+
+@st.composite
+def thin_generators(draw):
+    """One generator whose interior reaches ``linalg.THIN_MIN_ROWS`` (48 to 90 rows)."""
+    kind = draw(st.sampled_from(["bishift", "twisted", "izuchi"]))
+    if kind == "bishift":
+        return bishift_truncated(draw(st.integers(8, 10)))
+    twist = np.exp(1j * draw(angles))
+    if kind == "twisted":
+        return twisted_shift(twist, draw(st.integers(49, 90)))
+    ratio = draw(st.sampled_from([0.3, 0.5, 0.7, -0.5]))
+    cap = draw(st.integers(9, 10))
+    return build_izuchi_model(ratio, twist, cap, cap).pair
+
+
+#: Generators, and mixed sums of two or three blocks, with at least
+#: ``linalg.THIN_MIN_ROWS`` interior rows: their scrambles take the thin route.
+thin_pairs = st.one_of(
+    thin_generators(),
+    st.lists(blocks(), min_size=2, max_size=3).map(direct_sum)
+    .filter(lambda pair: len(pair.interior) >= linalg.THIN_MIN_ROWS),
+    st.tuples(thin_generators(), blocks()).map(list).map(direct_sum),
+)
+
+THIN_TOL = 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(pair=thin_pairs, other=pairs, seed=seeds)
+def test_thin_route_answers_as_the_full_route(pair, other, seed):
+    scrambled = scramble(pair, seed)
+    comparisons = ((pair, scrambled), (scrambled, other))
+    thin = classify(scrambled)
+    thin_verdicts = [decide_equivalence(a, b).equivalent for a, b in comparisons]
+    with mock.patch.object(linalg, "THIN_MIN_ROWS", math.inf):
+        full = classify(scrambled)
+        full_verdicts = [decide_equivalence(a, b).equivalent for a, b in comparisons]
+    assert "defect_thin_residual" in thin.residuals
+    assert not any(key.endswith("_thin_residual") for key in full.residuals)
+    assert thin.k == full.k
+    assert [block.kind for block in thin.blocks] == [block.kind for block in full.blocks]
+    assert multiset_gap(thin.fundamental_sequence, full.fundamental_sequence) <= THIN_TOL
+    for side in ("eigs_on_p", "eigs_on_pperp"):
+        assert multiset_gap(getattr(thin.shift_unitary, side),
+                            getattr(full.shift_unitary, side)) <= THIN_TOL
+    assert thin_verdicts == full_verdicts
+    assert thin_verdicts[0]

@@ -194,7 +194,7 @@ def test_every_route_decomposes_the_same_few_rows(monkeypatch):
     assert analyze_object(model.pair, None, 1e-8)["pass"]
     assert sizes == [3]
     sizes.clear()
-    values, _ = working_space(model.pair).defect_eig
+    values, _, _ = working_space(model.pair).defect_eig
     assert values.size == 3 and sizes == [2]
     sizes.clear()
     assert verify_izuchi_invariants(model).ok
@@ -374,3 +374,47 @@ def test_kernel_and_scipy_give_a_sum_the_same_bytes(signed):
     assert (kernel.indptr.tobytes(), kernel.indices.tobytes(), kernel.data.tobytes()) \
         == (scipy.indptr.tobytes(), scipy.indices.tobytes(), scipy.data.tobytes())
     assert norm.hex() == scipy_norm.hex()
+
+
+def row_search_csr(shape, entries) -> sp.csr_matrix:
+    """``linalg._sum_csr`` as it found ``indptr`` before: one binary search per row."""
+    rows, cols, values = entries
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(np.int32)
+    return sp.csr_matrix((values, cols.astype(np.int32), indptr), shape=shape)
+
+
+def sorted_entries(shape, positions, last_row: bool = False):
+    """Distinct entries at flat ``positions``, sorted by row, then column, as ``_sum_csr`` takes them."""
+    n_rows, n_cols = shape
+    flat = set(positions)
+    if last_row and n_rows * n_cols:
+        flat.add((n_rows - 1) * n_cols)
+    rows, cols = np.divmod(np.array(sorted(flat), dtype=np.int64), max(n_cols, 1))
+    values = np.arange(1, rows.size + 1) * (1 - 0.5j)
+    return rows, cols, values
+
+
+@st.composite
+def csr_layouts(draw):
+    """A shape, and sorted entries that leave some rows empty and may fill the last row."""
+    shape = (draw(st.integers(0, 9)), draw(st.integers(0, 6)))
+    size = shape[0] * shape[1]
+    positions = draw(st.lists(st.integers(0, size - 1), max_size=12)) if size else []
+    return shape, sorted_entries(shape, positions, draw(st.booleans()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout=csr_layouts())
+# no rows at all; empty rows around entries; entries in the last row only
+@example(layout=((0, 0), sorted_entries((0, 0), [])))
+@example(layout=((0, 4), sorted_entries((0, 4), [])))
+@example(layout=((5, 3), sorted_entries((5, 3), [4, 5, 10])))
+@example(layout=((4, 2), sorted_entries((4, 2), [], last_row=True)))
+def test_sum_csr_arrays_match_the_row_search(layout):
+    shape, entries = layout
+    got, want = linalg._sum_csr(shape, entries), row_search_csr(shape, entries)
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name

@@ -299,7 +299,7 @@ def test_coupled_blocks_match_full_decompositions(name):
     # the split path against one decomposition of the whole interior matrix
     pair = SPLIT_INPUTS[name]()
     ws = working_space(pair)
-    values, vectors = ws.defect_eig
+    values, vectors, _ = ws.defect_eig
     full_values, full_vectors = hermitian_eig(ws.defect)
     got, want = values[np.abs(values) > 1e-8], full_values[np.abs(full_values) > 1e-8]
     assert got.shape == want.shape
@@ -327,7 +327,7 @@ def reference_wandering_model(pair):
     rows = v1[interior, :] @ v2
     eye = sp.identity(len(interior), np.complex128, "csr") if sp.issparse(rows) \
         else np.eye(len(interior))
-    _, basis = coupled_eig(eye - rows @ rows.conj().T,
+    _, basis, _ = coupled_eig(eye - rows @ rows.conj().T,
                            lambda values: values > 0.5, np.linalg.eigh)
     lifted = lift(pair.dim, interior, basis)
     adj1 = v1.conj().T @ lifted
@@ -363,7 +363,7 @@ def test_no_pair_defect_gives_no_eigenpairs():
     pair = shift_unitary_pair(np.array([0.4, 2.0]), cap=12)
     ws = working_space(pair)
     assert not as_complex(ws.defect).any()
-    values, vectors = ws.defect_eig
+    values, vectors, _ = ws.defect_eig
     assert values.shape == (0,) and vectors.shape == (pair.interior_dim, 0)
     assert classify(pair).k == 0
 
@@ -513,3 +513,20 @@ def test_filled_block_sum_hands_the_kernel_only_sums_that_fit(monkeypatch):
     result = classify(_filled_block_sum())
     assert [b.kind for b in result.blocks] == [THREE_FINITE] * 2
     assert sizes and max(sizes) <= linalg._CHUNK_TERMS
+
+
+def test_a_defect_residual_above_tol_decomposes_the_whole_defect():
+    # a scrambled model of 60 interior rows takes the thin route for both eigen-data
+    ws = working_space(scramble(build_izuchi_model(0.5, 1j, 9, 9).pair, 3))
+    values, vectors, residual = ws.defect_eig
+    assert residual is not None and ws.wandering_model.thin_residual is not None
+    assert ws.defect_eig_at(residual) is ws.defect_eig
+    assert ws.defect_eig_at(1e-8) is ws.defect_eig
+    whole = ws.defect_eig_at(residual / 2)
+    assert whole is ws.whole_defect_eig and whole[2] is None
+    full_values, full_vectors = hermitian_eig(ws.defect)
+    assert np.array_equal(whole[0], full_values[full_values != 0])
+    assert np.array_equal(whole[1], full_vectors[:, full_values != 0])
+    # the readers' values agree on both routes
+    kept = np.abs(values) > 1e-8
+    assert np.max(np.abs(values[kept] - whole[0][np.abs(whole[0]) > 1e-8])) <= 1e-12
