@@ -21,23 +21,18 @@ dimension of the kernels' meet (``e1_consistency``).
 A structured pair's eigen-data comes from its exactly coupled rows.  Its
 building blocks have defects of finite rank, so on a truncation almost every
 interior row of the defect, and of ``V V^H``, is an exact 1x1 block:
-``linalg.coupled_eig`` reads those off and diagonalizes only the block of
-the other rows.  A filled (scrambled) input has no such rows, and its whole
-interior is that block.  A block of at least ``linalg.THIN_MIN_ROWS`` rows
-(48) is solved on its range first: a fixed-seed Gaussian sketch of
-``ceil(norm^2) + 8`` columns, accepted when the completeness residual
-``norm(A - V diag(values) V^H)`` is at most ``1e-10 * max(norm(A), 1)``
-(Frobenius norms).  A wider sketch than half the rows, or a residual over
-that bound, decomposes the whole block instead, and so does a defect
-residual above ``tol``, which could hide a value the readers keep.  Each
-residual in use is reported in ``ClassificationResult.residuals``
-(``defect_thin_residual``, ``range_complement_thin_residual``).
+``linalg.coupled_eig`` reads those off and decomposes only the block of the
+other rows.  A filled (scrambled) input has no such rows, and its whole
+interior is that block.  ``coupled_eig`` alone decides when a large block
+is solved on its range; each residual of such a solve is reported in
+``ClassificationResult.residuals`` (``defect_thin_residual``,
+``range_complement_thin_residual``).
 """
 
 import math
 from collections import Counter
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -57,7 +52,6 @@ from .linalg import (
     _support,
     coupled_eig,
     frobenius_norm,
-    hermitian_eig,
     lift,
     normality_residual,
     orthonormal_columns,
@@ -97,6 +91,15 @@ class WanderingModel(NamedTuple):
     thin_residual: float | None = None
 
 
+def _read_at(tol: float, values: np.ndarray) -> np.ndarray:
+    """The defect's eigenvalues that readers at ``tol`` keep.
+
+    The eigenvalue-1 space takes those of at least ``1 - tol``, the
+    shift-unitary orbit those above ``tol`` in modulus.
+    """
+    return (values != 0) & ((np.abs(values) > tol) | (values >= 1.0 - tol))
+
+
 @dataclass(frozen=True)
 class WorkingSpace:
     """Working data of one input, computed once and shared by every stage.
@@ -106,7 +109,7 @@ class WorkingSpace:
     (isometry and commutation; ``{}`` for a triple) and ``build_model`` (the
     :attr:`wandering_model`) read the slices that gave ``defect`` and
     ``cross``: CSR for a sparse pair, dense otherwise.  Both eigen-data,
-    :attr:`defect_eig` and the model's basis, diagonalize only the coupled
+    :meth:`defect_eig` and the model's basis, diagonalize only the coupled
     block of their matrix, so a sparse pair forms no eigenvector array of
     interior size.  Nothing outlives the call that built the object.
     """
@@ -115,35 +118,20 @@ class WorkingSpace:
     cross: np.ndarray | sp.csr_matrix
     structure_residuals: Callable[[], dict[str, float]]
     build_model: Callable[[], WanderingModel]
+    _defect_eigs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
-    def defect_eig(self) -> tuple[np.ndarray, np.ndarray, float | None]:
-        """The defect's eigenpairs off its zero rows, computed on first use.
+    def defect_eig(self, tol: float) -> tuple[np.ndarray, np.ndarray, float | None]:
+        """The defect's eigenpairs that readers at ``tol`` keep, computed once per ``tol``.
 
-        Every reader selects nonzero eigenvalues only, so the kernel of the
-        defect's zero rows is left out; the rest comes from
-        :func:`~isopair.linalg.coupled_eig` with ``hermitian_eig`` on the
-        coupled block, whose phase choice fixes the ``f_vector`` phases.
-        The third item is the residual of a thin solve, else None.
+        They are the nonzero values above ``tol`` in modulus or of at least
+        ``1 - tol``, from :func:`~isopair.linalg.coupled_eig`, whose phase
+        rule fixes the ``f_vector`` phases.  The third item is the residual
+        of a thin solve, else None.
         """
-        return coupled_eig(self.defect, lambda values: values != 0, hermitian_eig)
-
-    @cached_property
-    def whole_defect_eig(self) -> tuple[np.ndarray, np.ndarray, None]:
-        """:attr:`defect_eig` with its coupled block decomposed whole."""
-        return coupled_eig(self.defect, lambda values: values != 0, hermitian_eig, thin=False)
-
-    def defect_eig_at(self, tol: float) -> tuple[np.ndarray, np.ndarray, float | None]:
-        """The defect's eigenpairs for readers that keep values above ``tol`` in modulus.
-
-        They also keep values of at least ``1 - tol``.  A thin solve leaves
-        out values of modulus at most its residual; unless the readers leave
-        all of those out too, the defect is decomposed whole.
-        """
-        residual = self.defect_eig[2]
-        if residual is None or residual <= tol < 1.0 - residual:
-            return self.defect_eig
-        return self.whole_defect_eig
+        found = self._defect_eigs.get(tol)
+        if found is None:
+            found = self._defect_eigs[tol] = coupled_eig(self.defect, partial(_read_at, tol))
+        return found
 
     @cached_property
     def wandering_model(self) -> WanderingModel:
@@ -161,11 +149,9 @@ def _pair_wandering_model(products: models._InteriorProducts) -> WanderingModel:
     ``V2 (I - V1 V1^H) + V1^H V1 V1^H`` and ``kernel1``, ``kernel2``
     compress ``I - V1 V1^H`` and ``I - V2 V2^H``; on a truncation they are
     quasi-projections.  All three are thin products of the basis with the
-    operators' interior rows and columns.  A thin solve of the basis leaves
-    out values of modulus at most ``linalg.THIN_RESIDUAL``, far below 1/2.
+    operators' interior rows and columns.
     """
-    _, basis, residual = coupled_eig(products.range_complement(),
-                                     lambda values: values > 0.5, np.linalg.eigh)
+    _, basis, residual = coupled_eig(products.range_complement(), lambda values: values > 0.5)
     rows1, rows2 = products.rows
     # a CSR product copies a dense operand that is not C-ordered, as ``basis`` is
     thin = np.ascontiguousarray(basis)
@@ -261,7 +247,7 @@ def _largest_distance(vectors: np.ndarray, basis: np.ndarray) -> float:
 
 def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[str, float]]:
     floor = max(tol, 1e-8)
-    values, vectors, defect_residual = ws.defect_eig_at(tol)
+    values, vectors, defect_residual = ws.defect_eig(tol)
     basis = Subspace(ws.defect.shape[0], vectors[:, values >= 1.0 - tol])
     model = ws.wandering_model
     # inside W, the eigenvalue-1 space is where the two kernels meet
@@ -531,7 +517,7 @@ def shift_unitary_invariant(obj: PairInput, tol: float = 1e-8) -> ShiftUnitaryIn
 
 def _shift_unitary(ws: WorkingSpace, tol: float) -> ShiftUnitaryInvariant:
     model = ws.wandering_model
-    values, vectors, _ = ws.defect_eig_at(tol)
+    values, vectors, _ = ws.defect_eig(tol)
     # the defect vanishes on range(V1 V2), so its eigenvectors off the kernel
     # lie in W, where the basis restricts them
     seeds = model.basis.conj().T @ vectors[:, np.abs(values) > tol]

@@ -33,8 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .classify import working_space
-from .linalg import (_check_tolerance, _entries, _sum_csr, _support, frobenius_norm,
-                     hermitian_eig, lift, normality_residual)
+from .linalg import (_check_tolerance, _entries, _sum_csr, _support, frobenius_norm, lift,
+                     normality_residual)
 from .models import StructuredPair, _csr, _monomial_labels, sparse_operators
 from .spectral import rank_formula
 
@@ -418,10 +418,8 @@ def canonical_basis_3finite(model: IzuchiModel, tol: float = 1e-8) -> CanonicalB
     _check_tolerance("tol", tol)
     pair = model.pair
     ws = working_space(pair)
-    sup, block = _support(ws.defect)
-    values, vectors = hermitian_eig(block)
+    values, vectors, _ = ws.defect_eig(tol)
     interior = np.asarray(pair.interior, dtype=int)
-    rows = interior[sup]
 
     lam = abs(model.ratio)
 
@@ -431,7 +429,7 @@ def canonical_basis_3finite(model: IzuchiModel, tol: float = 1e-8) -> CanonicalB
             raise ValueError(
                 f"defect eigenvalue {target} is not simple (found {hits.size})"
             )
-        return lift(pair.dim, rows, vectors[:, hits[0]])
+        return lift(pair.dim, interior, vectors[:, hits[0]])
 
     f = simple_vector(1.0)
     e_plus = simple_vector(lam)

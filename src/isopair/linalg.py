@@ -158,8 +158,9 @@ def _thin_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
 
     A randomized range finder (Halko, Martinsson and Tropp, SIAM Review
     53(2), 2011): ``Q = qr(a Omega)`` for a fixed-seed complex Gaussian
-    ``Omega`` of ``ceil(norm(a)^2) + 8`` columns (Frobenius norm; a
-    contraction's rank is at least its square), then ``eigh(Q^H a Q)``.
+    ``Omega`` of ``ceil(norm(a)^2) + 8`` columns (Frobenius norm, less its
+    round-off; a contraction's rank is at least its square), then
+    ``eigh(Q^H a Q)``.
     The pairs ``(values, vectors)`` are returned only when
     ``norm(a - V diag(values) V^H) <= THIN_RESIDUAL * max(norm(a), 1)``:
     by Weyl's inequality every eigenvalue they leave out is then at most
@@ -175,7 +176,9 @@ def _thin_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
     scale = frobenius_norm(a)
     if not math.isfinite(scale):
         return None
-    width = math.ceil(scale * scale) + 8
+    # less a slack of n eps relative: round-off lifts the squared norm of a
+    # rank-r projection a hair above r, which would add a column
+    width = math.ceil(scale * scale * (1.0 - n * np.finfo(np.float64).eps)) + 8
     if 2 * width > n:
         return None
     a = _checked_hermitian(a)
@@ -191,43 +194,42 @@ def _thin_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
     return values, vectors, residual
 
 
-def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray], eig: Callable,
-                thin: bool = True) -> tuple[np.ndarray, np.ndarray, float | None]:
+def _solve(block: np.ndarray, keep: Callable[[np.ndarray], np.ndarray]
+           ) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """:func:`hermitian_eig` of ``block`` and None, or a thin solve ``keep`` lets stand."""
+    if block.shape[0] >= THIN_MIN_ROWS:
+        solved = _thin_eig(block)
+        if solved is not None and not keep(np.array([-solved[2], solved[2]])).any():
+            return solved
+    return *hermitian_eig(block), None
+
+
+def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray]
+                ) -> tuple[np.ndarray, np.ndarray, float | None]:
     """Eigenpairs of a Hermitian matrix, taken from its coupled rows only.
 
-    Zero rows give no eigenpair, so ``keep(0)`` must be false.  On the block
-    of the other indices (:func:`_support`), a row whose only nonzero entry
-    is on the diagonal (and whose column is alike) is an exact 1x1 block,
-    with eigenpair ``(entry, e_i)``.  The other rows, the coupled ones, form
-    one block, which goes to one call of ``eig``: ``np.linalg.eigh``, or
-    :func:`hermitian_eig` to check the block and fix each vector's phase.
-    A filled matrix takes that one call on the whole matrix.
+    ``a`` is dense or ``scipy.sparse``.  ``keep`` maps eigenvalues to a mask
+    of the pairs to return; only their vectors are formed, as columns on all
+    rows, and values come in descending order.  ``keep(0)`` must be false,
+    and ``keep`` must be monotone on each sign: ``keep(v)`` implies
+    ``keep(w)`` whenever ``w`` has the sign of ``v`` and ``|w| >= |v|``.
 
-    With ``thin``, a block of at least :data:`THIN_MIN_ROWS` rows is first
-    solved on its range (:func:`_thin_eig`): a fixed-seed Gaussian block of
-    ``ceil(norm^2) + 8`` columns, accepted when the completeness residual is
-    at most ``THIN_RESIDUAL * max(norm, 1)`` (Frobenius norms), and checked
-    and phased as by :func:`hermitian_eig` whatever ``eig`` is.  When that
-    width passes half the rows, or the residual misses the bound, ``eig``
-    runs on the whole block instead.  The eigenpairs a thin solve leaves out
-    have values of modulus at most its residual, which comes back as the
-    third item (None when no thin solve was accepted).  A reader that keeps
-    such values must solve again without ``thin``.
+    Zero rows give no eigenpair.  On the block of the other indices
+    (:func:`_support`), a row whose only nonzero entry is on the diagonal
+    (and whose column is alike) is an exact 1x1 block, with eigenpair
+    ``(entry, e_i)``; a non-finite entry there raises ``ValueError``.  The
+    other rows, the coupled ones, form one block, decomposed by
+    :func:`hermitian_eig` with its checks, order and phase rule.  A filled
+    matrix is that block whole.
 
-    ``keep`` maps eigenvalues to a mask of the pairs to return; only their
-    vectors are formed, as columns on all rows.  Values come in descending
-    order.  ``a`` is dense or ``scipy.sparse``.
+    A block of at least :data:`THIN_MIN_ROWS` rows is first solved on its
+    range (:func:`_thin_eig`), which follows the same rules.  Every value
+    that solve leaves out has modulus at most its completeness residual, so
+    its result stands only when ``keep`` leaves out both ``-residual`` and
+    ``residual``; for a ``keep`` monotone on each sign the pairs returned are
+    then exactly those the whole solve would select.  The residual of a
+    result that stands comes back as the third item, else None.
     """
-    residual = None
-
-    def solve(block):
-        nonlocal residual
-        solved = _thin_eig(block) if thin and block.shape[0] >= THIN_MIN_ROWS else None
-        if solved is None:
-            return eig(block)
-        values, vectors, residual = solved
-        return values, vectors
-
     index, block = _support(a)
     off = block != 0
     # a block with no zero entry couples every row to the others
@@ -239,15 +241,18 @@ def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray], eig: Callable,
     if filled:
         # a filled matrix, such as a triple's defect: placing its vectors
         # would add a third to the call at dimension 10
-        values, vectors = solve(block)
+        values, vectors, residual = _solve(block, keep)
         kept = keep(values)
         values, vectors = values[kept], vectors[:, kept]
     else:
-        values, block_vectors = np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
+        diagonal = np.diagonal(block)
+        if not np.isfinite(diagonal).all():
+            raise ValueError("matrix has a non-finite entry")
+        diagonal = diagonal.real
+        values, block_vectors, residual = np.zeros(0), np.zeros((0, 0), dtype=np.complex128), None
         if coupled.any():
-            values, block_vectors = solve(block[np.ix_(coupled, coupled)])
+            values, block_vectors, residual = _solve(block[np.ix_(coupled, coupled)], keep)
         kept = keep(values)
-        diagonal = np.diagonal(block).real
         units = np.flatnonzero(~coupled & keep(diagonal))
         values = np.concatenate([values[kept], diagonal[units]])
         vectors = np.zeros((a.shape[0], values.size), dtype=np.complex128)

@@ -195,7 +195,7 @@ class TestE1Check:
     @E1_INPUTS
     def test_lowered_eigenvalue_fails_consistency(self, make):
         ws = working_space(make())
-        values, vectors, _ = ws.defect_eig
+        values, vectors, _ = ws.defect_eig(1e-8)
         assert values[0] >= 1.0 - 1e-8
         v = vectors[:, :1]
         lowered = as_complex(ws.defect) - 0.5 * (v @ v.conj().T)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -154,7 +152,7 @@ class TestCoupledEig:
     def test_matches_full_decomposition(self, rng, monkeypatch, form):
         a = self._matrix(rng)
         sizes = eigh_sizes(monkeypatch)
-        values, vectors, _ = coupled_eig(form(a), lambda v: v != 0, hermitian_eig)
+        values, vectors, _ = coupled_eig(form(a), lambda v: v != 0)
         assert sizes == [3]
         full_values, full_vectors = hermitian_eig(a)
         # the zero row's eigenvalue, which the full decomposition rounds
@@ -165,7 +163,7 @@ class TestCoupledEig:
 
     def test_keep_selects_unit_vectors_and_block_vectors(self, rng):
         a = self._matrix(rng)
-        values, vectors, _ = coupled_eig(a, lambda v: v > 0.5, np.linalg.eigh)
+        values, vectors, _ = coupled_eig(a, lambda v: v > 0.5)
         full_values, full_vectors = np.linalg.eigh(a)
         above = full_vectors[:, full_values > 0.5]
         assert np.allclose(values, np.sort(full_values[full_values > 0.5])[::-1])
@@ -176,19 +174,19 @@ class TestCoupledEig:
     def test_diagonal_matrix_takes_no_decomposition(self, monkeypatch, form):
         sizes = eigh_sizes(monkeypatch)
         values, vectors, _ = coupled_eig(form(np.diag([0.0, 2.0, 0.0, -1.0])),
-                                      lambda v: v != 0, hermitian_eig)
+                                         lambda v: v != 0)
         assert sizes == []
         assert values.tolist() == [2.0, -1.0]
         assert np.array_equal(vectors, np.eye(4)[:, [1, 3]])
 
     def test_zero_matrix_gives_no_pairs(self):
-        values, vectors, _ = coupled_eig(np.zeros((5, 5)), lambda v: v != 0, hermitian_eig)
+        values, vectors, _ = coupled_eig(np.zeros((5, 5)), lambda v: v != 0)
         assert values.shape == (0,) and vectors.shape == (5, 0)
 
     def test_filled_matrix_takes_one_full_decomposition(self, rng, monkeypatch):
         a = random_hermitian(7, rng)
         sizes = eigh_sizes(monkeypatch)
-        values, vectors, _ = coupled_eig(a, lambda v: v != 0, hermitian_eig)
+        values, vectors, _ = coupled_eig(a, lambda v: v != 0)
         assert sizes == [7]
         full_values, full_vectors = hermitian_eig(a)
         assert np.array_equal(values, full_values)
@@ -203,9 +201,23 @@ def signed_projection(dim, rank, rng):
     return (a + a.conj().T) / 2
 
 
-def full_route(a, keep, eig):
-    """What ``coupled_eig`` returns for a filled matrix solved whole."""
-    values, vectors = eig(a)
+def eigh_by_hand(a):
+    """``np.linalg.eigh`` with no check, in ``hermitian_eig``'s order and phase rule."""
+    values, vectors = np.linalg.eigh(linalg.as_complex(a))
+    order = values.argsort()[::-1]
+    values, vectors = values[order], np.array(vectors[:, order])
+    reference_normalize_phases(vectors)
+    return values, vectors
+
+
+# the whole solve a thin-route result is held to: hermitian_eig itself, or
+# LAPACK's eigh put in its order and phase by hand
+SOLVERS = pytest.mark.parametrize("solver", [hermitian_eig, eigh_by_hand], ids=["checked", "eigh"])
+
+
+def full_route(a, keep, solver=hermitian_eig):
+    """What ``coupled_eig`` returns for a filled matrix solved whole by ``solver``."""
+    values, vectors = solver(a)
     kept = keep(values)
     values, vectors = values[kept], vectors[:, kept]
     order = (-values).argsort(kind="stable")
@@ -215,73 +227,96 @@ def full_route(a, keep, eig):
 class TestThinRoute:
     """A filled block of at least ``THIN_MIN_ROWS`` rows is solved on its range first."""
 
-    @pytest.mark.parametrize("eig", [hermitian_eig, np.linalg.eigh], ids=["checked", "eigh"])
-    def test_block_below_the_size_returns_what_eig_returns(self, rng, monkeypatch, eig):
+    @SOLVERS
+    def test_block_below_the_size_returns_what_eig_returns(self, rng, monkeypatch, solver):
         a = signed_projection(THIN_MIN_ROWS - 1, 4, rng)
         keep = lambda v: v != 0  # noqa: E731
-        want = full_route(a, keep, eig)
+        want = full_route(a, keep, solver)
         draws = []
         monkeypatch.setattr(np.linalg, "qr", lambda *args: draws.append(args))
-        *got, residual = coupled_eig(a, keep, eig)
+        *got, residual = coupled_eig(a, keep)
         assert draws == [] and residual is None
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
-    @pytest.mark.parametrize("eig", [hermitian_eig, np.linalg.eigh], ids=["checked", "eigh"])
+    @SOLVERS
     @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
-    def test_block_above_the_size_is_solved_on_its_range(self, rng, monkeypatch, form, eig):
+    def test_block_above_the_size_is_solved_on_its_range(self, rng, monkeypatch, form, solver):
         a = signed_projection(64, 5, rng)
+        keep = lambda v: np.abs(v) > 0.5  # noqa: E731
+        want_values, want_vectors = full_route(a, keep, solver)
         sizes = eigh_sizes(monkeypatch)
-        values, vectors, residual = coupled_eig(form(a), lambda v: np.abs(v) > 0.5, eig)
-        # a width of ceil(5 + round-off) + 8 columns: no 64-row solve
-        assert max(sizes) <= 14
+        values, vectors, residual = coupled_eig(form(a), keep)
+        # a width of 5 + 8 columns: no 64-row solve
+        assert max(sizes) <= 13
         assert 0 <= residual <= THIN_RESIDUAL * np.sqrt(5)
         assert np.allclose(values, [1, 1, 1, -1, -1], atol=1e-12)
         assert np.linalg.norm((vectors * values) @ vectors.conj().T - a) <= 1e-12
-        # the phase rule of hermitian_eig, on the full-length vectors, whatever eig is
+        # the phase rule of hermitian_eig, on the full-length vectors
         pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(values.size)]
         assert np.all(np.abs(pivots.imag) <= 1e-15) and np.all(pivots.real > 0)
+        # the pairs the whole solve selects
+        assert np.allclose(values, want_values, rtol=0, atol=1e-12)
+        assert np.allclose(vectors @ vectors.conj().T, want_vectors @ want_vectors.conj().T,
+                           rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("eig", [hermitian_eig, np.linalg.eigh], ids=["checked", "eigh"])
-    def test_thin_route_keeps_hermitian_eigs_checks(self, rng, eig):
+    @pytest.mark.parametrize("solver, refuses", [(hermitian_eig, True), (eigh_by_hand, False)],
+                             ids=["checked", "eigh"])
+    def test_thin_route_keeps_hermitian_eigs_checks(self, rng, solver, refuses):
         a = signed_projection(64, 5, rng)
         a[0, 1] += 1e-3
         with pytest.raises(ValueError, match="not Hermitian"):
-            coupled_eig(a, lambda v: v != 0, eig)
+            coupled_eig(a, lambda v: v != 0)
+        # refused as hermitian_eig refuses it, also where eigh alone, which
+        # reads one triangle, would answer
+        if refuses:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                solver(a)
+        else:
+            assert solver(a)[0].shape == (64,)
 
-    @pytest.mark.parametrize("eig", [hermitian_eig, np.linalg.eigh], ids=["checked", "eigh"])
-    def test_full_rank_block_falls_back_to_eig_bit_for_bit(self, rng, monkeypatch, eig):
+    @SOLVERS
+    def test_full_rank_block_falls_back_to_eig_bit_for_bit(self, rng, monkeypatch, solver):
         a = random_hermitian(THIN_MIN_ROWS + 16, rng)
         draws = []
         monkeypatch.setattr(np.linalg, "qr", lambda *args: draws.append(args))
         # its squared norm is far above half its rows: no block is drawn
         assert _thin_eig(a) is None and draws == []
-        *got, residual = coupled_eig(a, lambda v: v != 0, eig)
+        *got, residual = coupled_eig(a, lambda v: v != 0)
         assert residual is None
-        for g, w in zip(got, full_route(a, lambda v: v != 0, eig)):
+        for g, w in zip(got, full_route(a, lambda v: v != 0, solver)):
             assert np.array_equal(g, w)
 
-    @pytest.mark.parametrize("eig", [hermitian_eig, np.linalg.eigh], ids=["checked", "eigh"])
-    def test_missed_bound_falls_back_to_eig_bit_for_bit(self, rng, monkeypatch, eig):
+    @SOLVERS
+    def test_missed_bound_falls_back_to_eig_bit_for_bit(self, rng, monkeypatch, solver):
         # squared norm 0.2 against rank 20: a width of 9 columns misses the range
         a = 0.1 * signed_projection(64, 20, rng)
         widths = []
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda x: widths.append(x.shape[1]) or qr(x))
         assert _thin_eig(a) is None and widths == [9]
-        *got, residual = coupled_eig(a, lambda v: v != 0, eig)
+        *got, residual = coupled_eig(a, lambda v: v != 0)
         assert residual is None and widths == [9, 9]
-        for g, w in zip(got, full_route(a, lambda v: v != 0, eig)):
+        for g, w in zip(got, full_route(a, lambda v: v != 0, solver)):
             assert np.array_equal(g, w)
 
     def test_without_thin_the_block_is_solved_whole(self, rng, monkeypatch):
+        # a keep that takes a value of modulus at most the residual sets the
+        # thin result aside, on either side of zero
         a = signed_projection(64, 5, rng)
+        residual = _thin_eig(a)[2]
         draws = []
-        monkeypatch.setattr(np.linalg, "qr", lambda *args: draws.append(args))
-        *got, residual = coupled_eig(a, lambda v: v != 0, hermitian_eig, thin=False)
-        assert draws == [] and residual is None
-        for g, w in zip(got, full_route(a, lambda v: v != 0, hermitian_eig)):
-            assert np.array_equal(g, w)
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda x: draws.append(x) or qr(x))
+        for keep in (lambda v: np.abs(v) > residual / 2, lambda v: v > residual / 2,
+                     lambda v: v < -residual / 2):
+            draws.clear()
+            *got, got_residual = coupled_eig(a, keep)
+            assert len(draws) == 1 and got_residual is None
+            for g, w in zip(got, full_route(a, keep)):
+                assert np.array_equal(g, w)
+        # one that leaves both -residual and residual out takes the thin result
+        assert coupled_eig(a, lambda v: np.abs(v) > residual)[2] == residual
 
     def test_thin_solves_repeat_bit_for_bit(self, rng):
         a = signed_projection(80, 7, rng)
@@ -294,7 +329,7 @@ class TestThinRoute:
         held = _cached_gaussian_block.cache_parameters()["maxsize"] * _CACHED_ENTRIES * 16
         assert held <= 8 << 20
         a = signed_projection(64, 5, rng)
-        entries = 64 * (math.ceil(frobenius_norm(a) ** 2) + 8)
+        entries = 64 * (5 + 8)
         _cached_gaussian_block.cache_clear()
         monkeypatch.setattr(linalg, "_CACHED_ENTRIES", entries - 1)
         large = _thin_eig(a)
@@ -311,7 +346,24 @@ class TestThinRoute:
         a[0, 0] = np.nan
         assert _thin_eig(a) is None
         with pytest.raises(ValueError, match="non-finite"):
-            coupled_eig(a, lambda v: v != 0, hermitian_eig)
+            coupled_eig(a, lambda v: v != 0)
+
+    @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
+    def test_non_finite_decoupled_entry_is_refused(self, form):
+        a = np.zeros((THIN_MIN_ROWS, THIN_MIN_ROWS))
+        a[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            coupled_eig(form(a), lambda v: v != 0)
+
+    def test_round_off_in_the_norm_adds_no_column(self, rng, monkeypatch):
+        # the squared norm of a rank-16 projection lands a hair above 16
+        blocks = [signed_projection(48, 16, rng) for _ in range(40)]
+        widths = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda x: widths.append(x.shape[1]) or qr(x))
+        for a in blocks:
+            assert coupled_eig(a, lambda v: np.abs(v) > 0.5)[2] is not None
+        assert widths == [24] * 40
 
 
 class TestNumericalRank:

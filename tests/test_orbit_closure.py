@@ -74,7 +74,7 @@ def test_pair_fill_decision_matches_reference(name, scrambled):
     pair = make()
     if scrambled:
         pair = scramble(pair, seed=5)
-    values, vectors, _ = working_space(pair).defect_eig
+    values, vectors, _ = working_space(pair).defect_eig(1e-8)
     seeds = vectors[:, values >= 1.0 - 1e-8]
 
     orbit = _orbit_closure((compress(pair, pair.v1), compress(pair, pair.v2)), seeds, 1e-8)

@@ -5,7 +5,8 @@ invariant under a basis scramble, the fundamental sequence of a direct sum
 is the union of its parts' sequences, ``decide_equivalence`` is symmetric,
 the two rank identities hold on every random triple, and a block solved on
 its range (``linalg.coupled_eig``'s thin route) answers as the whole block
-does.  Inputs are kept small so that the file runs in a few seconds.
+does, for a whole input and for one block under any threshold.  Inputs are
+kept small so that the file runs in a few seconds.
 """
 
 import math
@@ -20,6 +21,7 @@ from isopair import linalg
 from isopair.bcl import random_triple
 from isopair.classify import classify, decide_equivalence
 from isopair.izuchi import build_izuchi_model
+from isopair.linalg import _thin_eig, coupled_eig, hermitian_eig, random_unitary
 from isopair.models import bishift_truncated, direct_sum, scramble, twisted_shift
 from isopair.spectral import check_rank_formula
 
@@ -152,3 +154,31 @@ def test_thin_route_answers_as_the_full_route(pair, other, seed):
                             getattr(full.shift_unitary, side)) <= THIN_TOL
     assert thin_verdicts == full_verdicts
     assert thin_verdicts[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(linalg.THIN_MIN_ROWS, 96), share=st.floats(0.0, 1.0), seed=seeds,
+       small=st.sampled_from([1e-14, 3e-14]),
+       factor=st.sampled_from([0.02, 0.25, 0.5, 0.9, 1.1, 2.0, 4.0]))
+def test_a_thin_solve_keeps_what_the_whole_solve_keeps(dim, share, seed, small, factor):
+    # a filled block with up to dim/4 values +-[0.9, 1], which the thin
+    # solve's width holds, and +-``small`` on the rest, which it cannot: its
+    # residual is several times ``small`` and far above the round-off of
+    # either solve.  The threshold lies on either side of that residual, and
+    # at 0.02 of it, below ``small``, the whole solve keeps every value
+    rng = np.random.default_rng(seed)
+    rank = 1 + round(share * (dim // 4 - 1))
+    values = rng.choice([-1.0, 1.0], dim) * np.where(
+        np.arange(dim) < rank, rng.uniform(0.9, 1.0, dim), small)
+    basis = random_unitary(dim, rng)
+    a = (basis * values) @ basis.conj().T
+    a = (a + a.conj().T) / 2
+    threshold = factor * _thin_eig(a)[2]
+    got_values, got_vectors, _ = coupled_eig(a, lambda v: np.abs(v) > threshold)
+    want_values, want_vectors = hermitian_eig(a)
+    kept = np.abs(want_values) > threshold
+    want_values, want_vectors = want_values[kept], want_vectors[:, kept]
+    assert got_values.shape == want_values.shape
+    assert np.max(np.abs(got_values - want_values), initial=0.0) <= 1e-12
+    assert np.linalg.norm(got_vectors @ got_vectors.conj().T
+                          - want_vectors @ want_vectors.conj().T) <= 1e-12

@@ -194,12 +194,13 @@ def test_every_route_decomposes_the_same_few_rows(monkeypatch):
     assert analyze_object(model.pair, None, 1e-8)["pass"]
     assert sizes == [3]
     sizes.clear()
-    values, _, _ = working_space(model.pair).defect_eig
+    values, _, _ = working_space(model.pair).defect_eig(1e-8)
     assert values.size == 3 and sizes == [2]
     sizes.clear()
     assert verify_izuchi_invariants(model).ok
+    # the canonical basis reads the defect's eigenpairs as classify does
     assert canonical_basis_3finite(model).ok
-    assert sizes == [3, 3]
+    assert sizes == [3, 2]
 
 
 @st.composite

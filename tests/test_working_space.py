@@ -3,13 +3,16 @@ a structured pair's eigen-data come from its coupled blocks only."""
 
 import functools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse import _compressed
 
 from isopair import bcl, cli, linalg, models
+from isopair.bcl import BCLTriple
 from isopair.classify import (
     ONE_FINITE,
     THREE_FINITE,
@@ -38,7 +41,7 @@ from isopair.models import (
 from isopair.serialize import classification_to_json, dumps_canonical, pair_to_json
 
 from conftest import two_finite_triple
-from test_classify import shift_unitary_pair
+from test_classify import classify_module, shift_unitary_pair
 from test_linalg import eigh_sizes
 from test_sparse_pair import GENERATED
 
@@ -299,7 +302,7 @@ def test_coupled_blocks_match_full_decompositions(name):
     # the split path against one decomposition of the whole interior matrix
     pair = SPLIT_INPUTS[name]()
     ws = working_space(pair)
-    values, vectors, _ = ws.defect_eig
+    values, vectors, _ = ws.defect_eig(1e-8)
     full_values, full_vectors = hermitian_eig(ws.defect)
     got, want = values[np.abs(values) > 1e-8], full_values[np.abs(full_values) > 1e-8]
     assert got.shape == want.shape
@@ -327,8 +330,7 @@ def reference_wandering_model(pair):
     rows = v1[interior, :] @ v2
     eye = sp.identity(len(interior), np.complex128, "csr") if sp.issparse(rows) \
         else np.eye(len(interior))
-    _, basis, _ = coupled_eig(eye - rows @ rows.conj().T,
-                           lambda values: values > 0.5, np.linalg.eigh)
+    _, basis, _ = coupled_eig(eye - rows @ rows.conj().T, lambda values: values > 0.5)
     lifted = lift(pair.dim, interior, basis)
     adj1 = v1.conj().T @ lifted
     adj2 = v2.conj().T @ lifted
@@ -363,7 +365,7 @@ def test_no_pair_defect_gives_no_eigenpairs():
     pair = shift_unitary_pair(np.array([0.4, 2.0]), cap=12)
     ws = working_space(pair)
     assert not as_complex(ws.defect).any()
-    values, vectors, _ = ws.defect_eig
+    values, vectors, _ = ws.defect_eig(1e-8)
     assert values.shape == (0,) and vectors.shape == (pair.interior_dim, 0)
     assert classify(pair).k == 0
 
@@ -518,15 +520,70 @@ def test_filled_block_sum_hands_the_kernel_only_sums_that_fit(monkeypatch):
 def test_a_defect_residual_above_tol_decomposes_the_whole_defect():
     # a scrambled model of 60 interior rows takes the thin route for both eigen-data
     ws = working_space(scramble(build_izuchi_model(0.5, 1j, 9, 9).pair, 3))
-    values, vectors, residual = ws.defect_eig
+    values, vectors, residual = ws.defect_eig(1e-8)
     assert residual is not None and ws.wandering_model.thin_residual is not None
-    assert ws.defect_eig_at(residual) is ws.defect_eig
-    assert ws.defect_eig_at(1e-8) is ws.defect_eig
-    whole = ws.defect_eig_at(residual / 2)
-    assert whole is ws.whole_defect_eig and whole[2] is None
+    assert ws.defect_eig(1e-8) is ws.defect_eig(1e-8)
+    assert ws.defect_eig(residual)[2] == residual
+    whole = ws.defect_eig(residual / 2)
+    assert whole[2] is None
     full_values, full_vectors = hermitian_eig(ws.defect)
-    assert np.array_equal(whole[0], full_values[full_values != 0])
-    assert np.array_equal(whole[1], full_vectors[:, full_values != 0])
+    kept = (full_values != 0) & (np.abs(full_values) > residual / 2)
+    assert np.array_equal(whole[0], full_values[kept])
+    assert np.array_equal(whole[1], full_vectors[:, kept])
     # the readers' values agree on both routes
-    kept = np.abs(values) > 1e-8
-    assert np.max(np.abs(values[kept] - whole[0][np.abs(whole[0]) > 1e-8])) <= 1e-12
+    assert np.max(np.abs(values - whole[0][np.abs(whole[0]) > 1e-8])) <= 1e-12
+
+
+def _nearly_commuting_triple() -> BCLTriple:
+    """A 48-dimensional triple in a Haar basis: the 2x2 two-finite block plus a
+    commuting part whose unitary is turned by ``exp(1e-11 i H)``, H of rank 5.
+
+    The turn gives the defect about ten eigenvalues near 1e-11 besides +-1,
+    more than its thin solve's 10 columns can hold, so that solve's residual
+    is of their size.
+    """
+    rng = np.random.default_rng(0)
+    phases = np.diag(np.exp(2j * np.pi * rng.uniform(size=46)))
+    turn = random_unitary(46, rng)[:, :5]
+    turn = turn @ np.diag(rng.uniform(1, 2, size=5)) @ turn.conj().T
+    unitary = sla.block_diag([[0, 1], [1j, 0]], sla.expm(1e-11j * turn) @ phases)
+    projection = np.diag([1.0, 0.0] + [float(i % 2) for i in range(46)]).astype(complex)
+    basis = random_unitary(48, rng)
+    projection = basis @ projection @ basis.conj().T
+    return BCLTriple(48, basis @ unitary @ basis.conj().T,
+                     (projection + projection.conj().T) / 2)
+
+
+def test_classify_below_the_thin_residual_reads_the_whole_defect():
+    triple = _nearly_commuting_triple()
+    residual = working_space(triple).defect_eig(1e-8)[2]
+    assert residual is not None
+    result = classify(triple, tol=residual / 2)
+    with mock.patch.object(linalg, "THIN_MIN_ROWS", np.inf):
+        full = classify(triple, tol=residual / 2)
+    assert "defect_thin_residual" not in result.residuals
+    assert dumps_canonical(classification_to_json(result)) == \
+        dumps_canonical(classification_to_json(full))
+    # the eigenvalues near 1e-11 seed the orbit at this tol, not at 1e-8
+    assert result.shift_unitary.empty and not classify(triple).shift_unitary.empty
+
+
+@pytest.mark.parametrize("make, solves, thin", [
+    (lambda: scramble(build_izuchi_model(0.5, 1j, 9, 9).pair, 3), ["defect", "range"], True),
+    (lambda: build_izuchi_model(0.5, 1j, 20, 20).pair, ["defect", "range"], False),
+    (lambda: two_finite_triple(1j), ["defect"], False),
+], ids=["thin-scramble", "sparse-model", "triple"])
+def test_one_classify_solves_each_matrix_once(monkeypatch, make, solves, thin):
+    # a triple's wandering model is its own space: only its defect is solved
+    obj = make()
+    calls = []
+
+    def counted(a, keep):
+        calls.append("defect" if getattr(keep, "func", None) is classify_module._read_at
+                     else "range")
+        return coupled_eig(a, keep)
+
+    monkeypatch.setattr(classify_module, "coupled_eig", counted)
+    residuals = classify(obj).residuals
+    assert sorted(calls) == solves
+    assert ("defect_thin_residual" in residuals) == thin
