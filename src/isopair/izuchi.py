@@ -33,8 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .classify import working_space
-from .linalg import (_check_tolerance, _entries, _sum_csr, _support, frobenius_norm, lift,
-                     normality_residual)
+from .linalg import _check_tolerance, _entries, _support, frobenius_norm, lift, normality_residual
 from .models import StructuredPair, _csr, _monomial_labels, sparse_operators
 from .spectral import rank_formula
 
@@ -139,15 +138,18 @@ def _difference(dim: int, first, second) -> np.ndarray:
 
 def _oracle_matrices(ratio: float, twist: complex, monomial_cap: int,
                      chain_len: int, series_len: int):
-    """Operator matrices and Gram matrix from raw inner products.
+    """Operator entries and basis squared norms from raw inner products.
 
     Entry ``(a, b)`` of each operator is ``<coordinate . basis_b, basis_a>``,
     computed by exponent matching: multiplying by a coordinate shifts every
     exponent of ``basis_b``, and each shifted term that lands on a term of
     ``basis_a`` adds ``conj(c_a) c_b``.  Each entry adds its terms in
-    increasing exponent order.  No two basis vectors may share an exponent
-    (a ``ValueError`` otherwise), so the Gram matrix is diagonal: the
-    squared norms of the basis vectors.
+    increasing exponent order.  Returns ``(v1, v2, norms)``: each operator's
+    distinct entries as ``(rows, cols, values)`` sorted by row, then column
+    (:func:`_summed`), with the twist applied to v1's values, and the squared
+    norms of the basis vectors.  No two basis vectors may share an exponent
+    (a ``ValueError`` otherwise), so the Gram matrix is diagonal, and those
+    norms are all of it; it is never formed.
     """
     z, w, data, cols = _basis_expansions(ratio, monomial_cap, chain_len, series_len)
     # an exponent (z, w) is keyed by an integer that sorts like the pair,
@@ -163,7 +165,7 @@ def _oracle_matrices(ratio: float, twist: complex, monomial_cap: int,
         raise ValueError(f"two basis terms share the exponent z^{z[t]} w^{w[t]}")
     dim = monomial_cap * monomial_cap + chain_len
 
-    def shifted(delta: int) -> sp.csr_matrix:
+    def shifted(delta: int):
         # source terms in increasing exponent order land on targets in
         # increasing exponent order, the order each entry adds its terms in
         landing = keys + delta
@@ -171,13 +173,11 @@ def _oracle_matrices(ratio: float, twist: complex, monomial_cap: int,
         source = np.flatnonzero(keys[target] == landing)
         target = target[source]
         terms = data[target].conj() * data[source]
-        return _sum_csr((dim, dim), _summed(dim, cols[target], cols[source], terms))
+        return _summed(dim, cols[target], cols[source], terms)
 
-    v1 = shifted(span)
-    v1.data *= twist
-    norms = np.bincount(cols, (data.conj() * data).real, dim).astype(np.complex128)
-    gram = _sum_csr((dim, dim), (np.arange(dim), np.arange(dim), norms))
-    return v1, shifted(1), gram
+    rows, columns, values = shifted(span)
+    norms = np.bincount(cols, (data.conj() * data).real, dim)
+    return (rows, columns, values * twist), shifted(1), norms
 
 
 def _closed_form_matrices(ratio: float, twist: complex, monomial_cap: int,
@@ -262,13 +262,14 @@ def build_izuchi_model(ratio: float, twist: complex, monomial_cap: int = 12,
         )
 
     v1, v2 = _closed_form_matrices(ratio, twist, monomial_cap, chain_len)
-    v1_oracle, v2_oracle, gram = _oracle_matrices(
+    v1_oracle, v2_oracle, norms = _oracle_matrices(
         ratio, twist, monomial_cap, chain_len, series_len
     )
 
     dim = v1.shape[0]
-    identity = (np.arange(dim), np.arange(dim), np.ones(dim))
-    ortho_residual = frobenius_norm(_difference(dim, _entries(gram), identity))
+    # the Gram matrix is diagonal, so its distance from the identity is that
+    # of the squared norms from one
+    ortho_residual = frobenius_norm(norms - 1.0)
     if ortho_residual > BUILD_RESIDUAL_CAP:
         raise ValueError(
             f"basis orthonormality residual {ortho_residual:.3e} exceeds "
@@ -277,7 +278,7 @@ def build_izuchi_model(ratio: float, twist: complex, monomial_cap: int = 12,
     for name, closed, oracle in (("v1", v1, v1_oracle), ("v2", v2, v2_oracle)):
         # entries absent from both sides are equal, so the sparse maximum
         # is the dense one
-        gap = float(np.abs(_difference(dim, _entries(closed), _entries(oracle))).max(initial=0.0))
+        gap = float(np.abs(_difference(dim, _entries(closed), oracle)).max(initial=0.0))
         if gap > BUILD_RESIDUAL_CAP:
             raise ValueError(
                 f"closed-form {name} disagrees with the inner-product oracle "

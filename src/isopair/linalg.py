@@ -217,10 +217,11 @@ def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray]
     Zero rows give no eigenpair.  On the block of the other indices
     (:func:`_support`), a row whose only nonzero entry is on the diagonal
     (and whose column is alike) is an exact 1x1 block, with eigenpair
-    ``(entry, e_i)``; a non-finite entry there raises ``ValueError``.  The
-    other rows, the coupled ones, form one block, decomposed by
-    :func:`hermitian_eig` with its checks, order and phase rule.  A filled
-    matrix is that block whole.
+    ``(entry, e_i)``; such a block first passes the checks of
+    :func:`hermitian_eig` whole, so a non-finite or non-Hermitian entry
+    raises ``ValueError``.  The other rows, the coupled ones, form one
+    block, decomposed by :func:`hermitian_eig` with its checks, order and
+    phase rule.  A filled matrix is that block whole.
 
     A block of at least :data:`THIN_MIN_ROWS` rows is first solved on its
     range (:func:`_thin_eig`), which follows the same rules.  Every value
@@ -245,10 +246,10 @@ def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray]
         kept = keep(values)
         values, vectors = values[kept], vectors[:, kept]
     else:
-        diagonal = np.diagonal(block)
-        if not np.isfinite(diagonal).all():
-            raise ValueError("matrix has a non-finite entry")
-        diagonal = diagonal.real
+        # a decoupled entry is read off the diagonal, so the block takes the
+        # checks here that the coupled rows take again in hermitian_eig
+        block = _checked_hermitian(block)
+        diagonal = np.diagonal(block).real
         values, block_vectors, residual = np.zeros(0), np.zeros((0, 0), dtype=np.complex128), None
         if coupled.any():
             values, block_vectors, residual = _solve(block[np.ix_(coupled, coupled)], keep)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isopair import izuchi
+from isopair import izuchi, linalg, models
 from isopair.classify import classify, working_space
 from isopair.izuchi import (
     LaurentSeries,
@@ -31,11 +31,12 @@ def oracle_built_pair(ratio: float, twist: complex, monomial_cap: int,
     validation, so the truncation error of the kept geometric tail shows up
     directly in the spectra.  Used to measure convergence in ``series_len``.
     """
-    v1, v2, _ = _oracle_matrices(ratio, twist, monomial_cap, chain_len, series_len)
+    v1, v2, norms = _oracle_matrices(ratio, twist, monomial_cap, chain_len, series_len)
+    shape = (norms.size, norms.size)
     return StructuredPair(
-        dim=v1.shape[0],
-        v1=v1,
-        v2=v2,
+        dim=norms.size,
+        v1=linalg._sum_csr(shape, v1),
+        v2=linalg._sum_csr(shape, v2),
         basis_labels=_basis_labels(monomial_cap, chain_len),
         interior=_interior_indices(monomial_cap, chain_len),
         provenance="izuchi",
@@ -115,6 +116,40 @@ class TestBuildValidation:
         monkeypatch.setattr(izuchi, "_basis_expansions", shared)
         with pytest.raises(ValueError, match=r"share the exponent z\^1 w\^2"):
             build_izuchi_model(0.5, 1.0, 6, 6)
+
+    @pytest.mark.parametrize("offset, fires", [(2e-10, True), (5e-11, False)])
+    def test_orthonormality_threshold(self, monkeypatch, offset, fires):
+        expansions = izuchi._basis_expansions
+
+        def off(ratio, monomial_cap, chain_len, series_len):
+            z, w, coefficients, column = expansions(ratio, monomial_cap, chain_len,
+                                                    series_len)
+            # the monomial z^0 w^0 gets squared norm 1 + offset
+            coefficients[0] = np.sqrt(1.0 + offset)
+            return z, w, coefficients, column
+
+        monkeypatch.setattr(izuchi, "_basis_expansions", off)
+        if fires:
+            with pytest.raises(ValueError, match="orthonormality residual"):
+                build_izuchi_model(0.5, 1.0, 6, 6)
+        else:
+            build_izuchi_model(0.5, 1.0, 6, 6)
+
+    @pytest.mark.parametrize("cap", [8, 50])
+    def test_a_build_assembles_only_the_pair(self, monkeypatch, cap):
+        # the oracle's entries are checked as they come, never as CSR
+        calls = []
+        assemble = linalg._sum_csr
+
+        def counted(*args):
+            calls.append(args[0])
+            return assemble(*args)
+
+        for module in (linalg, models, izuchi):
+            if getattr(module, "_sum_csr", None) is assemble:
+                monkeypatch.setattr(module, "_sum_csr", counted)
+        pair = build_izuchi_model(0.5, 1j, cap, cap).pair
+        assert calls == [(pair.dim, pair.dim)] * 2
 
 
 class TestInvariants:

@@ -355,6 +355,14 @@ class TestThinRoute:
         with pytest.raises(ValueError, match="non-finite"):
             coupled_eig(form(a), lambda v: v != 0)
 
+    @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
+    def test_non_hermitian_decoupled_entry_is_refused(self, form):
+        # the entry alone is a 1x1 block; its imaginary part must not be dropped
+        a = np.zeros((5, 5), dtype=np.complex128)
+        a[0, 0] = 1 + 1j
+        with pytest.raises(ValueError, match="not Hermitian within tolerance"):
+            coupled_eig(form(a), lambda v: v != 0)
+
     def test_round_off_in_the_norm_adds_no_column(self, rng, monkeypatch):
         # the squared norm of a rank-16 projection lands a hair above 16
         blocks = [signed_projection(48, 16, rng) for _ in range(40)]

@@ -24,6 +24,7 @@ from isopair.izuchi import (
     minimal_series_len,
     verify_izuchi_invariants,
 )
+from isopair.linalg import _entries
 from isopair.models import (
     StructuredPair,
     bishift_truncated,
@@ -260,9 +261,16 @@ def oracle_args(draw):
 
 
 def _assert_oracles_agree(args):
-    for got, want in zip(_oracle_matrices(*args), loop_oracle(*args)):
-        assert got.shape == want.shape
-        assert np.array_equal(got.toarray(), want.toarray())
+    v1, v2, norms = _oracle_matrices(*args)
+    want_v1, want_v2, gram = loop_oracle(*args)
+    for got, want in ((v1, want_v1), (v2, want_v2)):
+        assert want.shape == (norms.size, norms.size)
+        # the same positions in the same order, and the same values bit for bit
+        for got_part, want_part in zip(got, _entries(want.tocsr().sorted_indices())):
+            assert np.array_equal(got_part, want_part)
+    diagonal = gram.diagonal()
+    assert np.array_equal(gram.toarray(), np.diag(diagonal))
+    assert np.array_equal(norms, diagonal)
 
 
 @pytest.mark.parametrize("args", [(0.5, 1j, 6, 6, 47), (-0.3, np.exp(0.2j), 5, 8, 12),
