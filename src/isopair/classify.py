@@ -48,6 +48,7 @@ from .linalg import (
     Subspace,
     _block,
     _check_tolerance,
+    _entries,
     _normalize_phases,
     _support,
     coupled_eig,
@@ -283,7 +284,8 @@ def _e1_core(ws: WorkingSpace, tol: float) -> tuple[Subspace, np.ndarray, dict[s
         support[_support(cross)[0]] = True
         if not support.all():
             rows = np.flatnonzero(support)
-            cross = _block(cross, rows) if sp.issparse(cross) else cross[np.ix_(rows, rows)]
+            cross = (_block(_entries(cross), cross.shape[0], rows) if sp.issparse(cross)
+                     else cross[np.ix_(rows, rows)])
             vectors = vectors[rows]
     contract = frobenius_norm(cross - vectors @ compressed @ vectors.conj().T)
     residuals["cross_confined"] = contract

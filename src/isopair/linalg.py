@@ -64,7 +64,12 @@ def hermitian_eig(a, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
         cross-run comparisons deterministic.
     """
     _check_tolerance("tol", tol)
-    values, vectors = np.linalg.eigh(_checked_hermitian(a, tol))
+    return _eig(_checked_hermitian(a, tol))
+
+
+def _eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hermitian_eig` of a matrix that has passed its checks: its order and phase rule."""
+    values, vectors = np.linalg.eigh(a)
     order = values.argsort()[::-1]
     values = np.ascontiguousarray(values[order])
     vectors = np.ascontiguousarray(vectors[:, order])
@@ -164,24 +169,21 @@ def _thin_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
     The pairs ``(values, vectors)`` are returned only when
     ``norm(a - V diag(values) V^H) <= THIN_RESIDUAL * max(norm(a), 1)``:
     by Weyl's inequality every eigenvalue they leave out is then at most
-    that residual in modulus.  None comes back when that bound fails, when
-    the width would pass half the rows, or when ``a`` has a non-finite
-    entry; so randomness never decides an answer.
+    that residual in modulus.  None comes back when that bound fails or
+    when the width would pass half the rows; so randomness never decides
+    an answer.
 
-    ``a`` passes the checks of :func:`hermitian_eig` and the result follows
-    its rules: values descend, and the phase rule holds on the full-length
-    vectors.
+    ``a`` is complex128 and has passed the checks of :func:`hermitian_eig`
+    (:func:`coupled_eig` runs them), and the result follows its rules:
+    values descend, and the phase rule holds on the full-length vectors.
     """
     n = a.shape[0]
     scale = frobenius_norm(a)
-    if not math.isfinite(scale):
-        return None
     # less a slack of n eps relative: round-off lifts the squared norm of a
     # rank-r projection a hair above r, which would add a column
     width = math.ceil(scale * scale * (1.0 - n * np.finfo(np.float64).eps)) + 8
     if 2 * width > n:
         return None
-    a = _checked_hermitian(a)
     draw = _cached_gaussian_block if n * width <= _CACHED_ENTRIES else _gaussian_block
     q = np.linalg.qr(a @ draw(n, width))[0]
     values, small = np.linalg.eigh(q.conj().T @ a @ q)
@@ -196,12 +198,12 @@ def _thin_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
 
 def _solve(block: np.ndarray, keep: Callable[[np.ndarray], np.ndarray]
            ) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """:func:`hermitian_eig` of ``block`` and None, or a thin solve ``keep`` lets stand."""
+    """:func:`_eig` of the checked ``block`` and None, or a thin solve ``keep`` lets stand."""
     if block.shape[0] >= THIN_MIN_ROWS:
         solved = _thin_eig(block)
         if solved is not None and not keep(np.array([-solved[2], solved[2]])).any():
             return solved
-    return *hermitian_eig(block), None
+    return *_eig(block), None
 
 
 def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray]
@@ -214,14 +216,15 @@ def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray]
     and ``keep`` must be monotone on each sign: ``keep(v)`` implies
     ``keep(w)`` whenever ``w`` has the sign of ``v`` and ``|w| >= |v|``.
 
-    Zero rows give no eigenpair.  On the block of the other indices
-    (:func:`_support`), a row whose only nonzero entry is on the diagonal
-    (and whose column is alike) is an exact 1x1 block, with eigenpair
-    ``(entry, e_i)``; such a block first passes the checks of
-    :func:`hermitian_eig` whole, so a non-finite or non-Hermitian entry
-    raises ``ValueError``.  The other rows, the coupled ones, form one
-    block, decomposed by :func:`hermitian_eig` with its checks, order and
-    phase rule.  A filled matrix is that block whole.
+    ``a`` passes the checks of :func:`hermitian_eig` once, on its block on
+    the indices it touches (:func:`_support`); its other rows and columns
+    are zero and give no eigenpair, so the matrices refused, with the same
+    ``ValueError``, are those :func:`hermitian_eig` refuses.  On that block,
+    a row whose only nonzero entry is on the diagonal (and whose column is
+    alike) is an exact 1x1 block, with eigenpair ``(entry, e_i)``.  The
+    other rows, the coupled ones, form one block, decomposed with the order
+    and phase rule of :func:`hermitian_eig`.  A filled matrix is that block
+    whole.
 
     A block of at least :data:`THIN_MIN_ROWS` rows is first solved on its
     range (:func:`_thin_eig`), which follows the same rules.  Every value
@@ -232,6 +235,7 @@ def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray]
     result that stands comes back as the third item, else None.
     """
     index, block = _support(a)
+    block = _checked_hermitian(block)
     off = block != 0
     # a block with no zero entry couples every row to the others
     filled = index.size == a.shape[0] > 1 and off.all()
@@ -246,9 +250,6 @@ def coupled_eig(a, keep: Callable[[np.ndarray], np.ndarray]
         kept = keep(values)
         values, vectors = values[kept], vectors[:, kept]
     else:
-        # a decoupled entry is read off the diagonal, so the block takes the
-        # checks here that the coupled rows take again in hermitian_eig
-        block = _checked_hermitian(block)
         diagonal = np.diagonal(block).real
         values, block_vectors, residual = np.zeros(0), np.zeros((0, 0), dtype=np.complex128), None
         if coupled.any():
@@ -359,7 +360,7 @@ TimesAdjoint, AdjointTimes = namedtuple("TimesAdjoint", "a b"), namedtuple("Adjo
 IDENTITY = "I"
 
 
-def form_sum(signs: str, parts, drop: float = 0.0, entries: dict | None = None):
+def form_sum(signs: str, parts, drop: float = 0.0):
     """``P1 ± P2 ± ...`` as one fresh matrix; ``signs`` holds each part's sign, the first ``+``.
 
     A part is a product (:class:`TimesAdjoint`, :class:`AdjointTimes`), a
@@ -368,11 +369,10 @@ def form_sum(signs: str, parts, drop: float = 0.0, entries: dict | None = None):
     numpy or scipy forms the rest, part by part, left to right, with the same
     bits if no matrix part stores a zero or a negative zero, as no formed sum
     does.  Entries of modulus at most ``drop`` become zero; a sparse sum
-    comes back as canonical CSR without them.  ``entries`` keeps the CSR
-    operands' stored entries for the next sum.
+    comes back as canonical CSR without them.
     """
     shape, sparse = _layout(parts)
-    listed = sparse and _listed(parts, shape, {} if entries is None else entries)
+    listed = sparse and _listed(parts, shape)
     if listed:
         return _sum_csr(shape, _signed_sum(signs, listed, shape, drop))
     total = _folded(signs, parts, shape, sparse)
@@ -388,18 +388,18 @@ def form_sum(signs: str, parts, drop: float = 0.0, entries: dict | None = None):
     return total
 
 
-def sum_norm(signs: str, parts, entries: dict | None = None) -> float:
-    """Frobenius norm of the sum :func:`form_sum` forms, with scipy's bits.
+def sum_norm(signs: str, parts) -> float:
+    """Frobenius norm of the sum :func:`form_sum` forms, read in row order, with scipy's bits.
 
-    scipy forms a sparse sum that starts with ``A^H B`` in CSC, whose norm
-    reads it by columns: the kernel then sums the parts' transposes.
+    scipy forms a sparse sum that starts with ``A^H B`` in CSC; its norm is
+    read from the CSR form, as the kernel's sum is.
     """
     shape, sparse = _layout(parts)
-    by_columns = isinstance(parts[0], AdjointTimes)
-    listed = sparse and _listed(parts, shape, {} if entries is None else entries, by_columns)
-    if not listed:
-        return frobenius_norm(_folded(signs, parts, shape, sparse))
-    return frobenius_norm(_signed_sum(signs, listed, shape[::-1] if by_columns else shape)[2])
+    listed = sparse and _listed(parts, shape)
+    if listed:
+        return frobenius_norm(_signed_sum(signs, listed, shape)[2])
+    total = _folded(signs, parts, shape, sparse)
+    return frobenius_norm(total.tocsr() if sparse else total)
 
 
 def _layout(parts) -> tuple[tuple[int, int], bool]:
@@ -412,33 +412,29 @@ def _layout(parts) -> tuple[tuple[int, int], bool]:
     return part.shape, not isinstance(part, np.ndarray)
 
 
-def _listed(parts, shape, entries: dict, transposed: bool = False):
-    """The kernel's parts of a CSR sum, or their transposes; None unless the terms fit.
+def _listed(parts, shape):
+    """The kernel's parts of a CSR sum; None unless the terms fit.
 
-    ``entries`` maps an operand's ``id`` to the operand and its stored
-    entries; holding the operand keeps its id from being reused.
+    Each CSR operand's stored entries are listed where its part is reached;
+    a product of one operand with itself lists them once.
     """
-    def stored(x):
-        if id(x) not in entries:
-            entries[id(x)] = x, _entries(x)
-        return entries[id(x)][1]
-
     listed = []
     for part in parts:
         if part is IDENTITY:
             diagonal = np.arange(shape[0])
             part = diagonal, diagonal, np.ones(shape[0], dtype=np.complex128)
-        elif isinstance(part, TimesAdjoint):
-            part = _Product(stored(part.a), stored(part.b), transposed)
-        elif isinstance(part, AdjointTimes):
-            # scipy forms it in CSC, as the transpose of B^T conj(A), with B's
-            # transpose stored column by column, each in B's order
-            b = stored(part.b)
-            order = np.argsort(b[1], kind="stable")
-            part = _Product(tuple(x[order] for x in _swap(b)), _swap(stored(part.a)),
-                            not transposed)
+        elif isinstance(part, (TimesAdjoint, AdjointTimes)):
+            a = _entries(part.a)
+            b = a if part.b is part.a else _entries(part.b)
+            if isinstance(part, TimesAdjoint):
+                part = _Product(a, b)
+            else:
+                # scipy forms it in CSC, as the transpose of B^T conj(A), with
+                # B's transpose stored column by column, each in B's order
+                order = np.argsort(b[1], kind="stable")
+                part = _Product(tuple(x[order] for x in _swap(b)), _swap(a), True)
         else:
-            part = _swap(stored(part)) if transposed else stored(part)
+            part = _entries(part)
         listed.append(part)
     return listed if sum(map(_most_terms, listed)) <= _CHUNK_TERMS else None
 
@@ -609,12 +605,12 @@ def _support(x) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
     n = x.shape[0]
     if sparse:
-        rows, cols, values = _entries(x)
+        rows, cols, values = entries = _entries(x)
         hit = values != 0
         touched = np.zeros(n, dtype=bool)
         touched[rows[hit]] = touched[cols[hit]] = True
         index = touched.nonzero()[0]
-        return index, _block(x, index)
+        return index, _block(entries, n, index)
     touched = x.any(axis=1)
     index = touched.nonzero()[0]
     # once every row holds an entry, every index is touched
@@ -625,14 +621,14 @@ def _support(x) -> tuple[np.ndarray, np.ndarray]:
     return index, x if index.size == n else x[np.ix_(index, index)]
 
 
-def _block(x: sp.csr_matrix, index: np.ndarray) -> np.ndarray:
-    """The dense block of a square CSR matrix on the increasing indices ``index``.
+def _block(entries, n: int, index: np.ndarray) -> np.ndarray:
+    """The dense block on the increasing indices ``index`` of a square CSR matrix of ``n`` rows.
 
-    Read from the stored entries, summed like ``toarray()``: repeated
-    entries add up, and 0.0 + -0.0 is 0.0.
+    Read from its stored entries ``(rows, cols, values)`` (:func:`_entries`),
+    summed like ``toarray()``: repeated entries add up, and 0.0 + -0.0 is 0.0.
     """
-    rows, cols, values = _entries(x)
-    at = np.full(x.shape[0], -1)
+    rows, cols, values = entries
+    at = np.full(n, -1)
     at[index] = np.arange(index.size)
     inside = (at[rows] >= 0) & (at[cols] >= 0)
     block = np.zeros((index.size, index.size), dtype=np.complex128)

@@ -16,9 +16,9 @@ JSON reader for a dense matrix, pass dense arrays.  Products run on the
 form :func:`product_operators` picks: dense for filled pairs, CSR for sparse
 ones (see :func:`dense_products`).  :class:`_InteriorProducts` slices a
 pair's interior rows and columns once per call and writes each product of
-them once, as a sum that ``linalg.form_sum`` forms in their form; the
-defect and cross-commutator drop their round-off, entries of modulus up to
-``_ROUNDOFF``, as they form.
+them once, as a sum that ``linalg.form_sum`` (``linalg.sum_norm`` for a
+residual) forms in their form; the defect and cross-commutator drop their
+round-off, entries of modulus up to ``_ROUNDOFF``, as they form.
 
 Basis labels are structured tuples, never strings:
 
@@ -286,43 +286,40 @@ class _InteriorProducts:
     The operators share one form, dense or CSR (:func:`product_operators`).
     Each product is formed on first read from their interior rows and
     columns, sliced here, and the three thin products ``V1 cols2``, ``V2
-    cols1`` and ``rows1 V2``, with the stored entries of each CSR operand
-    listed once for all its sums (``linalg.form_sum``'s ``entries``).
+    cols1`` and ``rows1 V2``.
     """
 
     def __init__(self, v1, v2, interior):
         self.v1, self.v2, self.interior = v1, v2, np.asarray(interior, dtype=int)
         self.rows = v1[self.interior, :], v2[self.interior, :]
         self.cols = v1[:, self.interior], v2[:, self.interior]
-        self._entries = {}
 
     @functools.cached_property
     def range_v(self):
         """Interior compression of ``V V^H``, ``V = V1 V2``."""
         rows = self.rows[0] @ self.v2
-        return form_sum("+", [TimesAdjoint(rows, rows)], entries=self._entries)
+        return form_sum("+", [TimesAdjoint(rows, rows)])
 
     def range_complement(self):
         """``I - range_v``, in the products' form."""
-        return form_sum("+-", [IDENTITY, self.range_v], entries=self._entries)
+        return form_sum("+-", [IDENTITY, self.range_v])
 
     @functools.cached_property
     def residuals(self) -> dict[str, float]:
         """Isometry and commutation residuals on the interior columns."""
         cols1, cols2 = self.cols
         return {
-            "isometry_v1": sum_norm("+-", [AdjointTimes(cols1, cols1), IDENTITY], self._entries),
-            "isometry_v2": sum_norm("+-", [AdjointTimes(cols2, cols2), IDENTITY], self._entries),
-            "commutation": sum_norm("+-", [self.v1 @ cols2, self.v2 @ cols1], self._entries),
+            "isometry_v1": sum_norm("+-", [IDENTITY, AdjointTimes(cols1, cols1)]),
+            "isometry_v2": sum_norm("+-", [IDENTITY, AdjointTimes(cols2, cols2)]),
+            "commutation": sum_norm("+-", [self.v1 @ cols2, self.v2 @ cols1]),
         }
 
     @functools.cached_property
     def defect_and_cross(self):
         (rows1, rows2), (cols1, cols2) = self.rows, self.cols
         defect = form_sum("+--+", [IDENTITY, TimesAdjoint(rows1, rows1), TimesAdjoint(rows2, rows2),
-                                   self.range_v], _ROUNDOFF, self._entries)
-        cross = form_sum("+-", [AdjointTimes(cols2, cols1), TimesAdjoint(rows1, rows2)],
-                         _ROUNDOFF, self._entries)
+                                   self.range_v], _ROUNDOFF)
+        cross = form_sum("+-", [AdjointTimes(cols2, cols1), TimesAdjoint(rows1, rows2)], _ROUNDOFF)
         return defect, cross
 
 

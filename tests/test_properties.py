@@ -5,14 +5,16 @@ invariant under a basis scramble, the fundamental sequence of a direct sum
 is the union of its parts' sequences, ``decide_equivalence`` is symmetric,
 the two rank identities hold on every random triple, and a block solved on
 its range (``linalg.coupled_eig``'s thin route) answers as the whole block
-does, for a whole input and for one block under any threshold.  Inputs are
-kept small so that the file runs in a few seconds.
+does, for a whole input and for one block under any threshold, and
+``coupled_eig`` refuses exactly the matrices ``hermitian_eig`` refuses.
+Inputs are kept small so that the file runs in a few seconds.
 """
 
 import math
 from unittest import mock
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -182,3 +184,69 @@ def test_a_thin_solve_keeps_what_the_whole_solve_keeps(dim, share, seed, small, 
     assert np.max(np.abs(got_values - want_values), initial=0.0) <= 1e-12
     assert np.linalg.norm(got_vectors @ got_vectors.conj().T
                           - want_vectors @ want_vectors.conj().T) <= 1e-12
+
+
+#: Skews of one entry: far below the Hermitian bound, below it only beside
+#: large decoupled entries, and far above it.
+SKEWS = [1e-14, 1e-8, 1e-3]
+
+
+@st.composite
+def faulted_hermitian(draw):
+    """A Hermitian matrix, with at most one entry made NaN, infinite or skew.
+
+    The entry sits on a decoupled diagonal entry, inside a coupled block
+    beside decoupled entries and zero rows, or in a filled block of at least
+    ``THIN_MIN_ROWS`` rows and low rank, which the thin route would solve.
+    """
+    rng = np.random.default_rng(draw(seeds))
+    layout = draw(st.sampled_from(["decoupled", "coupled", "filled"]))
+    if layout == "filled":
+        dim = draw(st.integers(linalg.THIN_MIN_ROWS, linalg.THIN_MIN_ROWS + 16))
+        basis = random_unitary(dim, rng)[:, :draw(st.integers(1, 8))]
+        a = (basis * rng.choice([-1.0, 1.0], basis.shape[1])) @ basis.conj().T
+        a = (a + a.conj().T) / 2
+        faulted = np.arange(dim)
+    else:
+        dim = draw(st.integers(2, 12))
+        order = rng.permutation(dim)
+        size = 0 if layout == "decoupled" else draw(st.integers(2, dim))
+        block, rest = order[:size], order[size:]
+        units = rest[:draw(st.integers(layout == "decoupled", rest.size))]
+        a = np.zeros((dim, dim), dtype=np.complex128)
+        z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        a[np.ix_(block, block)] = (z + z.conj().T) / 2
+        scale = draw(st.sampled_from([1.0, 1e3]))
+        signs = rng.choice([-1.0, 1.0], units.size)
+        a[units, units] = scale * signs * rng.uniform(0.5, 1.0, units.size)
+        faulted = units if layout == "decoupled" else block
+    fault = draw(st.sampled_from([None, "nan", "inf", "skew"]))
+    i = draw(st.sampled_from(faulted.tolist()))
+    j = i if layout == "decoupled" else draw(st.sampled_from(faulted.tolist()))
+    if fault in ("nan", "inf"):
+        a[i, j] = np.nan if fault == "nan" else draw(st.sampled_from([np.inf, -np.inf]))
+    elif fault == "skew":
+        skew = draw(st.sampled_from(SKEWS))
+        a[i, j] += 1j * skew if i == j else skew
+    form = draw(st.sampled_from([np.asarray, sp.csr_matrix]))
+    return form(a), fault
+
+
+def refusal(call) -> str | None:
+    """The message of the ``ValueError`` that ``call()`` raises, or None."""
+    try:
+        call()
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(faulted=faulted_hermitian(), keep=st.sampled_from([
+    lambda v: v != 0, lambda v: np.abs(v) > 0.5, lambda v: v > 0.5]))
+def test_coupled_eig_refuses_what_hermitian_eig_refuses(faulted, keep):
+    a, fault = faulted
+    want = refusal(lambda: hermitian_eig(a))
+    assert refusal(lambda: coupled_eig(a, keep)) == want
+    if fault in ("nan", "inf"):
+        assert want == "matrix has a non-finite entry"

@@ -587,3 +587,17 @@ def test_one_classify_solves_each_matrix_once(monkeypatch, make, solves, thin):
     residuals = classify(obj).residuals
     assert sorted(calls) == solves
     assert ("defect_thin_residual" in residuals) == thin
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_izuchi_model(0.5, 1j, 20, 20).pair,
+    lambda: scramble(build_izuchi_model(0.5, 1j, 20, 20).pair, 3),
+], ids=["sparse-model", "thin-scramble"])
+def test_one_classify_checks_each_solved_matrix_once(monkeypatch, make):
+    # each coupled_eig call checks its support block once, before it splits
+    # it into decoupled entries and a coupled block, and no solve checks again
+    pair = make()
+    solves = _count_calls(monkeypatch, classify_module, "coupled_eig")
+    checks = _count_calls(monkeypatch, linalg, "_checked_hermitian")
+    classify(pair)
+    assert len(solves) == len(checks) == 2
